@@ -13,6 +13,7 @@ manifest carries timestamps.
 
 from __future__ import annotations
 
+import ctypes
 import json
 import math
 import os
@@ -29,10 +30,12 @@ from .analysis import (ClassifierThresholds, Envelope, FirstRevival, RevivalRepo
                        detect_revivals, extract_envelope, first_revival_peak)
 from .config import CSV_COLUMNS, ExperimentConfig
 from .errors import ConfigError
-from .fock import FockSpace, coherent_state, density_from_pure, displaced_number_state
+from .fock import (DensityMatrix, FockSpace, coherent_state, density_from_pure,
+                   displaced_number_state)
 from .hamiltonian import (DiagonalHamiltonian, Timescales, build_hamiltonian,
                           default_n0, modulus_revival_period, timescales_closed_form)
-from .lindblad import DampingSpec, Trajectory, build_liouvillian, default_dt, rk4_evolve
+from .lindblad import (DampingSpec, Liouvillian, Trajectory, build_liouvillian,
+                       default_dt, rk4_evolve)
 
 CSV_HEADER = "t,re_a,im_a,abs_a,n_expect,trace,purity"
 
@@ -53,6 +56,8 @@ class RunContext:
     config: ExperimentConfig
     hamiltonian: DiagonalHamiltonian
     damping: DampingSpec
+    liouvillian: Liouvillian
+    rho0: DensityMatrix
     dt: float
     n0: int
     predicted: Timescales | None
@@ -73,10 +78,11 @@ def resolve(config: ExperimentConfig) -> RunContext:
     else:
         predicted = None
         window = 2 * math.pi / config.omega0
+    L = build_liouvillian(h, damping)
     rho0 = initial_density(config)
-    dt = config.dt if config.dt > 0 else default_dt(build_liouvillian(h, damping), rho0)
-    return RunContext(config=config, hamiltonian=h, damping=damping, dt=dt,
-                      n0=n0, predicted=predicted,
+    dt = config.dt if config.dt > 0 else default_dt(L, rho0)
+    return RunContext(config=config, hamiltonian=h, damping=damping, liouvillian=L,
+                      rho0=rho0, dt=dt, n0=n0, predicted=predicted,
                       period=modulus_revival_period(h), window=window)
 
 
@@ -87,10 +93,10 @@ def initial_density(config: ExperimentConfig):
     return density_from_pure(psi)
 
 
-def evolve(ctx: RunContext) -> Trajectory:
-    L = build_liouvillian(ctx.hamiltonian, ctx.damping)
-    return rk4_evolve(L, initial_density(ctx.config), ctx.config.t_final,
-                      dt=ctx.dt, record_every=ctx.config.record_every)
+def evolve(ctx: RunContext, record_every: int) -> Trajectory:
+    """RK4 run of the resolved model; snapshots every record_every steps (0: none)."""
+    return rk4_evolve(ctx.liouvillian, ctx.rho0, ctx.config.t_final,
+                      dt=ctx.dt, record_every=record_every)
 
 
 @dataclass(frozen=True)
@@ -192,7 +198,7 @@ def run_experiment(config: ExperimentConfig, name: str = "run",
     out.mkdir(parents=True, exist_ok=True)
     t_wall = time.perf_counter()
     ctx = resolve(config)
-    traj = evolve(ctx)
+    traj = evolve(ctx, config.record_every)
     summary = analyze(ctx, traj)
     csv_path = out / f"{name}.csv"
     write_csv(csv_path, traj, config.outputs)
@@ -278,7 +284,8 @@ def _sweep_point(args: tuple[dict, str, float]) -> dict:
            "predicted_t_rev": t_rev, "predicted_t_sr": t_sr}
     try:
         ctx = resolve(config)
-        traj = evolve(ctx)
+        # sweep rows read only <a>(t): no snapshots
+        traj = evolve(ctx, record_every=0)
         summary = analyze(ctx, traj)
         row["classification"] = summary.report.classification.value
         row["n_revivals"] = int(len(summary.report.revival_times))
@@ -288,6 +295,30 @@ def _sweep_point(args: tuple[dict, str, float]) -> dict:
     except Exception as exc:  # per-point failures land in the row
         row["classification"] = f"ERROR:{type(exc).__name__}"
     return row
+
+
+def _one_blas_thread() -> None:
+    """Pool-worker initializer: one OpenBLAS thread per worker process.
+
+    The propagator's matrix products run through BLAS. The workers already
+    fill the cores, and an OpenBLAS thread pool in each of them spins
+    against the others' (70x slower on 2 cores with 4 workers). The library
+    is found among the loaded ones; where there is none, this does nothing.
+    """
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as fh:
+            paths = {line.split()[-1] for line in fh if "openblas" in line}
+    except OSError:
+        return
+    for path in paths:
+        lib = ctypes.CDLL(path)
+        for name in ("scipy_openblas_set_num_threads64_", "scipy_openblas_set_num_threads",
+                     "openblas_set_num_threads64_", "openblas_set_num_threads"):
+            if hasattr(lib, name):
+                set_threads = getattr(lib, name)
+                set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+                set_threads(1)
+                break
 
 
 @dataclass(frozen=True)
@@ -313,7 +344,8 @@ def run_sweep(base: ExperimentConfig, axis: str, values, parallel: int = 1,
     base_dict["outputs"] = tuple(base_dict["outputs"])
     jobs = [(base_dict, axis, float(v)) for v in values]
     if parallel > 1 and len(jobs) > 1:
-        with ProcessPoolExecutor(max_workers=parallel) as pool:
+        with ProcessPoolExecutor(max_workers=parallel,
+                                 initializer=_one_blas_thread) as pool:
             rows = list(pool.map(_sweep_point, jobs))
     else:
         rows = [_sweep_point(j) for j in jobs]

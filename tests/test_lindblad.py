@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -9,7 +10,10 @@ from revivals import (DampingSpec, DensityMatrix, DimensionError, DomainError,
                       damped_linear_expect_a, density_from_pure,
                       displaced_number_state, expm_propagate, fock_state,
                       kerr_expect_a_closed_form, rk4_evolve)
-from revivals.lindblad import unvectorize, vectorize
+from revivals.lindblad import (BLOCK_STEPS, SNAPSHOT_TOLERANCE, TOP_LEVEL_TOLERANCE,
+                               TRACE_TOLERANCE, Trajectory, default_dt, to_bands,
+                               unvectorize, vectorize)
+from revivals.observables import expect_a_raw, expect_n_raw
 
 from conftest import ALPHA, B1, B2, OMEGA0, random_density, random_hermitian
 
@@ -141,20 +145,6 @@ def test_trajectory_records_and_snapshots():
     assert rec.a_expect == pytest.approx(-1.0, abs=1e-9)
 
 
-def test_rk4_observers():
-    space = FockSpace(18)
-    L = make_liouvillian(18, b=B1, gamma=0.0)
-    rho0 = density_from_pure(coherent_state(space, -1.0))
-
-    def top_population(t, rho):
-        return rho[-1, -1].real
-
-    traj = rk4_evolve(L, rho0, 1.0, dt=0.01, record_every=0,
-                      observers=(top_population,))
-    assert "top_population" in traj.extras
-    assert len(traj.extras["top_population"]) == len(traj)
-
-
 def test_expm_identity_at_zero(rng):
     L = make_liouvillian(6, gamma=1e-3)
     rho0 = DensityMatrix(FockSpace(6), random_density(rng, 6))
@@ -188,3 +178,170 @@ def test_expm_agrees_with_rk4(rng):
 
 def len_steps(t, dt):
     return max(1, math.ceil(t / dt - 1e-12))
+
+
+# ---------------------------------------------------------------------------
+# the block propagator against the stage-wise RK4 loop
+
+
+def reference_rk4(L, rho0, t_final, dt, record_every=0):
+    """Stage-wise RK4 on the full D x D matrix with the gates of rk4_evolve.
+
+    Four generator applications per step, re-Hermitized after each step;
+    observables and gates per step, in the order trace, top level, purity,
+    then the snapshot gate at record points.
+    """
+    nsteps = max(1, math.ceil(t_final / dt - 1e-12))
+    dt = t_final / nsteps
+    rho = np.array(rho0.matrix, dtype=complex)
+    k1, k2, k3, k4, stage = (np.empty_like(rho) for _ in range(5))
+    times = np.arange(nsteps + 1) * dt
+    a_rec = np.empty(nsteps + 1, dtype=complex)
+    n_rec, tr_rec, pur_rec, herm_rec = (np.empty(nsteps + 1) for _ in range(4))
+    states = []
+    top_limit = float(rho[-1, -1].real) + TOP_LEVEL_TOLERANCE
+
+    def observe(i, defect):
+        a_rec[i] = expect_a_raw(rho)
+        n_rec[i] = expect_n_raw(rho)
+        tr = tr_rec[i] = float(np.trace(rho).real)
+        pur = pur_rec[i] = float(np.vdot(rho, rho).real)
+        herm_rec[i] = defect
+        if not abs(tr - 1.0) <= TRACE_TOLERANCE:
+            raise StabilityError(f"trace at t={times[i]:.6g}")
+        if not rho[-1, -1].real <= top_limit:
+            raise TruncationError(f"top level at t={times[i]:.6g}")
+        if not 0.0 < pur <= 1.0 + TRACE_TOLERANCE:
+            raise StabilityError(f"purity at t={times[i]:.6g}")
+        if record_every > 0 and (i % record_every == 0 or i == nsteps):
+            if not abs(float(np.trace(rho).real) - 1.0) <= SNAPSHOT_TOLERANCE:
+                raise StabilityError(f"snapshot at t={times[i]:.6g}")
+            states.append((float(times[i]), rho.copy()))
+
+    observe(0, 0.0)
+    for s in range(1, nsteps + 1):
+        L.apply(rho, out=k1)
+        np.multiply(k1, 0.5 * dt, out=stage)
+        stage += rho
+        L.apply(stage, out=k2)
+        np.multiply(k2, 0.5 * dt, out=stage)
+        stage += rho
+        L.apply(stage, out=k3)
+        np.multiply(k3, dt, out=stage)
+        stage += rho
+        L.apply(stage, out=k4)
+        rho += dt / 6.0 * (k1 + 2.0 * (k2 + k3) + k4)
+        adj = rho.conj().T
+        defect = float(np.abs(rho - adj).max())
+        rho += adj
+        rho *= 0.5
+        observe(s, defect)
+    return Trajectory(times=times, a_expect=a_rec, n_expect=n_rec, trace=tr_rec,
+                      purity=pur_rec, herm_defect=herm_rec, states=states)
+
+
+def failure_time(excinfo):
+    return re.search(r"t=(\S+?);?\s", str(excinfo.value) + " ").group(1)
+
+
+@pytest.mark.parametrize("gamma,n_thermal,full", [
+    (0.0, 0.0, False), (1e-3, 0.0, False), (2e-3, 0.5, False), (2e-3, 0.5, True)])
+def test_band_generators_match_apply(rng, gamma, n_thermal, full):
+    L = make_liouvillian(9, k=3, gamma=gamma, n_thermal=n_thermal, full=full)
+    rho = random_density(rng, 9)
+    drho = to_bands(L.apply(rho))
+    gens = L.band_generators()
+    assert gens[0].dtype == float
+    for q, (m, x) in enumerate(zip(gens, to_bands(rho))):
+        assert m.shape == (9 - q, 9 - q)
+        np.testing.assert_allclose(m @ x, drho[q], rtol=0, atol=1e-15)
+
+
+def _mixed(rng, dim):
+    return DensityMatrix(FockSpace(dim), random_density(rng, dim))
+
+
+@pytest.mark.parametrize("case", [
+    # undamped Kerr, damped cubic from a displaced state, thermal full
+    # equation, random mixed state
+    dict(dim=30, b=B1, k=2, t=300.0),
+    dict(dim=34, b=B2, k=3, gamma=1e-3, state_n=2, t=40.0, record_every=97),
+    dict(dim=24, b=B1, k=2, gamma=2e-3, n_thermal=0.5, full=True, t=100.0,
+         record_every=50),
+    dict(dim=12, b=B2, k=3, gamma=3e-3, mixed=True, t=100.0, record_every=64),
+], ids=["kerr", "damped-cubic-displaced", "thermal-full", "mixed"])
+def test_rk4_matches_stage_loop(rng, case):
+    case = dict(case)
+    dim, t, every = case.pop("dim"), case.pop("t"), case.pop("record_every", 0)
+    state_n, mixed = case.pop("state_n", 0), case.pop("mixed", False)
+    L = make_liouvillian(dim, **case)
+    space = FockSpace(dim)
+    if mixed:
+        rho0 = _mixed(rng, dim)
+    elif state_n:
+        rho0 = density_from_pure(displaced_number_state(space, ALPHA, state_n))
+    else:
+        rho0 = density_from_pure(coherent_state(space, ALPHA))
+    dt = default_dt(L, rho0)
+    got = rk4_evolve(L, rho0, t, record_every=every)
+    want = reference_rk4(L, rho0, t, dt, record_every=every)
+    np.testing.assert_array_equal(got.times, want.times)
+    for name in ("a_expect", "n_expect", "trace", "purity"):
+        err = np.abs(getattr(got, name) - getattr(want, name)).max()
+        assert err <= 1e-10, (name, err)
+    assert got.herm_defect.max() == 0.0
+    assert [t for t, _ in got.states] == [t for t, _ in want.states]
+    for (_, x), (_, y) in zip(got.states, want.states):
+        assert np.abs(x - y).max() <= 1e-10
+        np.testing.assert_array_equal(x, x.conj().T)
+
+
+@pytest.mark.parametrize("nsteps", [1, BLOCK_STEPS - 2, BLOCK_STEPS - 1, BLOCK_STEPS,
+                                    2 * BLOCK_STEPS - 1])
+def test_rk4_block_edges(nsteps):
+    # nsteps + 1 samples fall below, on and just past a block edge
+    L = make_liouvillian(14, b=B1, gamma=1e-3)
+    rho0 = density_from_pure(coherent_state(FockSpace(14), -0.8))
+    dt = 0.05
+    got = rk4_evolve(L, rho0, nsteps * dt, dt=dt, record_every=7)
+    want = reference_rk4(L, rho0, nsteps * dt, dt, record_every=7)
+    assert len(got) == len(want) == nsteps + 1
+    assert [t for t, _ in got.states] == [t for t, _ in want.states]
+    assert np.abs(got.a_expect - want.a_expect).max() <= 1e-12
+    assert np.abs(got.purity - want.purity).max() <= 1e-12
+
+
+def test_rk4_stability_error_at_reference_time():
+    # b = 0 and dt at the step limit put the far band's phase dt*(E_29 - E_0)
+    # = 2.9 past RK4's stability bound: that band grows until the purity gate
+    L = make_liouvillian(30, b=0.0, gamma=0.0)
+    rho0 = density_from_pure(coherent_state(FockSpace(30), ALPHA))
+    dt = 0.1 / L.omega_max()
+    with pytest.raises(StabilityError) as got:
+        rk4_evolve(L, rho0, 300 * dt, dt=dt, record_every=0)
+    with pytest.raises(StabilityError) as want:
+        reference_rk4(L, rho0, 300 * dt, dt)
+    assert "purity" in str(got.value)
+    assert failure_time(got) == failure_time(want)
+
+
+def test_rk4_truncation_error_at_reference_time():
+    L = make_liouvillian(6, b=0.0, gamma=0.05, n_thermal=3.0, full=True)
+    rho0 = density_from_pure(fock_state(FockSpace(6), 0))
+    with pytest.raises(TruncationError) as got:
+        rk4_evolve(L, rho0, 400.0, dt=0.05, record_every=0)
+    with pytest.raises(TruncationError) as want:
+        reference_rk4(L, rho0, 400.0, 0.05)
+    assert failure_time(got) == failure_time(want)
+
+
+@pytest.mark.parametrize("column,error", [
+    ("trace", StabilityError), ("top", TruncationError), ("purity", StabilityError)])
+def test_gates_fail_on_nan(column, error):
+    from revivals.lindblad import _first_failure
+
+    values = {"trace": np.ones(4), "top": np.zeros(4), "purity": np.full(4, 0.5)}
+    values[column][2] = np.nan
+    i, exc = _first_failure(np.arange(4.0), values["trace"], values["purity"],
+                            values["top"], top_limit=1e-6)
+    assert i == 2 and isinstance(exc, error) and "t=2" in str(exc)

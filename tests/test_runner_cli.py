@@ -206,3 +206,28 @@ def test_sweep_rows_are_permutation_invariant(tmp_path):
     rev = run_sweep(cfg, "gamma", [1e-3, 0.0], name="r", out_dir=tmp_path)
     key = lambda r: r["param_value"]
     assert sorted(fwd.rows, key=key) == sorted(rev.rows, key=key)
+
+
+def _fig2b_dim60():
+    from dataclasses import replace
+    from revivals.config import load_preset
+
+    # the automatic step is unstable on the far bands of rho at dim >= 56
+    return replace(load_preset("fig2b").config, dim=60)
+
+
+def test_unstable_run_raises_and_writes_no_csv(tmp_path):
+    from revivals import StabilityError
+
+    with pytest.raises(StabilityError, match="purity"):
+        run_experiment(_fig2b_dim60(), name="fig2b60", out_dir=tmp_path)
+    assert not (tmp_path / "fig2b60.csv").exists()
+    assert not (tmp_path / "fig2b60.manifest.json").exists()
+
+
+def test_cli_run_unstable_exit_code(tmp_path, capsys):
+    path = tmp_path / "fig2b60.json"
+    path.write_text(_fig2b_dim60().to_json())
+    assert main(["run", str(path), "--out-dir", str(tmp_path / "out")]) == 4
+    assert "StabilityError" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "fig2b60.csv").exists()
