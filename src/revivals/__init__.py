@@ -26,7 +26,7 @@ from .hamiltonian import (DiagonalHamiltonian, Timescales, build_hamiltonian,
                           timescales_closed_form, timescales_finite_difference)
 from .lindblad import (DampingSpec, Liouvillian, Trajectory, build_liouvillian,
                        default_dt, expm_propagate, rk4_evolve)
-from .observables import ObservableRecord, expect_operator, purity
+from .observables import expect_operator, purity
 from .reference import (damped_linear_expect_a, diagonal_h_fock_sum_expect_a,
                         displacement_matrix_element, kerr_expect_a_closed_form)
 from .runner import run_experiment, run_sweep

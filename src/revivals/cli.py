@@ -1,21 +1,24 @@
 """Command-line front end.
 
-Verbs: run, sweep, preset, validate. Exit codes: 0 success, 2 configuration
-error, 3 truncation error, 4 stability error. The output directory defaults
-to ./out and can be overridden with REVIVALS_OUT_DIR.
+Verbs: run, sweep, preset, validate. Exit codes: 0 success, 1 internal error
+(an exception that is not a RevivalsError; its traceback goes to stderr),
+2 configuration error, 3 truncation error, 4 stability error. The output
+directory defaults to ./out and can be overridden with REVIVALS_OUT_DIR.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+import traceback
 from pathlib import Path
 
 from .config import ConfigError, expand_preset, load_config, load_preset
-from .errors import StabilityError, TruncationError
+from .errors import RevivalsError, StabilityError, TruncationError
 from .runner import run_experiment, run_sweep
 
 EXIT_OK = 0
+EXIT_INTERNAL = 1
 EXIT_CONFIG = 2
 EXIT_TRUNCATION = 3
 EXIT_STABILITY = 4
@@ -27,11 +30,16 @@ def _fail(kind: str, message: str, code: int) -> int:
 
 
 def _exit_code_for(exc: Exception) -> int:
+    """Exit code for an exception raised by a run; an internal error's
+    traceback is printed to stderr."""
     if isinstance(exc, TruncationError):
         return EXIT_TRUNCATION
     if isinstance(exc, StabilityError):
         return EXIT_STABILITY
-    return EXIT_CONFIG
+    if isinstance(exc, RevivalsError):
+        return EXIT_CONFIG
+    traceback.print_exception(exc, file=sys.stderr)
+    return EXIT_INTERNAL
 
 
 def _parse_values(text: str) -> list[float]:

@@ -41,10 +41,6 @@ class FockSpace:
         if self.dim < 2:
             raise DomainError(f"Fock space needs dim >= 2, got {self.dim}")
 
-    def check_same(self, other: "FockSpace") -> None:
-        if self.dim != other.dim:
-            raise DimensionMismatch(f"dimension mismatch: {self.dim} vs {other.dim}")
-
 
 @dataclass(frozen=True)
 class Operator:
@@ -61,9 +57,6 @@ class Operator:
                 f"operator shape {m.shape} does not match dim {self.space.dim}"
             )
         object.__setattr__(self, "matrix", _readonly(m))
-
-    def dagger(self) -> "Operator":
-        return Operator(self.space, self.matrix.conj().T, label=self.label)
 
 
 @dataclass(frozen=True)

@@ -10,11 +10,15 @@ Two propagators share one generator:
   generator one RK4 step is exactly the matrix polynomial
   R_q = I + hM_q + (hM_q)^2/2 + (hM_q)^3/6 + (hM_q)^4/24, so the step is
   evaluated as that matrix, and samples come out in blocks of BLOCK_STEPS
-  steps as matrix products with powers of R_q. The steps, the time grid and
-  the recorded values are those of the stage-wise RK4 loop, up to rounding;
-  only the order of the floating-point operations differs. The upper
-  triangle is the conjugate of the lower bands, so the propagated state is
-  Hermitian by construction.
+  steps as matrix products with powers of R_q. Without jump terms
+  (gamma = 0) every M_q is diagonal, and so is R_q: the step is then the
+  vector r = diag R over the stacked bands, sample j of a block is the
+  block-start state times r^j elementwise, and the observables are products
+  of the block-start state with one table of r^j. The steps, the time grid
+  and the recorded values are those of the stage-wise RK4 loop, up to
+  rounding; only the order of the floating-point operations differs. The
+  upper triangle is the conjugate of the lower bands, so the propagated
+  state is Hermitian by construction.
 * ``expm_propagate`` - dense exponential of the D^2 x D^2 superoperator,
   restricted to small dimensions. It exists to cross-check the RK4 path.
 
@@ -35,7 +39,7 @@ from .fock import DensityMatrix, FockSpace
 from .hamiltonian import DiagonalHamiltonian
 # expect_a_raw is not called here; the benchmark's tracer patches both names
 # on this module, so they stay importable from it
-from .observables import ObservableRecord, expect_a_raw, expect_n_raw  # noqa: F401
+from .observables import expect_a_raw, expect_n_raw  # noqa: F401
 
 #: Trace drift treated as an integration failure; purity above 1 by more
 #: than this is one too.
@@ -185,12 +189,6 @@ class Trajectory:
     herm_defect: np.ndarray
     states: list[tuple[float, np.ndarray]] = field(default_factory=list)
 
-    def record(self, i: int) -> ObservableRecord:
-        return ObservableRecord(
-            t=float(self.times[i]), a_expect=complex(self.a_expect[i]),
-            n_expect=float(self.n_expect[i]), trace=float(self.trace[i]),
-            purity=float(self.purity[i]), herm_defect=float(self.herm_defect[i]))
-
     def __len__(self) -> int:
         return len(self.times)
 
@@ -213,13 +211,18 @@ def default_dt(L: Liouvillian, rho0: DensityMatrix) -> float:
     return min(0.1 / L.omega_max(), t_cl / 200.0)
 
 
-def _rk4_step_matrix(m: np.ndarray, dt: float) -> np.ndarray:
-    """I + hM + (hM)^2/2 + (hM)^3/6 + (hM)^4/24: one RK4 step of dx/dt = M x."""
+def _rk4_step(m: np.ndarray, dt: float) -> np.ndarray:
+    """I + hM + (hM)^2/2 + (hM)^3/6 + (hM)^4/24: one RK4 step of dx/dt = M x.
+
+    A 1-d m stands for the diagonal matrix diag(m) and gives the diagonal of
+    the step, with the same operations as the 2-d form on that diagonal.
+    """
     hm = dt * m
-    eye = np.eye(len(m), dtype=m.dtype)
+    eye, mul = ((np.eye(len(m), dtype=m.dtype), np.matmul) if m.ndim == 2
+                else (1.0, np.multiply))
     r = eye + hm / 4.0
     for k in (3.0, 2.0, 1.0):
-        r = eye + (hm / k) @ r
+        r = eye + mul(hm / k, r)
     return r
 
 
@@ -245,6 +248,97 @@ def _first_failure(times: np.ndarray, trace: np.ndarray, purity: np.ndarray,
                                   f"t={times[i]:.6g}; increase dim")
     return i, StabilityError(f"purity {float(purity[i])!r} outside (0, 1] at "
                              f"t={times[i]:.6g}; reduce dt")
+
+
+# Both block generators below yield, per block of up to BLOCK_STEPS
+# consecutive samples, the arrays <a>, <n>, trace, purity and top-level
+# population, and a function sample(j) giving the bands of sample j of the
+# block as (band 0, bands 1..D-1 stacked in order). sample(j) is valid until
+# the next block is drawn.
+
+
+def _dense_blocks(gens: list[np.ndarray], x0: list[np.ndarray], dt: float,
+                  nsamples: int):
+    """Blocks as matrix products of the band states with powers of R_q."""
+    d = len(gens)
+    nb = BLOCK_STEPS
+    # Band 0 lives in a real (D, B) block, bands 1..D-1 stacked row-wise in
+    # one complex block, band 1 first; a second pair of blocks takes the
+    # next B samples.
+    rows = np.concatenate(([0], np.cumsum(np.arange(d - 1, 0, -1))))
+
+    def blocks() -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
+        diag, off = np.empty((d, nb)), np.empty((rows[-1], nb), dtype=complex)
+        return diag, off, [diag] + [off[rows[q - 1]:rows[q]] for q in range(1, d)]
+
+    cur, nxt = blocks(), blocks()
+    # first block by doubling: columns [w, 2w) are R^w applied to [0, w)
+    powers = []
+    for x, xq, m in zip(cur[2], x0, gens):
+        x[:, 0] = xq
+        p = _rk4_step(m, dt)
+        width = 1
+        while width < nb:
+            np.matmul(p, x[:, :width], out=x[:, width:2 * width])
+            p = p @ p
+            width *= 2
+        powers.append(p)  # R^B
+    sqrt_n = np.sqrt(np.arange(1.0, d))
+    levels = np.arange(float(d))
+
+    for k0 in range(0, nsamples, nb):
+        if k0 > 0:
+            for p, x, y in zip(powers, cur[2], nxt[2]):
+                np.matmul(p, x, out=y)
+            cur, nxt = nxt, cur
+        count = min(nb, nsamples - k0)
+        pop, off = cur[0][:, :count], cur[1][:, :count]
+        sq = np.einsum("ij,ij->j", off.view(np.float64), off.view(np.float64))
+        yield (sqrt_n @ off[:d - 1], levels @ pop, pop.sum(axis=0),
+               np.einsum("ij,ij->j", pop, pop) + 2.0 * (sq[0::2] + sq[1::2]),
+               pop[-1], lambda j: (pop[:, j], off[:, j]))
+
+
+def _diagonal_blocks(gens: list[np.ndarray], x0: list[np.ndarray], dt: float,
+                     nsamples: int):
+    """Blocks as elementwise products of the band states with powers of diag R_q.
+
+    Only valid when every M_q is diagonal: then so is R_q, and sample j of a
+    block is x(block start) * r^j with r the stacked diagonals of the R_q.
+    """
+    d = len(gens)
+    nb = BLOCK_STEPS
+    x = np.concatenate(x0)
+    p = _rk4_step(np.concatenate([np.diagonal(m) for m in gens]), dt)
+    # table[:, j] = r^j, by the same doubling as the dense path; p ends as r^B
+    table = np.empty((len(x), nb), dtype=complex)
+    table[:, 0] = 1.0
+    width = 1
+    while width < nb:
+        np.multiply(p[:, None], table[:, :width], out=table[:, width:2 * width])
+        p = p * p
+        width *= 2
+    abs2 = table.real ** 2 + table.imag ** 2
+    weight = np.full(len(x), 2.0)  # each band q >= 1 also stands for band -q
+    weight[:d] = 1.0
+    pop_t, a_t = table[:d], table[d:2 * d - 1]
+    sqrt_n = np.sqrt(np.arange(1.0, d))
+    levels = np.arange(float(d))
+
+    def sample(j: int) -> tuple[np.ndarray, np.ndarray]:
+        v = x * table[:, j]
+        return v[:d].real, v[d:]
+
+    for k0 in range(0, nsamples, nb):
+        if k0 > 0:
+            x *= p
+        count = min(nb, nsamples - k0)
+        pop = x[:d]
+        yield ((sqrt_n * x[d:2 * d - 1]) @ a_t[:, :count],
+               ((levels * pop) @ pop_t[:, :count]).real,
+               (pop @ pop_t[:, :count]).real,
+               (weight * (x.real ** 2 + x.imag ** 2)) @ abs2[:, :count],
+               (pop[-1] * pop_t[-1, :count]).real, sample)
 
 
 def rk4_evolve(L: Liouvillian, rho0: DensityMatrix, t_final: float,
@@ -290,53 +384,23 @@ def rk4_evolve(L: Liouvillian, rho0: DensityMatrix, t_final: float,
     # downward-only dissipation cannot grow the top-level population, so
     # only growth beyond the initial value signals truncation overflow
     top_limit = float(rho0.matrix[-1, -1].real) + TOP_LEVEL_TOLERANCE
-
-    # Band 0 lives in a real (D, B) block, bands 1..D-1 stacked row-wise in
-    # one complex block, band 1 first; a second pair of blocks takes the
-    # next B samples.
-    nb = BLOCK_STEPS
-    rows = np.concatenate(([0], np.cumsum(np.arange(d - 1, 0, -1))))
-
-    def blocks() -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
-        diag, off = np.empty((d, nb)), np.empty((rows[-1], nb), dtype=complex)
-        return diag, off, [diag] + [off[rows[q - 1]:rows[q]] for q in range(1, d)]
-
-    cur, nxt = blocks(), blocks()
-    sqrt_n = np.sqrt(np.arange(1.0, d))
-    levels = np.arange(float(d))
     lower = (np.concatenate([np.arange(q, d) for q in range(1, d)]),
              np.concatenate([np.arange(d - q) for q in range(1, d)]))
 
     # Past a failing sample the values may overflow; the gates report it.
     with np.errstate(over="ignore", invalid="ignore"):
-        # first block by doubling: columns [w, 2w) are R^w applied to [0, w)
-        powers = []
-        for x, x0, m in zip(cur[2], to_bands(np.asarray(rho0.matrix)),
-                            L.band_generators()):
-            x[:, 0] = x0
-            p = _rk4_step_matrix(m, dt)
-            width = 1
-            while width < nb:
-                np.matmul(p, x[:, :width], out=x[:, width:2 * width])
-                p = p @ p
-                width *= 2
-            powers.append(p)  # R^B
-
-        for k0 in range(0, nsamples, nb):
-            if k0 > 0:
-                for p, x, y in zip(powers, cur[2], nxt[2]):
-                    np.matmul(p, x, out=y)
-                cur, nxt = nxt, cur
-            count = min(nb, nsamples - k0)
+        gens = L.band_generators()
+        # without jump terms (gamma = 0) every M_q is diagonal
+        diagonal = all(np.count_nonzero(m) == np.count_nonzero(np.diagonal(m))
+                       for m in gens)
+        blocks = (_diagonal_blocks if diagonal else _dense_blocks)(
+            gens, to_bands(np.asarray(rho0.matrix)), dt, nsamples)
+        k0 = 0
+        for a, n, tr, pur, top, sample in blocks:
+            count = len(a)
             blk = slice(k0, k0 + count)
-            pop, off = cur[0][:, :count], cur[1][:, :count]
-            sq = np.einsum("ij,ij->j", off.view(np.float64), off.view(np.float64))
-            a_rec[blk] = sqrt_n @ off[:d - 1]
-            n_rec[blk] = levels @ pop
-            tr_rec[blk] = pop.sum(axis=0)
-            pur_rec[blk] = np.einsum("ij,ij->j", pop, pop) + 2.0 * (sq[0::2] + sq[1::2])
-            failure = _first_failure(times[blk], tr_rec[blk], pur_rec[blk],
-                                     pop[-1], top_limit)
+            a_rec[blk], n_rec[blk], tr_rec[blk], pur_rec[blk] = a, n, tr, pur
+            failure = _first_failure(times[blk], tr, pur, top, top_limit)
             # snapshots are taken up to, not including, the first failing sample
             last_ok = k0 + count if failure is None else k0 + failure[0]
             if record_every > 0:
@@ -347,18 +411,19 @@ def rk4_evolve(L: Liouvillian, rho0: DensityMatrix, t_final: float,
                 for s in marks:
                     if s >= last_ok:
                         break
-                    j = s - k0
                     drift = abs(tr_rec[s] - 1.0)
                     if not drift <= SNAPSHOT_TOLERANCE:
                         raise StabilityError(
                             f"snapshot at t={times[s]:.6g} fails integrity: "
                             f"trace drift {drift:.2e}")
-                    rho = np.diag(pop[:, j].astype(complex))
-                    rho[lower] = off[:, j]
-                    rho[lower[::-1]] = off[:, j].conj()
+                    pop, off = sample(s - k0)
+                    rho = np.diag(pop.astype(complex))
+                    rho[lower] = off
+                    rho[lower[::-1]] = off.conj()
                     states.append((float(times[s]), rho))
             if failure is not None:
                 raise failure[1]
+            k0 += count
 
     # the lower bands carry the state and the upper triangle is their
     # conjugate, so the Hermiticity defect is zero at every step

@@ -2,24 +2,10 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import DimensionMismatch
 from .fock import DensityMatrix, Operator
-
-
-@dataclass(frozen=True)
-class ObservableRecord:
-    """Per-time diagnostics of an evolving density matrix."""
-
-    t: float
-    a_expect: complex
-    n_expect: float
-    trace: float
-    purity: float
-    herm_defect: float
 
 
 def expect_operator(rho: DensityMatrix, op: Operator) -> complex:

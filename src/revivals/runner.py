@@ -44,6 +44,9 @@ SWEEP_HEADER = ("param_value,classification,n_revivals,first_revival_t,"
 
 SWEEP_AXES = ("gamma", "b", "state_n")
 
+#: Rows formatted per write in ``write_csv``.
+CSV_CHUNK_ROWS = 1024
+
 
 def default_out_dir() -> Path:
     return Path(os.environ.get("REVIVALS_OUT_DIR", "out"))
@@ -132,11 +135,15 @@ def write_csv(path: Path, traj: Trajectory, outputs=CSV_COLUMNS) -> None:
         "purity": traj.purity,
     }
     selected = [c for c in CSV_COLUMNS if c in outputs]
+    data = [traj.times] + [cols[c] for c in selected]
+    # one %-format per chunk of rows gives the bytes of _fmt per value; the
+    # chunks bound the transient Python floats and strings
+    row = ",".join(["%.17g"] * len(data)) + "\n"
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("t," + ",".join(selected) + "\n")
-        data = [traj.times] + [cols[c] for c in selected]
-        for row in zip(*data):
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+        for k in range(0, len(traj.times), CSV_CHUNK_ROWS):
+            chunk = np.column_stack([c[k:k + CSV_CHUNK_ROWS] for c in data])
+            fh.write((row * len(chunk)) % tuple(chunk.ravel().tolist()))
 
 
 PLOT_TEMPLATE = '''#!/usr/bin/env python3

@@ -208,7 +208,7 @@ def test_criterion_06_cubic_ladder_oracle_and_super_revival():
         assert spread <= 0.02, detected
 
 
-def test_criterion_07_displaced_revival_time_anomaly():
+def test_criterion_07_displaced_revival_time_anomaly(tmp_path):
     with criterion(7, "first revival times for n = 1..4 agree within 5% and "
                       "do not scale as 1/n; theory column reports 2 pi/(3 b n)"):
         from dataclasses import replace
@@ -217,8 +217,7 @@ def test_criterion_07_displaced_revival_time_anomaly():
         base = load_preset("fig6a").config
         # span just past the common revival; theory columns come from the sweep
         sweep = run_sweep(replace(base, t_final=round(1.3 * period, 1)),
-                          "state_n", [1, 2, 3, 4], name="c7",
-                          out_dir="out/acceptance")
+                          "state_n", [1, 2, 3, 4], name="c7", out_dir=tmp_path)
         rows = sweep.rows
         times = np.array([r["first_revival_t"] for r in rows])
         assert np.all(np.isfinite(times)), rows
@@ -233,12 +232,12 @@ def test_criterion_07_displaced_revival_time_anomaly():
         assert np.abs(times - period).max() <= 0.05 * period, times
 
 
-def test_criterion_08_first_revival_amplitudes_decrease_with_n():
+def test_criterion_08_first_revival_amplitudes_decrease_with_n(tmp_path):
     with criterion(8, "damped first-revival amplitudes strictly decrease "
                       "for n = 1..10"):
         spec = load_preset("fig8")
         sweep = run_sweep(spec.config, spec.sweep_axis, spec.sweep_values,
-                          parallel=4, name="c8", out_dir="out/acceptance")
+                          parallel=4, name="c8", out_dir=tmp_path)
         amps = np.array([r["first_revival_amp"] for r in sweep.rows])
         assert np.all(np.isfinite(amps)), sweep.rows
         assert np.all(amps[1:] < amps[:-1]), amps

@@ -6,8 +6,10 @@ import pytest
 
 from revivals import ExperimentConfig
 from revivals.cli import main
-from revivals.config import config_from_dict
-from revivals.runner import (CSV_HEADER, SWEEP_HEADER, run_experiment, run_sweep)
+from revivals.config import CSV_COLUMNS, config_from_dict
+from revivals.lindblad import Trajectory
+from revivals.runner import (CSV_CHUNK_ROWS, CSV_HEADER, SWEEP_HEADER, run_experiment,
+                             run_sweep, write_csv)
 
 from conftest import ALPHA, OMEGA0
 
@@ -231,3 +233,47 @@ def test_cli_run_unstable_exit_code(tmp_path, capsys):
     assert main(["run", str(path), "--out-dir", str(tmp_path / "out")]) == 4
     assert "StabilityError" in capsys.readouterr().err
     assert not (tmp_path / "out" / "fig2b60.csv").exists()
+
+
+def test_cli_run_internal_error_exit_code(tmp_path, monkeypatch, capsys):
+    from revivals import cli
+
+    def broken(*args, **kwargs):
+        raise RuntimeError("bug in the runner")
+
+    monkeypatch.setattr(cli, "run_experiment", broken)
+    path = write_config(tmp_path)
+    assert main(["run", str(path), "--out-dir", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert "RuntimeError: bug in the runner" in err
+    assert "Traceback" in err
+
+
+def _write_csv_reference(path, traj, outputs):
+    """Per-value f-string formatting, the writer's original form."""
+    cols = {"re_a": traj.a_expect.real, "im_a": traj.a_expect.imag,
+            "abs_a": np.abs(traj.a_expect), "n_expect": traj.n_expect,
+            "trace": traj.trace, "purity": traj.purity}
+    selected = [c for c in CSV_COLUMNS if c in outputs]
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write("t," + ",".join(selected) + "\n")
+        for row in zip(*([traj.times] + [cols[c] for c in selected])):
+            fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
+
+
+@pytest.mark.parametrize("outputs", [CSV_COLUMNS, ("abs_a", "trace")])
+def test_write_csv_matches_per_value_format(tmp_path, rng, outputs):
+    # edge values: signed zero, tiny, huge and both sides of the %g switch
+    # to exponent notation (1e-5 and 1e17); rows span several write chunks
+    edges = np.array([-0.0, 0.0, 1e-300, -1e-300, 1e20, 1e-5, 9.999999999999999e-06,
+                      1e-4, 1e16, 1e17, -1e17, 0.1, 1.0 / 3.0, 5e-324])
+    n = 2 * CSV_CHUNK_ROWS + 37
+    values = rng.standard_normal((6, n)) * 10.0 ** rng.integers(-30, 30, (6, n))
+    values[:, :len(edges)] = edges
+    values[:, -len(edges):] = edges[::-1]
+    traj = Trajectory(times=values[0], a_expect=values[1] + 1j * values[2],
+                      n_expect=values[3], trace=values[4], purity=values[5],
+                      herm_defect=np.zeros(n))
+    write_csv(tmp_path / "got.csv", traj, outputs)
+    _write_csv_reference(tmp_path / "want.csv", traj, outputs)
+    assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
