@@ -10,23 +10,20 @@ __version__ = "0.1.0"
 
 from .analysis import (Classification, ClassifierThresholds, Envelope,
                        NonlinearityScan, RevivalReport, detect_revivals,
-                       detect_super_revival, extract_envelope,
-                       first_revival_amplitude_vs_n, first_revival_peak,
+                       detect_super_revival, extract_envelope, first_revival_peak,
                        log_grid, scan_nonlinearity)
-from .bath import BathSpec, coupling_profile, coupling_strength, thermal_occupation
 from .config import ExperimentConfig, config_from_json, load_config, load_preset
 from .errors import (ConfigError, DimensionError, DimensionMismatch, DomainError,
                      InsufficientSampling, RevivalsError, SpanTooShort,
                      StabilityError, TruncationError, TruncationWarning)
 from .fock import (DensityMatrix, FockSpace, Operator, PureState, annihilation_op,
-                   coherent_state, creation_op, density_from_pure,
-                   displaced_number_state, displacement_op, fock_state, number_op)
+                   coherent_state, density_from_pure, displaced_number_state,
+                   displacement_op, fock_state, number_op)
 from .hamiltonian import (DiagonalHamiltonian, Timescales, build_hamiltonian,
-                          default_n0, modulus_revival_period,
-                          timescales_closed_form, timescales_finite_difference)
+                          default_n0, modulus_revival_period, timescales_closed_form)
 from .lindblad import (DampingSpec, Liouvillian, Trajectory, build_liouvillian,
                        default_dt, expm_propagate, rk4_evolve)
-from .observables import expect_operator, purity
+from .observables import purity
 from .reference import (damped_linear_expect_a, diagonal_h_fock_sum_expect_a,
                         displacement_matrix_element, kerr_expect_a_closed_form)
 from .runner import run_experiment, run_sweep

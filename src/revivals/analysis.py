@@ -20,7 +20,7 @@ import numpy as np
 from .errors import DomainError, InsufficientSampling, SpanTooShort
 from .fock import FockSpace, coherent_state, density_from_pure, displaced_number_state
 from .hamiltonian import (DiagonalHamiltonian, Timescales, build_hamiltonian,
-                          default_n0, modulus_revival_period, timescales_closed_form)
+                          default_n0, timescales_closed_form)
 from .lindblad import DampingSpec, Trajectory, build_liouvillian, rk4_evolve
 
 
@@ -287,7 +287,7 @@ def detect_super_revival(env: Envelope, predicted: Timescales,
 
 
 # ---------------------------------------------------------------------------
-# displaced-number-state studies and nonlinearity scans
+# nonlinearity scans
 
 #: Observation horizons used by the scans (a.u.); the onset values reported
 #: in the source scenarios are only meaningful relative to a finite window,
@@ -299,37 +299,11 @@ SCAN_SPAN_FACTOR_CUBIC = 1.1       # of t_sr
 
 
 def _evolve_amplitude(h: DiagonalHamiltonian, d: DampingSpec, alpha: complex,
-                      state_n: int, t_final: float, dt: float = 0.0) -> Trajectory:
+                      state_n: int, t_final: float) -> Trajectory:
     space = h.space
     psi = (coherent_state(space, alpha) if state_n == 0
            else displaced_number_state(space, alpha, state_n))
-    return rk4_evolve(build_liouvillian(h, d), density_from_pure(psi),
-                      t_final, dt=dt, record_every=0)
-
-
-def first_revival_amplitude_vs_n(alpha: complex, n_values, h: DiagonalHamiltonian,
-                                 d: DampingSpec,
-                                 search_halfwidth: float = 0.25
-                                 ) -> list[tuple[int, float]]:
-    """First-revival amplitude of |alpha, n> for each n.
-
-    The first revival is the modulus-revival period of the ladder, common to
-    all n; the reported amplitude is the strongest peak near it.
-    """
-    period = modulus_revival_period(h)
-    if period is None:
-        raise DomainError("ladder has no modulus-revival period (b = 0 or k = 1)")
-    out: list[tuple[int, float]] = []
-    for n in n_values:
-        traj = _evolve_amplitude(h, d, alpha, int(n),
-                                 t_final=period * (1.0 + search_halfwidth) * 1.02)
-        t_cl = timescales_closed_form(h, default_n0(alpha, int(n))).t_cl
-        env = extract_envelope(traj, t_cl)
-        peak = first_revival_peak(env, period, search_halfwidth)
-        if peak is None:
-            raise SpanTooShort(f"no revival window for n={n}")
-        out.append((int(n), peak.amplitude))
-    return out
+    return rk4_evolve(build_liouvillian(h, d), density_from_pure(psi), t_final)
 
 
 @dataclass(frozen=True)

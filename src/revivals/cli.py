@@ -2,8 +2,9 @@
 
 Verbs: run, sweep, preset, validate. Exit codes: 0 success, 1 internal error
 (an exception that is not a RevivalsError; its traceback goes to stderr),
-2 configuration error, 3 truncation error, 4 stability error. The output
-directory defaults to ./out and can be overridden with REVIVALS_OUT_DIR.
+2 configuration error, 3 truncation error, 4 stability error, 5 output error
+(the output directory or a file in it cannot be created or written). The
+output directory defaults to ./out and can be overridden with REVIVALS_OUT_DIR.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ EXIT_INTERNAL = 1
 EXIT_CONFIG = 2
 EXIT_TRUNCATION = 3
 EXIT_STABILITY = 4
+EXIT_OUTPUT = 5
 
 
 def _fail(kind: str, message: str, code: int) -> int:
@@ -38,6 +40,8 @@ def _exit_code_for(exc: Exception) -> int:
         return EXIT_STABILITY
     if isinstance(exc, RevivalsError):
         return EXIT_CONFIG
+    if isinstance(exc, OSError):
+        return EXIT_OUTPUT
     traceback.print_exception(exc, file=sys.stderr)
     return EXIT_INTERNAL
 

@@ -30,9 +30,7 @@ class ExperimentConfig:
     full_equation: bool = False
     t_final: float = 0.0
     dt: float = 0.0
-    record_every: int = 50
     outputs: tuple[str, ...] = CSV_COLUMNS
-    seed_preset: str | None = None
     comment: str = ""
 
     @property
@@ -57,8 +55,6 @@ class ExperimentConfig:
             problems.append(f"t_final must be positive, got {self.t_final}")
         if self.dt < 0:
             problems.append(f"dt must be >= 0 (0 selects automatic), got {self.dt}")
-        if self.record_every < 0:
-            problems.append(f"record_every must be >= 0, got {self.record_every}")
         if not 0 <= self.state_n < max(self.dim, 1):
             problems.append(f"state_n={self.state_n} outside 0..dim-1")
         unknown = [c for c in self.outputs if c not in CSV_COLUMNS]

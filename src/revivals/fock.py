@@ -120,14 +120,8 @@ def annihilation_op(space: FockSpace) -> Operator:
     return Operator(space, m, label="annihilation")
 
 
-def creation_op(space: FockSpace) -> Operator:
-    """Raising operator, the exact conjugate transpose of annihilation_op."""
-    a = annihilation_op(space)
-    return Operator(space, a.matrix.conj().T, label="creation")
-
-
 def number_op(space: FockSpace) -> Operator:
-    """diag(0..dim-1); equals creation * annihilation exactly, even truncated."""
+    """diag(0..dim-1); equals a+ a exactly, even truncated."""
     return Operator(space, np.diag(np.arange(space.dim, dtype=float)).astype(complex),
                     label="number")
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .fock import FockSpace, Operator
+from .fock import FockSpace
 
 SUPPORTED_ORDERS = (1, 2, 3)
 
@@ -26,10 +26,6 @@ class DiagonalHamiltonian:
     b: float
     k: int
     energies: np.ndarray
-
-    def operator(self) -> Operator:
-        return Operator(self.space, np.diag(self.energies).astype(complex),
-                        label="hamiltonian")
 
 
 @dataclass(frozen=True)
@@ -77,29 +73,6 @@ def timescales_closed_form(h: DiagonalHamiltonian, n0: int) -> Timescales:
                           t_rev=2 * math.pi / (3 * b * n0),
                           t_sr=2 * math.pi / b, n0=n0)
     raise DomainError(f"k={h.k} has a linear ladder: no collapse/revival structure")
-
-
-def timescales_finite_difference(h: DiagonalHamiltonian, n0: int) -> Timescales:
-    """Timescales from central-difference derivatives of the energy array.
-
-    The stencils are exact on the polynomial parts they resolve (second
-    difference of a quadratic, third difference of a cubic), so t_rev for
-    k = 2 and t_sr for k = 3 match the closed forms to machine precision.
-    """
-    e = h.energies
-    if not 2 <= n0 <= h.space.dim - 3:
-        raise IndexError(f"n0={n0} outside stencil range 2..{h.space.dim - 3}")
-    d1 = (e[n0 + 1] - e[n0 - 1]) / 2.0
-    d2 = e[n0 + 1] - 2.0 * e[n0] + e[n0 - 1]
-    d3 = (e[n0 + 2] - 2.0 * e[n0 + 1] + 2.0 * e[n0 - 1] - e[n0 - 2]) / 2.0
-    if d1 <= 0:
-        raise DomainError("non-increasing ladder: no classical period")
-    scale = abs(h.omega0)
-    if abs(d2) < 1e-14 * scale:
-        raise DomainError("second difference vanishes: no finite revival time")
-    t_sr = None if abs(d3) < 1e-14 * scale else 2 * math.pi / (d3 / 6.0)
-    return Timescales(t_cl=2 * math.pi / d1, t_rev=2 * math.pi / (d2 / 2.0),
-                      t_sr=t_sr, n0=n0)
 
 
 def modulus_revival_period(h: DiagonalHamiltonian) -> float | None:

@@ -186,7 +186,6 @@ class Trajectory:
     n_expect: np.ndarray
     trace: np.ndarray
     purity: np.ndarray
-    herm_defect: np.ndarray
     states: list[tuple[float, np.ndarray]] = field(default_factory=list)
 
     def __len__(self) -> int:
@@ -342,12 +341,12 @@ def _diagonal_blocks(gens: list[np.ndarray], x0: list[np.ndarray], dt: float,
 
 
 def rk4_evolve(L: Liouvillian, rho0: DensityMatrix, t_final: float,
-               dt: float = 0.0, record_every: int = 50) -> Trajectory:
+               dt: float = 0.0, record_every: int = 0) -> Trajectory:
     """Propagate rho0 to t_final with classic fixed-step RK4.
 
     Observables are recorded every step; full states only every
-    record_every steps and at the last step (0 disables snapshots). The
-    trace is monitored, never renormalized.
+    record_every steps and at the last step (0, the default, keeps none).
+    The trace is monitored, never renormalized.
 
     Raises StabilityError when the trace drifts by more than
     TRACE_TOLERANCE, when the purity leaves (0, 1 + TRACE_TOLERANCE] or when
@@ -425,10 +424,8 @@ def rk4_evolve(L: Liouvillian, rho0: DensityMatrix, t_final: float,
                 raise failure[1]
             k0 += count
 
-    # the lower bands carry the state and the upper triangle is their
-    # conjugate, so the Hermiticity defect is zero at every step
     return Trajectory(times=times, a_expect=a_rec, n_expect=n_rec, trace=tr_rec,
-                      purity=pur_rec, herm_defect=np.zeros(nsamples), states=states)
+                      purity=pur_rec, states=states)
 
 
 #: Largest dimension for which the dense superoperator exponential is allowed.
@@ -439,7 +436,9 @@ def expm_propagate(L: Liouvillian, rho0: DensityMatrix, t: float) -> DensityMatr
     """exp(L t) applied to rho0 through the dense superoperator.
 
     Cross-check path only: limited to dim <= 12 where the D^2 x D^2
-    exponential (scaling-and-squaring Pade, via scipy) is cheap.
+    exponential (scaling-and-squaring Pade, via scipy) is cheap. The
+    result is not symmetrized, so a Hermiticity defect above the
+    DensityMatrix tolerance (1e-12) raises DomainError.
     """
     if L.space.dim > EXPM_MAX_DIM:
         raise DimensionError(
@@ -452,7 +451,6 @@ def expm_propagate(L: Liouvillian, rho0: DensityMatrix, t: float) -> DensityMatr
         return rho0
     prop = scipy.linalg.expm(L.matrix * t)
     rho = unvectorize(prop @ vectorize(np.asarray(rho0.matrix)), L.space.dim)
-    rho = 0.5 * (rho + rho.conj().T)
     tr = float(np.trace(rho).real)
     if abs(tr - 1.0) > 1e-10:
         raise StabilityError(f"superoperator exponential drifted trace to {tr!r}")

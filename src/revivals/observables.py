@@ -4,16 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DimensionMismatch
-from .fock import DensityMatrix, Operator
-
-
-def expect_operator(rho: DensityMatrix, op: Operator) -> complex:
-    """Tr(op rho)."""
-    if rho.space.dim != op.space.dim:
-        raise DimensionMismatch(
-            f"operator dim {op.space.dim} vs state dim {rho.space.dim}")
-    return complex(np.einsum("ij,ji->", op.matrix, rho.matrix))
+from .fock import DensityMatrix
 
 
 def purity(rho: DensityMatrix) -> float:

@@ -96,10 +96,9 @@ def initial_density(config: ExperimentConfig):
     return density_from_pure(psi)
 
 
-def evolve(ctx: RunContext, record_every: int) -> Trajectory:
-    """RK4 run of the resolved model; snapshots every record_every steps (0: none)."""
-    return rk4_evolve(ctx.liouvillian, ctx.rho0, ctx.config.t_final,
-                      dt=ctx.dt, record_every=record_every)
+def evolve(ctx: RunContext) -> Trajectory:
+    """RK4 run of the resolved model; runs record observables, not states."""
+    return rk4_evolve(ctx.liouvillian, ctx.rho0, ctx.config.t_final, dt=ctx.dt)
 
 
 @dataclass(frozen=True)
@@ -205,7 +204,7 @@ def run_experiment(config: ExperimentConfig, name: str = "run",
     out.mkdir(parents=True, exist_ok=True)
     t_wall = time.perf_counter()
     ctx = resolve(config)
-    traj = evolve(ctx, config.record_every)
+    traj = evolve(ctx)
     summary = analyze(ctx, traj)
     csv_path = out / f"{name}.csv"
     write_csv(csv_path, traj, config.outputs)
@@ -291,8 +290,7 @@ def _sweep_point(args: tuple[dict, str, float]) -> dict:
            "predicted_t_rev": t_rev, "predicted_t_sr": t_sr}
     try:
         ctx = resolve(config)
-        # sweep rows read only <a>(t): no snapshots
-        traj = evolve(ctx, record_every=0)
+        traj = evolve(ctx)
         summary = analyze(ctx, traj)
         row["classification"] = summary.report.classification.value
         row["n_revivals"] = int(len(summary.report.revival_times))

@@ -3,12 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from revivals import (Classification, ClassifierThresholds, DampingSpec,
-                      FockSpace, InsufficientSampling, SpanTooShort,
-                      build_hamiltonian, coherent_state, damped_linear_expect_a,
-                      default_n0, detect_revivals, detect_super_revival,
-                      displaced_number_state, diagonal_h_fock_sum_expect_a,
-                      first_revival_amplitude_vs_n, first_revival_peak,
+from revivals import (Classification, ClassifierThresholds, FockSpace,
+                      InsufficientSampling, SpanTooShort, build_hamiltonian,
+                      coherent_state, damped_linear_expect_a, default_n0,
+                      detect_revivals, detect_super_revival, displaced_number_state,
+                      diagonal_h_fock_sum_expect_a, first_revival_peak,
                       kerr_expect_a_closed_form, log_grid, modulus_revival_period,
                       scan_nonlinearity, timescales_closed_form)
 from revivals.analysis import envelope_from_series
@@ -157,14 +156,6 @@ def test_super_revival_detection_on_oracle():
     assert got is not None
     assert abs(got.t - t_sr) <= 0.02 * t_sr
     assert got.amplitude == pytest.approx(abs(ALPHA), rel=1e-3)
-
-
-def test_first_revival_amplitude_vs_n_undamped():
-    h = build_hamiltonian(FockSpace(34), OMEGA0, B2, 3)
-    result = first_revival_amplitude_vs_n(ALPHA, [0, 1], h, DampingSpec())
-    assert [n for n, _ in result] == [0, 1]
-    for _, amp in result:
-        assert amp == pytest.approx(abs(ALPHA), rel=1e-3)
 
 
 def test_log_grid_density():

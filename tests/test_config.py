@@ -17,8 +17,7 @@ def sample_config(**over):
 
 
 def test_round_trip_identity():
-    cfg = config_from_json(json.dumps(sample_config(dt=0.05, state_n=2,
-                                                    seed_preset="x", comment="c")))
+    cfg = config_from_json(json.dumps(sample_config(dt=0.05, state_n=2, comment="c")))
     again = config_from_json(cfg.to_json())
     assert again == cfg
 
@@ -31,9 +30,11 @@ def test_empty_config_lists_missing_fields():
         assert name in msg
 
 
-def test_unknown_fields_rejected():
+# record_every and seed_preset were fields once; configs carrying them fail
+@pytest.mark.parametrize("field", ["bogus", "record_every", "seed_preset"])
+def test_unknown_fields_rejected(field):
     with pytest.raises(ConfigError, match="unknown config fields"):
-        config_from_json(json.dumps(sample_config(bogus=1)))
+        config_from_json(json.dumps(sample_config(**{field: 1})))
 
 
 def test_validate_collects_problems():
@@ -58,7 +59,6 @@ def test_all_presets_load_and_validate():
     for name in preset_names():
         spec = load_preset(name)
         assert spec.config.validate() == []
-        assert spec.config.seed_preset == name
 
 
 def test_preset_expansion():

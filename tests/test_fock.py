@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 
 from revivals import (DomainError, FockSpace, TruncationError, TruncationWarning,
-                      annihilation_op, coherent_state, creation_op,
-                      density_from_pure, displaced_number_state, displacement_op,
-                      fock_state, number_op)
+                      annihilation_op, coherent_state, density_from_pure,
+                      displaced_number_state, displacement_op, fock_state, number_op)
 from revivals.fock import PureState, core_levels
 from revivals.reference import displacement_matrix_element
 
@@ -30,14 +29,6 @@ def test_annihilation_sqrt_rule():
     assert np.count_nonzero(a) == 3
 
 
-@pytest.mark.parametrize("dim", [2, 3, 4, 7, 30])
-def test_creation_is_exact_adjoint(dim):
-    space = FockSpace(dim)
-    a = annihilation_op(space).matrix
-    ad = creation_op(space).matrix
-    assert np.array_equal(ad, a.conj().T)
-
-
 def test_truncated_commutator():
     # oracle: direct matrix multiplication at small dim
     space = FockSpace(4)
@@ -56,7 +47,8 @@ def test_number_op_diagonal():
 @pytest.mark.parametrize("dim", [2, 5, 30])
 def test_number_equals_creation_times_annihilation(dim):
     space = FockSpace(dim)
-    prod = creation_op(space).matrix @ annihilation_op(space).matrix
+    a = annihilation_op(space).matrix
+    prod = a.conj().T @ a
     np.testing.assert_allclose(prod, number_op(space).matrix, atol=1e-15)
 
 

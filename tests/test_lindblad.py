@@ -4,8 +4,8 @@ import re
 import numpy as np
 import pytest
 
-from revivals import (DampingSpec, DensityMatrix, DimensionError, DomainError,
-                      FockSpace, StabilityError, TruncationError,
+from revivals import (DampingSpec, DensityMatrix, DimensionError, DimensionMismatch,
+                      DomainError, FockSpace, StabilityError, TruncationError,
                       build_hamiltonian, build_liouvillian, coherent_state,
                       damped_linear_expect_a, density_from_pure,
                       displaced_number_state, expm_propagate, fock_state,
@@ -72,7 +72,7 @@ def test_rk4_matches_damped_linear_oracle():
     L = make_liouvillian(30, b=0.0, gamma=1e-3)
     rho0 = density_from_pure(coherent_state(space, ALPHA))
     t_final = 15 * 2 * math.pi / OMEGA0
-    traj = rk4_evolve(L, rho0, t_final, dt=0.02, record_every=0)
+    traj = rk4_evolve(L, rho0, t_final, dt=0.02)
     oracle = damped_linear_expect_a(ALPHA, OMEGA0, 1e-3, 0.0, traj.times)
     assert np.abs(traj.a_expect - oracle).max() <= 1e-8
 
@@ -82,7 +82,7 @@ def test_rk4_matches_kerr_oracle_full_revival():
     space = FockSpace(30)
     L = make_liouvillian(30, b=B1, gamma=0.0)
     rho0 = density_from_pure(coherent_state(space, ALPHA))
-    traj = rk4_evolve(L, rho0, 2 * math.pi / B1, dt=0.035, record_every=0)
+    traj = rk4_evolve(L, rho0, 2 * math.pi / B1, dt=0.035)
     oracle = kerr_expect_a_closed_form(ALPHA, OMEGA0, B1, traj.times)
     assert np.abs(traj.a_expect - oracle).max() <= 1e-7
 
@@ -93,7 +93,7 @@ def test_rk4_unitary_run_keeps_purity():
     space = FockSpace(30)
     L = make_liouvillian(30, b=B2, k=3, gamma=0.0)
     rho0 = density_from_pure(displaced_number_state(space, ALPHA, 2))
-    traj = rk4_evolve(L, rho0, 50.0, dt=0.001, record_every=0)
+    traj = rk4_evolve(L, rho0, 50.0, dt=0.001)
     assert np.abs(traj.purity - 1.0).max() <= 1e-8
     assert np.abs(traj.trace - 1.0).max() <= 1e-10
     assert np.all(traj.purity <= 1.0 + 1e-9)
@@ -104,7 +104,7 @@ def test_rk4_photon_number_decay_quick():
     space = FockSpace(30)
     L = make_liouvillian(30, b=B2, k=3, gamma=gamma)
     rho0 = density_from_pure(coherent_state(space, ALPHA))
-    traj = rk4_evolve(L, rho0, 200.0, record_every=0)
+    traj = rk4_evolve(L, rho0, 200.0)
     expected = traj.n_expect[0] * np.exp(-gamma * traj.times)
     rel = np.abs(traj.n_expect / expected - 1.0)
     assert rel.max() <= 1e-6
@@ -117,13 +117,20 @@ def test_rk4_rejects_oversized_step():
         rk4_evolve(L, rho0, 10.0, dt=0.1)  # dt * Omega_max >> 0.1
 
 
+def test_rk4_rejects_dimension_mismatch():
+    L = make_liouvillian(6)
+    rho0 = density_from_pure(fock_state(FockSpace(5), 0))
+    with pytest.raises(DimensionMismatch):
+        rk4_evolve(L, rho0, 1.0)
+
+
 def test_rk4_truncation_overflow_with_thermal_pumping():
     # full equation with a hot bath pushes population to the top level
     space = FockSpace(6)
     L = make_liouvillian(6, b=0.0, gamma=0.05, n_thermal=3.0, full=True)
     rho0 = density_from_pure(fock_state(space, 0))
     with pytest.raises(TruncationError):
-        rk4_evolve(L, rho0, 400.0, dt=0.05, record_every=0)
+        rk4_evolve(L, rho0, 400.0, dt=0.05)
 
 
 def test_trajectory_records_and_snapshots():
@@ -193,16 +200,15 @@ def reference_rk4(L, rho0, t_final, dt, record_every=0):
     k1, k2, k3, k4, stage = (np.empty_like(rho) for _ in range(5))
     times = np.arange(nsteps + 1) * dt
     a_rec = np.empty(nsteps + 1, dtype=complex)
-    n_rec, tr_rec, pur_rec, herm_rec = (np.empty(nsteps + 1) for _ in range(4))
+    n_rec, tr_rec, pur_rec = (np.empty(nsteps + 1) for _ in range(3))
     states = []
     top_limit = float(rho[-1, -1].real) + TOP_LEVEL_TOLERANCE
 
-    def observe(i, defect):
+    def observe(i):
         a_rec[i] = expect_a_raw(rho)
         n_rec[i] = expect_n_raw(rho)
         tr = tr_rec[i] = float(np.trace(rho).real)
         pur = pur_rec[i] = float(np.vdot(rho, rho).real)
-        herm_rec[i] = defect
         if not abs(tr - 1.0) <= TRACE_TOLERANCE:
             raise StabilityError(f"trace at t={times[i]:.6g}")
         if not rho[-1, -1].real <= top_limit:
@@ -214,7 +220,7 @@ def reference_rk4(L, rho0, t_final, dt, record_every=0):
                 raise StabilityError(f"snapshot at t={times[i]:.6g}")
             states.append((float(times[i]), rho.copy()))
 
-    observe(0, 0.0)
+    observe(0)
     for s in range(1, nsteps + 1):
         L.apply(rho, out=k1)
         np.multiply(k1, 0.5 * dt, out=stage)
@@ -227,13 +233,11 @@ def reference_rk4(L, rho0, t_final, dt, record_every=0):
         stage += rho
         L.apply(stage, out=k4)
         rho += dt / 6.0 * (k1 + 2.0 * (k2 + k3) + k4)
-        adj = rho.conj().T
-        defect = float(np.abs(rho - adj).max())
-        rho += adj
+        rho += rho.conj().T
         rho *= 0.5
-        observe(s, defect)
+        observe(s)
     return Trajectory(times=times, a_expect=a_rec, n_expect=n_rec, trace=tr_rec,
-                      purity=pur_rec, herm_defect=herm_rec, states=states)
+                      purity=pur_rec, states=states)
 
 
 def failure_time(excinfo):
@@ -286,7 +290,6 @@ def test_rk4_matches_stage_loop(rng, case):
     for name in ("a_expect", "n_expect", "trace", "purity"):
         err = np.abs(getattr(got, name) - getattr(want, name)).max()
         assert err <= 1e-10, (name, err)
-    assert got.herm_defect.max() == 0.0
     assert [t for t, _ in got.states] == [t for t, _ in want.states]
     for (_, x), (_, y) in zip(got.states, want.states):
         assert np.abs(x - y).max() <= 1e-10
@@ -319,7 +322,7 @@ def test_rk4_stability_error_at_reference_time():
     rho0 = density_from_pure(coherent_state(FockSpace(30), ALPHA))
     dt = 0.1 / L.omega_max()
     with pytest.raises(StabilityError) as got:
-        rk4_evolve(L, rho0, 300 * dt, dt=dt, record_every=0)
+        rk4_evolve(L, rho0, 300 * dt, dt=dt)
     with pytest.raises(StabilityError) as want:
         reference_rk4(L, rho0, 300 * dt, dt)
     assert "purity" in str(got.value)
@@ -330,7 +333,7 @@ def test_rk4_truncation_error_at_reference_time():
     L = make_liouvillian(6, b=0.0, gamma=0.05, n_thermal=3.0, full=True)
     rho0 = density_from_pure(fock_state(FockSpace(6), 0))
     with pytest.raises(TruncationError) as got:
-        rk4_evolve(L, rho0, 400.0, dt=0.05, record_every=0)
+        rk4_evolve(L, rho0, 400.0, dt=0.05)
     with pytest.raises(TruncationError) as want:
         reference_rk4(L, rho0, 400.0, 0.05)
     assert failure_time(got) == failure_time(want)

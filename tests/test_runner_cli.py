@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from revivals import ExperimentConfig
-from revivals.cli import main
+from revivals.cli import EXIT_OUTPUT, main
 from revivals.config import CSV_COLUMNS, config_from_dict
 from revivals.lindblad import Trajectory
 from revivals.runner import (CSV_CHUNK_ROWS, CSV_HEADER, SWEEP_HEADER, run_experiment,
@@ -165,6 +165,14 @@ def test_cli_unknown_preset(capsys):
     assert main(["preset", "fig99"]) == 2
 
 
+def test_run_experiment_keeps_no_snapshots(tmp_path):
+    from revivals.config import load_preset
+
+    result = run_experiment(load_preset("fig3d").config, name="fig3d",
+                            out_dir=tmp_path)
+    assert result.trajectory.states == []
+
+
 def test_cli_preset_panel(tmp_path, capsys):
     # fig3d is the cheapest shipped preset (t_final = 1.63 a.u.)
     assert main(["preset", "fig3d", "--out-dir", str(tmp_path)]) == 0
@@ -249,6 +257,18 @@ def test_cli_run_internal_error_exit_code(tmp_path, monkeypatch, capsys):
     assert "Traceback" in err
 
 
+@pytest.mark.parametrize("verb", ["preset", "run"])
+def test_cli_unwritable_out_dir_exit_code(tmp_path, capsys, verb):
+    # an output directory under a regular file cannot be created
+    (tmp_path / "file").write_text("")
+    target = ["fig3d"] if verb == "preset" else [str(write_config(tmp_path))]
+    code = main([verb, *target, "--out-dir", str(tmp_path / "file" / "sub")])
+    assert code == EXIT_OUTPUT
+    err = capsys.readouterr().err
+    assert err.startswith("error: NotADirectoryError:") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 def _write_csv_reference(path, traj, outputs):
     """Per-value f-string formatting, the writer's original form."""
     cols = {"re_a": traj.a_expect.real, "im_a": traj.a_expect.imag,
@@ -272,8 +292,7 @@ def test_write_csv_matches_per_value_format(tmp_path, rng, outputs):
     values[:, :len(edges)] = edges
     values[:, -len(edges):] = edges[::-1]
     traj = Trajectory(times=values[0], a_expect=values[1] + 1j * values[2],
-                      n_expect=values[3], trace=values[4], purity=values[5],
-                      herm_defect=np.zeros(n))
+                      n_expect=values[3], trace=values[4], purity=values[5])
     write_csv(tmp_path / "got.csv", traj, outputs)
     _write_csv_reference(tmp_path / "want.csv", traj, outputs)
     assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
