@@ -18,12 +18,11 @@ from .errors import (ConfigError, DimensionError, DimensionMismatch, DomainError
                      StabilityError, TruncationError, TruncationWarning)
 from .fock import (DensityMatrix, FockSpace, Operator, PureState, annihilation_op,
                    coherent_state, density_from_pure, displaced_number_state,
-                   displacement_op, fock_state, number_op)
+                   displacement_op, fock_state)
 from .hamiltonian import (DiagonalHamiltonian, Timescales, build_hamiltonian,
                           default_n0, modulus_revival_period, timescales_closed_form)
 from .lindblad import (DampingSpec, Liouvillian, Trajectory, build_liouvillian,
                        default_dt, expm_propagate, rk4_evolve)
-from .observables import purity
 from .reference import (damped_linear_expect_a, diagonal_h_fock_sum_expect_a,
                         displacement_matrix_element, kerr_expect_a_closed_form)
 from .runner import run_experiment, run_sweep

@@ -3,8 +3,11 @@
 Verbs: run, sweep, preset, validate. Exit codes: 0 success, 1 internal error
 (an exception that is not a RevivalsError; its traceback goes to stderr),
 2 configuration error, 3 truncation error, 4 stability error, 5 output error
-(the output directory or a file in it cannot be created or written). The
-output directory defaults to ./out and can be overridden with REVIVALS_OUT_DIR.
+(the output directory or a file in it cannot be created or written). A
+failure prints one line on stderr: ``error: config: ...`` for a config that
+cannot be read or is invalid, ``error: <Type>: ...`` for an error raised by
+a run. The output directory defaults to ./out and can be overridden with
+REVIVALS_OUT_DIR.
 """
 
 from __future__ import annotations
@@ -14,9 +17,9 @@ import sys
 import traceback
 from pathlib import Path
 
-from .config import ConfigError, expand_preset, load_config, load_preset
+from .config import ConfigError, expand_preset, load_config, load_preset, parse_values
 from .errors import RevivalsError, StabilityError, TruncationError
-from .runner import run_experiment, run_sweep
+from .runner import SWEEP_AXES, run_experiment, run_sweep
 
 EXIT_OK = 0
 EXIT_INTERNAL = 1
@@ -24,11 +27,6 @@ EXIT_CONFIG = 2
 EXIT_TRUNCATION = 3
 EXIT_STABILITY = 4
 EXIT_OUTPUT = 5
-
-
-def _fail(kind: str, message: str, code: int) -> int:
-    print(f"error: {kind}: {message}", file=sys.stderr)
-    return code
 
 
 def _exit_code_for(exc: Exception) -> int:
@@ -46,13 +44,6 @@ def _exit_code_for(exc: Exception) -> int:
     return EXIT_INTERNAL
 
 
-def _parse_values(text: str) -> list[float]:
-    try:
-        return [float(x) for x in text.split(",") if x.strip()]
-    except ValueError as exc:
-        raise ConfigError(f"cannot parse --values {text!r}: {exc}") from exc
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="revivals",
@@ -66,7 +57,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sweep_p = sub.add_parser("sweep", help="sweep one parameter axis")
     sweep_p.add_argument("config", help="path to the base JSON config")
-    sweep_p.add_argument("--axis", required=True, choices=("gamma", "b", "state_n"))
+    sweep_p.add_argument("--axis", required=True, choices=SWEEP_AXES)
     sweep_p.add_argument("--values", required=True,
                          help="comma-separated list of axis values")
     sweep_p.add_argument("--parallel", type=int, default=1)
@@ -83,82 +74,56 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def cmd_run(args) -> int:
-    try:
-        config = load_config(args.config)
-        config.require_valid()
-    except (ConfigError, OSError) as exc:
-        return _fail("config", str(exc), EXIT_CONFIG)
-    name = args.name or Path(args.config).stem
-    try:
+def _execute(args, config, name: str, axis: str | None = None, values=()) -> None:
+    """Run one config, or sweep it along axis, and print the summary line."""
+    if axis is None:
         result = run_experiment(config, name=name, out_dir=args.out_dir)
-    except Exception as exc:
-        return _fail(type(exc).__name__, str(exc), _exit_code_for(exc))
-    print(f"{name}: {result.summary.report.classification.value} -> {result.csv_path}")
-    return EXIT_OK
+        print(f"{name}: {result.summary.report.classification.value} -> {result.csv_path}")
+    else:
+        result = run_sweep(config, axis, values, parallel=args.parallel, name=name,
+                           out_dir=args.out_dir)
+        print(f"{name}: {len(result.rows)} points -> {result.csv_path}")
 
 
-def cmd_sweep(args) -> int:
-    try:
-        config = load_config(args.config)
-        config.require_valid()
-        values = _parse_values(args.values)
-    except (ConfigError, OSError) as exc:
-        return _fail("config", str(exc), EXIT_CONFIG)
+def cmd_run(args) -> None:
+    config = load_config(args.config).require_valid()
+    _execute(args, config, args.name or Path(args.config).stem)
+
+
+def cmd_sweep(args) -> None:
+    config = load_config(args.config).require_valid()
+    values = parse_values(args.values)
     name = args.name or f"{Path(args.config).stem}_{args.axis}_sweep"
-    try:
-        result = run_sweep(config, args.axis, values, parallel=args.parallel,
-                           name=name, out_dir=args.out_dir)
-    except Exception as exc:
-        return _fail(type(exc).__name__, str(exc), _exit_code_for(exc))
-    print(f"{name}: {len(result.rows)} points -> {result.csv_path}")
-    return EXIT_OK
+    _execute(args, config, name, args.axis, values)
 
 
-def cmd_preset(args) -> int:
-    try:
-        panels = expand_preset(args.name)
-    except ConfigError as exc:
-        return _fail("config", str(exc), EXIT_CONFIG)
-    for panel in panels:
-        try:
-            spec = load_preset(panel)
-        except ConfigError as exc:
-            return _fail("config", str(exc), EXIT_CONFIG)
-        try:
-            if spec.is_sweep:
-                result = run_sweep(spec.config, spec.sweep_axis, spec.sweep_values,
-                                   parallel=args.parallel, name=panel,
-                                   out_dir=args.out_dir)
-                print(f"{panel}: {len(result.rows)} points -> {result.csv_path}")
-            else:
-                result = run_experiment(spec.config, name=panel, out_dir=args.out_dir)
-                print(f"{panel}: {result.summary.report.classification.value} "
-                      f"-> {result.csv_path}")
-        except Exception as exc:
-            return _fail(type(exc).__name__, str(exc), _exit_code_for(exc))
-    return EXIT_OK
+def cmd_preset(args) -> None:
+    for panel in expand_preset(args.name):
+        spec = load_preset(panel)
+        _execute(args, spec.config, panel, spec.sweep_axis, spec.sweep_values)
 
 
-def cmd_validate(args) -> int:
-    try:
-        config = load_config(args.config)
-    except (ConfigError, OSError) as exc:
-        return _fail("config", str(exc), EXIT_CONFIG)
-    problems = config.validate()
-    if problems:
-        for p in problems:
-            print(f"error: config: {p}", file=sys.stderr)
-        return EXIT_CONFIG
+def cmd_validate(args) -> None:
+    load_config(args.config).require_valid()
     print(f"{args.config}: valid")
-    return EXIT_OK
+
+
+VERBS = {"run": cmd_run, "sweep": cmd_sweep, "preset": cmd_preset,
+         "validate": cmd_validate}
 
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    handlers = {"run": cmd_run, "sweep": cmd_sweep,
-                "preset": cmd_preset, "validate": cmd_validate}
-    return handlers[args.command](args)
+    try:
+        VERBS[args.command](args)
+    except ConfigError as exc:
+        print(f"error: config: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except Exception as exc:
+        code = _exit_code_for(exc)
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return code
+    return EXIT_OK
 
 
 if __name__ == "__main__":

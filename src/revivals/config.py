@@ -104,8 +104,22 @@ def config_from_json(text: str) -> ExperimentConfig:
 
 
 def load_config(path: str) -> ExperimentConfig:
-    with open(path, "r", encoding="utf-8") as fh:
-        return config_from_json(fh.read())
+    """Parse the JSON config at path; a file that cannot be read as UTF-8
+    text is a ConfigError."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(str(exc)) from exc
+    return config_from_json(text)
+
+
+def parse_values(text: str) -> list[float]:
+    """Comma-separated sweep values, as given to ``revivals sweep --values``."""
+    try:
+        return [float(x) for x in text.split(",") if x.strip()]
+    except ValueError as exc:
+        raise ConfigError(f"cannot parse --values {text!r}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -130,10 +144,6 @@ class PresetSpec:
     config: ExperimentConfig
     sweep_axis: str | None = None
     sweep_values: tuple[float, ...] = ()
-
-    @property
-    def is_sweep(self) -> bool:
-        return self.sweep_axis is not None
 
 
 def preset_names() -> list[str]:

@@ -120,12 +120,6 @@ def annihilation_op(space: FockSpace) -> Operator:
     return Operator(space, m, label="annihilation")
 
 
-def number_op(space: FockSpace) -> Operator:
-    """diag(0..dim-1); equals a+ a exactly, even truncated."""
-    return Operator(space, np.diag(np.arange(space.dim, dtype=float)).astype(complex),
-                    label="number")
-
-
 def _displacement_matrix(space: FockSpace, alpha: complex) -> np.ndarray:
     # exp(alpha a+ - alpha* a) through the Hermitian eigendecomposition of
     # i*(alpha a+ - alpha* a); keeps the result numerically unitary.

@@ -27,6 +27,9 @@ The superoperator uses column-major vectorization: vec(A X B) = (B^T kron A) vec
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -340,13 +343,61 @@ def _diagonal_blocks(gens: list[np.ndarray], x0: list[np.ndarray], dt: float,
                (pop[-1] * pop_t[-1, :count]).real, sample)
 
 
+@functools.cache
+def openblas_threads() -> tuple[tuple, ...]:
+    """(get, set) thread-count functions of each OpenBLAS loaded in this process.
+
+    The libraries are found among the loaded ones, once per process; where
+    there is none, the tuple is empty.
+    """
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as fh:
+            paths = sorted({line.split()[-1] for line in fh if "openblas" in line})
+    except OSError:
+        return ()
+    found = []
+    for path in paths:
+        lib = ctypes.CDLL(path)
+        for stem in ("scipy_openblas_{}_num_threads64_", "scipy_openblas_{}_num_threads",
+                     "openblas_{}_num_threads64_", "openblas_{}_num_threads"):
+            get, put = (getattr(lib, stem.format(op), None) for op in ("get", "set"))
+            if get is not None and put is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                put.argtypes, put.restype = [ctypes.c_int], None
+                found.append((get, put))
+                break
+    return tuple(found)
+
+
+@contextlib.contextmanager
+def one_blas_thread():
+    """Run the body on one OpenBLAS thread; restore the previous counts after.
+
+    The band products are small (D up to ~60). A second BLAS thread spins
+    against any other CPU-bound process on the same cores (on 2 cores, two
+    concurrent all-preset passes took 8-20x as long as one), and it changes
+    the summation order of the products, so results would depend on the
+    thread count.
+    """
+    libs = openblas_threads()
+    before = [get() for get, _ in libs]
+    for _, put in libs:
+        put(1)
+    try:
+        yield
+    finally:
+        for (_, put), n in zip(libs, before):
+            put(n)
+
+
 def rk4_evolve(L: Liouvillian, rho0: DensityMatrix, t_final: float,
                dt: float = 0.0, record_every: int = 0) -> Trajectory:
     """Propagate rho0 to t_final with classic fixed-step RK4.
 
     Observables are recorded every step; full states only every
     record_every steps and at the last step (0, the default, keeps none).
-    The trace is monitored, never renormalized.
+    The trace is monitored, never renormalized. The band products run on
+    one OpenBLAS thread (``one_blas_thread``).
 
     Raises StabilityError when the trace drifts by more than
     TRACE_TOLERANCE, when the purity leaves (0, 1 + TRACE_TOLERANCE] or when
@@ -387,7 +438,7 @@ def rk4_evolve(L: Liouvillian, rho0: DensityMatrix, t_final: float,
              np.concatenate([np.arange(d - q) for q in range(1, d)]))
 
     # Past a failing sample the values may overflow; the gates report it.
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"), one_blas_thread():
         gens = L.band_generators()
         # without jump terms (gamma = 0) every M_q is diagonal
         diagonal = all(np.count_nonzero(m) == np.count_nonzero(np.diagonal(m))

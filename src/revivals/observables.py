@@ -1,15 +1,8 @@
-"""Expectation values and state diagnostics recorded along trajectories."""
+"""Expectation values of a density matrix given as an array."""
 
 from __future__ import annotations
 
 import numpy as np
-
-from .fock import DensityMatrix
-
-
-def purity(rho: DensityMatrix) -> float:
-    """Tr(rho^2); 1 for pure states, 1/dim for the maximally mixed state."""
-    return float(np.sum(np.abs(rho.matrix) ** 2))
 
 
 def expect_a_raw(rho: np.ndarray) -> complex:

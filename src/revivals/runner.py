@@ -13,7 +13,6 @@ manifest carries timestamps.
 
 from __future__ import annotations
 
-import ctypes
 import json
 import math
 import os
@@ -32,10 +31,10 @@ from .config import CSV_COLUMNS, ExperimentConfig
 from .errors import ConfigError
 from .fock import (DensityMatrix, FockSpace, coherent_state, density_from_pure,
                    displaced_number_state)
-from .hamiltonian import (DiagonalHamiltonian, Timescales, build_hamiltonian,
-                          default_n0, modulus_revival_period, timescales_closed_form)
+from .hamiltonian import (Timescales, build_hamiltonian, default_n0,
+                          modulus_revival_period, timescales_closed_form)
 from .lindblad import (DampingSpec, Liouvillian, Trajectory, build_liouvillian,
-                       default_dt, rk4_evolve)
+                       default_dt, openblas_threads, rk4_evolve)
 
 CSV_HEADER = "t,re_a,im_a,abs_a,n_expect,trace,purity"
 
@@ -48,8 +47,13 @@ SWEEP_AXES = ("gamma", "b", "state_n")
 CSV_CHUNK_ROWS = 1024
 
 
-def default_out_dir() -> Path:
-    return Path(os.environ.get("REVIVALS_OUT_DIR", "out"))
+def _out_dir(out_dir: Path | None) -> Path:
+    """out_dir, else REVIVALS_OUT_DIR, else ./out; created if missing."""
+    if out_dir is None:
+        out_dir = os.environ.get("REVIVALS_OUT_DIR", "out")
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    return out
 
 
 @dataclass(frozen=True)
@@ -57,8 +61,6 @@ class RunContext:
     """Config resolved into model objects and derived scales."""
 
     config: ExperimentConfig
-    hamiltonian: DiagonalHamiltonian
-    damping: DampingSpec
     liouvillian: Liouvillian
     rho0: DensityMatrix
     dt: float
@@ -82,18 +84,13 @@ def resolve(config: ExperimentConfig) -> RunContext:
         predicted = None
         window = 2 * math.pi / config.omega0
     L = build_liouvillian(h, damping)
-    rho0 = initial_density(config)
+    rho0 = density_from_pure(
+        coherent_state(space, config.alpha) if config.state_n == 0
+        else displaced_number_state(space, config.alpha, config.state_n))
     dt = config.dt if config.dt > 0 else default_dt(L, rho0)
-    return RunContext(config=config, hamiltonian=h, damping=damping, liouvillian=L,
-                      rho0=rho0, dt=dt, n0=n0, predicted=predicted,
-                      period=modulus_revival_period(h), window=window)
-
-
-def initial_density(config: ExperimentConfig):
-    space = FockSpace(config.dim)
-    psi = (coherent_state(space, config.alpha) if config.state_n == 0
-           else displaced_number_state(space, config.alpha, config.state_n))
-    return density_from_pure(psi)
+    return RunContext(config=config, liouvillian=L, rho0=rho0, dt=dt, n0=n0,
+                      predicted=predicted, period=modulus_revival_period(h),
+                      window=window)
 
 
 def evolve(ctx: RunContext) -> Trajectory:
@@ -174,22 +171,21 @@ def write_plot_script(path: Path, name: str, csv_name: str, title: str,
                     encoding="utf-8")
 
 
-def _json_safe(x):
-    if isinstance(x, (np.floating, np.integer)):
-        return x.item()
-    if isinstance(x, np.ndarray):
-        return [_json_safe(v) for v in x]
-    if isinstance(x, (list, tuple)):
-        return [_json_safe(v) for v in x]
-    if isinstance(x, dict):
-        return {k: _json_safe(v) for k, v in x.items()}
-    return x
+def _write_manifest(out: Path, name: str, body: dict, t_wall: float) -> Path:
+    """NAME.manifest.json: name, version, body, wall time since t_wall, timestamp."""
+    manifest = {"name": name, "version": __version__, **body,
+                "wall_time_s": time.perf_counter() - t_wall,
+                "timestamp_utc": datetime.now(timezone.utc).isoformat()}
+    path = out / f"{name}.manifest.json"
+    # NumPy scalars and arrays; np.float64 is a float and needs no conversion
+    path.write_text(json.dumps(manifest, indent=2, default=lambda x: x.tolist()) + "\n",
+                    encoding="utf-8")
+    return path
 
 
 @dataclass(frozen=True)
 class RunResult:
     name: str
-    config: ExperimentConfig
     trajectory: Trajectory
     summary: AnalysisSummary
     csv_path: Path
@@ -200,8 +196,7 @@ class RunResult:
 def run_experiment(config: ExperimentConfig, name: str = "run",
                    out_dir: Path | None = None) -> RunResult:
     """Evolve one configuration and write its CSV, manifest and plot script."""
-    out = Path(out_dir) if out_dir is not None else default_out_dir()
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(out_dir)
     t_wall = time.perf_counter()
     ctx = resolve(config)
     traj = evolve(ctx)
@@ -214,9 +209,8 @@ def run_experiment(config: ExperimentConfig, name: str = "run",
                       f"b={config.b}, gamma={config.gamma}",
                       outputs=config.outputs)
     pred = ctx.predicted
-    manifest = {
-        "name": name,
-        "version": __version__,
+    report = summary.report
+    manifest_path = _write_manifest(out, name, {
         "config": config.to_dict(),
         "resolved": {
             "dt": ctx.dt,
@@ -229,38 +223,23 @@ def run_experiment(config: ExperimentConfig, name: str = "run",
             "envelope_window": ctx.window,
         },
         "analysis": {
-            "classification": summary.report.classification.value,
-            "revival_times": _json_safe(summary.report.revival_times),
-            "revival_amplitudes": _json_safe(summary.report.revival_amplitudes),
-            "collapse_intervals": _json_safe(summary.report.collapse_intervals),
+            "classification": report.classification.value,
+            "revival_times": report.revival_times,
+            "revival_amplitudes": report.revival_amplitudes,
+            "collapse_intervals": report.collapse_intervals,
             "first_revival": (None if summary.first_revival is None else
                               {"t": summary.first_revival.t,
                                "amplitude": summary.first_revival.amplitude}),
         },
         "outputs": {"csv": csv_path.name, "plot_script": plot_path.name},
-        "wall_time_s": time.perf_counter() - t_wall,
-        "timestamp_utc": datetime.now(timezone.utc).isoformat(),
-    }
-    manifest_path = out / f"{name}.manifest.json"
-    manifest_path.write_text(json.dumps(_json_safe(manifest), indent=2) + "\n",
-                             encoding="utf-8")
-    return RunResult(name=name, config=config, trajectory=traj, summary=summary,
+    }, t_wall)
+    return RunResult(name=name, trajectory=traj, summary=summary,
                      csv_path=csv_path, manifest_path=manifest_path,
                      plot_path=plot_path)
 
 
 # ---------------------------------------------------------------------------
 # sweeps
-
-def _apply_axis(config: ExperimentConfig, axis: str, value: float) -> ExperimentConfig:
-    if axis == "gamma":
-        return replace(config, gamma=float(value))
-    if axis == "b":
-        return replace(config, b=float(value))
-    if axis == "state_n":
-        return replace(config, state_n=int(value))
-    raise ConfigError(f"sweep axis must be one of {SWEEP_AXES}, got {axis!r}")
-
 
 def _predicted_columns(config: ExperimentConfig, axis: str) -> tuple[float, float]:
     """(predicted_t_rev, predicted_t_sr) for a sweep row.
@@ -281,9 +260,9 @@ def _predicted_columns(config: ExperimentConfig, axis: str) -> tuple[float, floa
             ts.t_sr if ts.t_sr is not None else math.nan)
 
 
-def _sweep_point(args: tuple[dict, str, float]) -> dict:
-    config_dict, axis, value = args
-    config = _apply_axis(ExperimentConfig(**config_dict), axis, value)
+def _sweep_point(args: tuple[ExperimentConfig, str, float]) -> dict:
+    base, axis, value = args
+    config = replace(base, **{axis: int(value) if axis == "state_n" else value})
     t_rev, t_sr = _predicted_columns(config, axis)
     row = {"param_value": value, "classification": "", "n_revivals": 0,
            "first_revival_t": math.nan, "first_revival_amp": math.nan,
@@ -299,31 +278,19 @@ def _sweep_point(args: tuple[dict, str, float]) -> dict:
             row["first_revival_amp"] = summary.first_revival.amplitude
     except Exception as exc:  # per-point failures land in the row
         row["classification"] = f"ERROR:{type(exc).__name__}"
+        row["error"] = str(exc)  # manifest only; the CSV keeps the type
     return row
 
 
 def _one_blas_thread() -> None:
     """Pool-worker initializer: one OpenBLAS thread per worker process.
 
-    The propagator's matrix products run through BLAS. The workers already
-    fill the cores, and an OpenBLAS thread pool in each of them spins
-    against the others' (70x slower on 2 cores with 4 workers). The library
-    is found among the loaded ones; where there is none, this does nothing.
+    ``rk4_evolve`` already runs its products on one thread; the workers'
+    other BLAS calls would still spin against each other's, since the
+    workers fill the cores.
     """
-    try:
-        with open("/proc/self/maps", encoding="utf-8") as fh:
-            paths = {line.split()[-1] for line in fh if "openblas" in line}
-    except OSError:
-        return
-    for path in paths:
-        lib = ctypes.CDLL(path)
-        for name in ("scipy_openblas_set_num_threads64_", "scipy_openblas_set_num_threads",
-                     "openblas_set_num_threads64_", "openblas_set_num_threads"):
-            if hasattr(lib, name):
-                set_threads = getattr(lib, name)
-                set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
-                set_threads(1)
-                break
+    for _, set_threads in openblas_threads():
+        set_threads(1)
 
 
 @dataclass(frozen=True)
@@ -342,12 +309,9 @@ def run_sweep(base: ExperimentConfig, axis: str, values, parallel: int = 1,
     if axis not in SWEEP_AXES:
         raise ConfigError(f"sweep axis must be one of {SWEEP_AXES}, got {axis!r}")
     base.require_valid()
-    out = Path(out_dir) if out_dir is not None else default_out_dir()
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(out_dir)
     t_wall = time.perf_counter()
-    base_dict = base.to_dict()
-    base_dict["outputs"] = tuple(base_dict["outputs"])
-    jobs = [(base_dict, axis, float(v)) for v in values]
+    jobs = [(base, axis, float(v)) for v in values]
     if parallel > 1 and len(jobs) > 1:
         with ProcessPoolExecutor(max_workers=parallel,
                                  initializer=_one_blas_thread) as pool:
@@ -363,15 +327,8 @@ def run_sweep(base: ExperimentConfig, axis: str, values, parallel: int = 1,
                 _fmt(r["first_revival_t"]), _fmt(r["first_revival_amp"]),
                 _fmt(r["predicted_t_rev"]), _fmt(r["predicted_t_sr"]),
             ]) + "\n")
-    manifest = {
-        "name": name, "version": __version__, "axis": axis,
-        "values": [float(v) for v in values], "parallel": parallel,
-        "base_config": base.to_dict(), "rows": rows,
-        "outputs": {"csv": csv_path.name},
-        "wall_time_s": time.perf_counter() - t_wall,
-        "timestamp_utc": datetime.now(timezone.utc).isoformat(),
-    }
-    manifest_path = out / f"{name}.manifest.json"
-    manifest_path.write_text(json.dumps(_json_safe(manifest), indent=2) + "\n",
-                             encoding="utf-8")
+    manifest_path = _write_manifest(out, name, {
+        "axis": axis, "values": [float(v) for v in values], "parallel": parallel,
+        "base_config": base.to_dict(), "rows": rows, "outputs": {"csv": csv_path.name},
+    }, t_wall)
     return SweepResult(rows=rows, csv_path=csv_path, manifest_path=manifest_path)

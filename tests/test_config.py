@@ -71,7 +71,6 @@ def test_preset_expansion():
 
 def test_fig8_is_a_sweep():
     spec = load_preset("fig8")
-    assert spec.is_sweep
     assert spec.sweep_axis == "state_n"
     assert list(spec.sweep_values) == list(range(1, 11))
     assert spec.config.dim == 44

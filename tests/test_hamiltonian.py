@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from revivals import (DomainError, FockSpace, Timescales, build_hamiltonian,
-                      default_n0, modulus_revival_period, number_op,
-                      timescales_closed_form)
+                      default_n0, modulus_revival_period, timescales_closed_form)
 
 from conftest import ALPHA, B1, B2, OMEGA0
 
@@ -132,7 +131,7 @@ def test_cubic_t_rev_scales_inverse_n0(space30):
 
 def test_hamiltonian_commutes_with_number(space30):
     h = np.diag(build_hamiltonian(space30, OMEGA0, B2, 3).energies)
-    n = number_op(space30).matrix
+    n = np.diag(np.arange(space30.dim))
     assert np.abs(h @ n - n @ h).max() == 0.0
 
 

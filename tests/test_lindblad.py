@@ -349,3 +349,31 @@ def test_gates_fail_on_nan(column, error):
     i, exc = _first_failure(np.arange(4.0), values["trace"], values["purity"],
                             values["top"], top_limit=1e-6)
     assert i == 2 and isinstance(exc, error) and "t=2" in str(exc)
+
+
+def test_rk4_runs_on_one_blas_thread(monkeypatch):
+    from revivals import lindblad
+
+    libs = lindblad.openblas_threads()
+    if not libs:
+        pytest.skip("no OpenBLAS loaded in this process")
+    inside = []
+    dense_blocks = lindblad._dense_blocks
+
+    def spy(*args):
+        inside.append([get() for get, _ in libs])
+        yield from dense_blocks(*args)
+
+    monkeypatch.setattr(lindblad, "_dense_blocks", spy)
+    saved = [get() for get, _ in libs]
+    try:
+        for _, put in libs:
+            put(2)
+        L = make_liouvillian(12, gamma=1e-3)
+        rk4_evolve(L, density_from_pure(coherent_state(L.space, 0.5)), 1.0, dt=0.01)
+        after = [get() for get, _ in libs]
+    finally:
+        for (_, put), n in zip(libs, saved):
+            put(n)
+    assert inside == [[1] * len(libs)]
+    assert after == [2] * len(libs)

@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
 
-from revivals import (DensityMatrix, FockSpace, coherent_state, density_from_pure,
-                      displaced_number_state, fock_state, purity)
+from revivals import coherent_state, density_from_pure, displaced_number_state, fock_state
 from revivals.observables import expect_a_raw, expect_n_raw
 
 from conftest import ALPHA
@@ -21,13 +20,6 @@ def test_number_state_amplitude_is_zero(space30):
 def test_displaced_number_photon_number(space30):
     rho = density_from_pure(displaced_number_state(space30, ALPHA, 3))
     assert expect_n_raw(rho.matrix) == pytest.approx(abs(ALPHA) ** 2 + 3, abs=1e-9)
-
-
-def test_purity_pure_and_mixed(space30):
-    assert purity(density_from_pure(coherent_state(space30, ALPHA))) == pytest.approx(
-        1.0, abs=1e-12)
-    mixed = DensityMatrix(FockSpace(4), np.eye(4, dtype=complex) / 4.0)
-    assert purity(mixed) == pytest.approx(0.25, abs=1e-15)
 
 
 def test_purity_decreases_across_revivals(space30):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from revivals import ExperimentConfig
-from revivals.cli import EXIT_OUTPUT, main
+from revivals.cli import EXIT_CONFIG, EXIT_OUTPUT, main
 from revivals.config import CSV_COLUMNS, config_from_dict
 from revivals.lindblad import Trajectory
 from revivals.runner import (CSV_CHUNK_ROWS, CSV_HEADER, SWEEP_HEADER, run_experiment,
@@ -88,6 +88,10 @@ def test_sweep_records_per_point_failures(tmp_path):
     rows = sweep.csv_path.read_text().splitlines()[1:]
     assert rows[0].split(",")[1] != ""
     assert rows[1].split(",")[1].startswith("ERROR:")
+    # the manifest keeps the failing point's message; the CSV only its type
+    manifest = json.loads(sweep.manifest_path.read_text())
+    assert "error" not in manifest["rows"][0]
+    assert "state_n=40 outside 0..dim-1" in manifest["rows"][1]["error"]
 
 
 def test_sweep_state_n_reports_inverse_n_theory(tmp_path):
@@ -124,6 +128,30 @@ def test_cli_validate_missing_fields(tmp_path, capsys):
     path.write_text("{}")
     assert main(["validate", str(path)]) == 2
     assert "missing required fields" in capsys.readouterr().err
+
+
+def test_cli_validate_names_every_problem(tmp_path, capsys):
+    path = write_config(tmp_path, dim=1, gamma=-2.0, t_final=0.0)
+    assert main(["validate", str(path)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("error: config:") and err.count("\n") == 1
+    for problem in ("dim must be >= 2", "gamma must be >= 0", "t_final must be positive"):
+        assert problem in err
+
+
+@pytest.mark.parametrize("content", [None, b"\xff\xfe{}"], ids=["missing", "not-utf8"])
+@pytest.mark.parametrize("verb", ["run", "sweep", "validate"])
+def test_cli_unreadable_config_exit_code(tmp_path, capsys, verb, content):
+    path = tmp_path / "cfg.json"
+    if content is not None:
+        path.write_bytes(content)
+    out = str(tmp_path / "out")
+    extra = {"run": ["--out-dir", out], "validate": [],
+             "sweep": ["--axis", "gamma", "--values", "0", "--out-dir", out]}[verb]
+    assert main([verb, str(path), *extra]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("error: config:") and err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_run_writes_csv(tmp_path, capsys):
