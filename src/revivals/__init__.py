@@ -16,9 +16,8 @@ from .config import ExperimentConfig, config_from_json, load_config, load_preset
 from .errors import (ConfigError, DimensionError, DimensionMismatch, DomainError,
                      InsufficientSampling, RevivalsError, SpanTooShort,
                      StabilityError, TruncationError, TruncationWarning)
-from .fock import (DensityMatrix, FockSpace, Operator, PureState, annihilation_op,
-                   coherent_state, density_from_pure, displaced_number_state,
-                   displacement_op, fock_state)
+from .fock import (DensityMatrix, FockSpace, PureState, coherent_state,
+                   density_from_pure, displaced_number_state, fock_state)
 from .hamiltonian import (DiagonalHamiltonian, Timescales, build_hamiltonian,
                           default_n0, modulus_revival_period, timescales_closed_form)
 from .lindblad import (DampingSpec, Liouvillian, Trajectory, build_liouvillian,

@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass, fields
 from importlib import resources
+from numbers import Integral, Real
 
 from .errors import ConfigError
 
@@ -12,6 +14,18 @@ CSV_COLUMNS = ("re_a", "im_a", "abs_a", "n_expect", "trace", "purity")
 
 REQUIRED_FIELDS = ("dim", "omega0", "alpha_re", "nonlinearity_order", "b",
                    "gamma", "t_final")
+
+#: annotation of a config field -> (test of a value read from JSON, its wording)
+_KINDS = {
+    "int": (lambda v: isinstance(v, Integral) and not isinstance(v, bool),
+            "an integer"),
+    "float": (lambda v: isinstance(v, Real) and not isinstance(v, bool)
+              and math.isfinite(v), "a finite number"),
+    "bool": (lambda v: isinstance(v, bool), "true or false"),
+    "str": (lambda v: isinstance(v, str), "a string"),
+    "tuple[str, ...]": (lambda v: isinstance(v, tuple)
+                        and all(isinstance(c, str) for c in v), "a list of strings"),
+}
 
 
 @dataclass(frozen=True)
@@ -38,7 +52,12 @@ class ExperimentConfig:
         return complex(self.alpha_re, self.alpha_im)
 
     def validate(self) -> list[str]:
-        problems = []
+        """Every problem of this config; the ranges are checked once every
+        field has its type."""
+        problems = [f"{f.name} must be {_KINDS[f.type][1]}, got {getattr(self, f.name)!r}"
+                    for f in fields(self) if not _KINDS[f.type][0](getattr(self, f.name))]
+        if problems:
+            return problems
         if self.dim < 2:
             problems.append(f"dim must be >= 2, got {self.dim}")
         if self.omega0 <= 0:
@@ -89,7 +108,7 @@ def config_from_dict(data: dict) -> ExperimentConfig:
     missing = [k for k in REQUIRED_FIELDS if k not in data]
     if missing:
         raise ConfigError(f"missing required fields: {missing}")
-    if "outputs" in data:
+    if isinstance(data.get("outputs"), list):
         data = dict(data)
         data["outputs"] = tuple(data["outputs"])
     return ExperimentConfig(**data)
@@ -115,11 +134,14 @@ def load_config(path: str) -> ExperimentConfig:
 
 
 def parse_values(text: str) -> list[float]:
-    """Comma-separated sweep values, as given to ``revivals sweep --values``."""
+    """Comma-separated finite sweep values, as given to ``revivals sweep --values``."""
     try:
-        return [float(x) for x in text.split(",") if x.strip()]
+        values = [float(x) for x in text.split(",") if x.strip()]
     except ValueError as exc:
         raise ConfigError(f"cannot parse --values {text!r}: {exc}") from exc
+    if not values or not all(math.isfinite(v) for v in values):
+        raise ConfigError(f"--values must be one or more finite numbers, got {text!r}")
+    return values
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -40,23 +40,6 @@ class FockSpace:
     def __post_init__(self) -> None:
         if self.dim < 2:
             raise DomainError(f"Fock space needs dim >= 2, got {self.dim}")
-
-
-@dataclass(frozen=True)
-class Operator:
-    """A dense operator on a FockSpace with a role tag."""
-
-    space: FockSpace
-    matrix: np.ndarray
-    label: str = "generic"
-
-    def __post_init__(self) -> None:
-        m = np.asarray(self.matrix, dtype=complex)
-        if m.shape != (self.space.dim, self.space.dim):
-            raise DimensionMismatch(
-                f"operator shape {m.shape} does not match dim {self.space.dim}"
-            )
-        object.__setattr__(self, "matrix", _readonly(m))
 
 
 @dataclass(frozen=True)
@@ -111,19 +94,19 @@ class DensityMatrix:
         return float(np.linalg.eigvalsh(self.matrix)[0])
 
 
-def annihilation_op(space: FockSpace) -> Operator:
+def annihilation_op(space: FockSpace) -> np.ndarray:
     """Lowering operator: <n-1|a|n> = sqrt(n)."""
     d = space.dim
     m = np.zeros((d, d), dtype=complex)
     n = np.arange(1, d)
     m[n - 1, n] = np.sqrt(n)
-    return Operator(space, m, label="annihilation")
+    return m
 
 
 def _displacement_matrix(space: FockSpace, alpha: complex) -> np.ndarray:
     # exp(alpha a+ - alpha* a) through the Hermitian eigendecomposition of
     # i*(alpha a+ - alpha* a); keeps the result numerically unitary.
-    a = annihilation_op(space).matrix
+    a = annihilation_op(space)
     gen = alpha * a.conj().T - np.conj(alpha) * a
     w, v = np.linalg.eigh(1j * gen)
     return (v * np.exp(-1j * w)) @ v.conj().T
@@ -134,7 +117,7 @@ def core_levels(alpha: complex) -> int:
     return max(2, math.ceil(abs(alpha) ** 2 + 3 * abs(alpha)))
 
 
-def displacement_op(space: FockSpace, alpha: complex) -> Operator:
+def displacement_op(space: FockSpace, alpha: complex) -> np.ndarray:
     """Displacement operator D(alpha) on the truncated space.
 
     Unitary up to truncation leakage; raises TruncationError when the
@@ -150,11 +133,11 @@ def displacement_op(space: FockSpace, alpha: complex) -> Operator:
             f"displacement unitarity defect {worst:.3e} on lowest {k} levels; "
             f"dim={space.dim} is too small for alpha={alpha}"
         )
-    return Operator(space, m, label="displacement")
+    return m
 
 
 def _renormalized_column(space: FockSpace, alpha: complex, n: int) -> PureState:
-    col = displacement_op(space, alpha).matrix[:, n]
+    col = displacement_op(space, alpha)[:, n]
     norm = float(np.linalg.norm(col))
     if abs(1.0 - norm) > RENORM_TOLERANCE:
         raise TruncationError(

@@ -8,7 +8,6 @@ do not reuse the operator constructors either: independence is the point.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -17,12 +16,6 @@ from .fock import PureState
 from .hamiltonian import DiagonalHamiltonian
 
 MAX_LAGUERRE_INDEX = 170
-
-
-@dataclass(frozen=True)
-class OracleResult:
-    t: float
-    a_expect: complex
 
 
 def damped_linear_expect_a(alpha: complex, omega0: float, gamma: float,

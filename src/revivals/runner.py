@@ -308,6 +308,8 @@ def run_sweep(base: ExperimentConfig, axis: str, values, parallel: int = 1,
     """
     if axis not in SWEEP_AXES:
         raise ConfigError(f"sweep axis must be one of {SWEEP_AXES}, got {axis!r}")
+    if axis == "state_n" and not all(float(v).is_integer() for v in values):
+        raise ConfigError(f"state_n sweep values must be integers, got {list(values)}")
     base.require_valid()
     out = _out_dir(out_dir)
     t_wall = time.perf_counter()

@@ -47,16 +47,15 @@ def criterion(num: int, desc: str):
               flush=True)
 
 
-def evolve(dim, k, b, gamma, state_n, t_final, dt=0.0, record_every=0,
-           n_thermal=0.0, full_equation=False, audit_tag=None):
+def evolve(dim, k, b, gamma, state_n, t_final, dt=0.0, n_thermal=0.0,
+           full_equation=False, audit_tag=None):
     space = FockSpace(dim)
     h = build_hamiltonian(space, OMEGA0, b, k)
     L = build_liouvillian(h, DampingSpec(gamma=gamma, n_thermal=n_thermal,
                                          full_equation=full_equation))
     psi = (coherent_state(space, ALPHA) if state_n == 0
            else displaced_number_state(space, ALPHA, state_n))
-    traj = rk4_evolve(L, density_from_pure(psi), t_final, dt=dt,
-                      record_every=record_every)
+    traj = rk4_evolve(L, density_from_pure(psi), t_final, dt=dt)
     if audit_tag:
         _AUDIT.append((audit_tag, traj))
     return h, traj
@@ -171,9 +170,7 @@ def test_criterion_05_propagator_cross_validation():
         reference = expm_propagate(L, rho0, t).matrix
 
         def final_state(dt):
-            nsteps = round(t / dt)
-            traj = rk4_evolve(L, rho0, t, dt=t / nsteps, record_every=nsteps)
-            return traj.states[-1][1]
+            return rk4_evolve(L, rho0, t, dt=t / round(t / dt)).final
 
         err_fine = np.abs(final_state(0.005) - reference).max()
         assert err_fine <= 1e-8, f"max-entry error {err_fine:.3e}"
@@ -271,12 +268,11 @@ def test_criterion_10_state_integrity_everywhere():
             assert np.abs(traj.trace - 1.0).max() <= 1e-8, tag
             assert traj.purity.max() <= 1.0 + 1e-9, tag
             assert traj.purity.min() > 0.0, tag
-        # positivity at sampled times needs stored states: dedicated run
-        # (positivity error scales ~dt^5; 0.025 keeps it within -1e-7)
-        _, traj = evolve(30, 2, B1, 1e-3, 0, t_final=300.0, dt=0.025,
-                         record_every=100)
+        # positivity at ten sampled times of the grid t = 2.5 i, i = 0..120:
+        # one dedicated run ending at each (positivity error scales ~dt^5;
+        # 0.025 keeps it within -1e-7)
         rng = np.random.default_rng(3)
-        picks = rng.choice(len(traj.states), size=10, replace=False)
-        for i in picks:
-            _, rho = traj.states[i]
-            assert np.linalg.eigvalsh(rho)[0] >= -1e-7
+        for i in rng.choice(121, size=10, replace=False):
+            _, traj = evolve(30, 2, B1, 1e-3, 0, t_final=100 * i * 0.025, dt=0.025)
+            assert len(traj) == 100 * i + 1
+            assert np.linalg.eigvalsh(traj.final)[0] >= -1e-7

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from revivals import (DomainError, FockSpace, TruncationError, TruncationWarning,
-                      annihilation_op, coherent_state, density_from_pure,
-                      displaced_number_state, displacement_op, fock_state)
-from revivals.fock import PureState, core_levels
+                      coherent_state, density_from_pure, displaced_number_state,
+                      fock_state)
+from revivals.fock import PureState, annihilation_op, core_levels, displacement_op
 from revivals.reference import displacement_matrix_element
 
 from conftest import ALPHA
@@ -18,12 +18,12 @@ def test_space_requires_two_levels():
 
 
 def test_annihilation_smallest_dim():
-    a = annihilation_op(FockSpace(2)).matrix
+    a = annihilation_op(FockSpace(2))
     np.testing.assert_array_equal(a, np.array([[0, 1], [0, 0]], dtype=complex))
 
 
 def test_annihilation_sqrt_rule():
-    a = annihilation_op(FockSpace(4)).matrix
+    a = annihilation_op(FockSpace(4))
     assert a[2, 3] == pytest.approx(1.7320508075688772, abs=0)
     # only the first superdiagonal is populated
     assert np.count_nonzero(a) == 3
@@ -32,7 +32,7 @@ def test_annihilation_sqrt_rule():
 def test_truncated_commutator():
     # oracle: direct matrix multiplication at small dim
     space = FockSpace(4)
-    a = annihilation_op(space).matrix
+    a = annihilation_op(space)
     comm = a @ a.conj().T - a.conj().T @ a
     expected = np.eye(4, dtype=complex)
     expected[3, 3] = -3.0
@@ -42,13 +42,13 @@ def test_truncated_commutator():
 @pytest.mark.parametrize("dim", [2, 5, 30])
 def test_number_equals_creation_times_annihilation(dim):
     space = FockSpace(dim)
-    a = annihilation_op(space).matrix
+    a = annihilation_op(space)
     prod = a.conj().T @ a
     np.testing.assert_allclose(prod, np.diag(np.arange(dim)), atol=1e-15)
 
 
 def test_displacement_zero_is_identity():
-    d = displacement_op(FockSpace(8), 0.0).matrix
+    d = displacement_op(FockSpace(8), 0.0)
     np.testing.assert_allclose(d, np.eye(8), atol=1e-14)
 
 
@@ -56,7 +56,7 @@ def test_displacement_first_column_is_poisson():
     # oracle: c_n = e^{-|a|^2/2} a^n / sqrt(n!); truncation distortion is
     # confined to the top levels at dim = 30
     dim = 30
-    col = displacement_op(FockSpace(dim), ALPHA).matrix[:, 0]
+    col = displacement_op(FockSpace(dim), ALPHA)[:, 0]
     n = np.arange(dim)
     expected = (math.exp(-abs(ALPHA) ** 2 / 2)
                 * np.array([ALPHA**k / math.sqrt(math.factorial(k)) for k in n]))
@@ -67,7 +67,7 @@ def test_displacement_first_column_is_poisson():
 
 
 def test_displacement_matches_laguerre_oracle():
-    dmat = displacement_op(FockSpace(40), ALPHA).matrix
+    dmat = displacement_op(FockSpace(40), ALPHA)
     for m in range(11):
         for n in range(11):
             assert dmat[m, n] == pytest.approx(
@@ -77,15 +77,15 @@ def test_displacement_matches_laguerre_oracle():
 def test_displacement_inverse_on_core_levels():
     space = FockSpace(30)
     k = core_levels(ALPHA)
-    prod = (displacement_op(space, ALPHA).matrix
-            @ displacement_op(space, -ALPHA).matrix)
+    prod = (displacement_op(space, ALPHA)
+            @ displacement_op(space, -ALPHA))
     np.testing.assert_allclose(prod[:k, :k], np.eye(k), atol=1e-8)
 
 
 def test_displacement_operator_stays_unitary_when_truncated():
     # the exponentiated generator is unitary at any dim; quality enforcement
     # lives in the state constructors
-    d = displacement_op(FockSpace(6), ALPHA).matrix
+    d = displacement_op(FockSpace(6), ALPHA)
     np.testing.assert_allclose(d.conj().T @ d, np.eye(6), atol=1e-13)
 
 
@@ -102,7 +102,7 @@ def test_coherent_mean_photon_number(space30):
 
 def test_coherent_annihilation_eigenvalue(space30):
     c = coherent_state(space30, ALPHA).amplitudes
-    a_expect = c.conj() @ annihilation_op(space30).matrix @ c
+    a_expect = c.conj() @ annihilation_op(space30) @ c
     assert a_expect == pytest.approx(ALPHA, abs=1e-10)
 
 

@@ -10,10 +10,9 @@ from revivals import (DampingSpec, DensityMatrix, DimensionError, DimensionMisma
                       damped_linear_expect_a, density_from_pure,
                       displaced_number_state, expm_propagate, fock_state,
                       kerr_expect_a_closed_form, rk4_evolve)
-from revivals.lindblad import (BLOCK_STEPS, SNAPSHOT_TOLERANCE, TOP_LEVEL_TOLERANCE,
-                               TRACE_TOLERANCE, Trajectory, default_dt, to_bands,
-                               unvectorize, vectorize)
-from revivals.observables import expect_a_raw, expect_n_raw
+from revivals.lindblad import (BLOCK_STEPS, TOP_LEVEL_TOLERANCE, TRACE_TOLERANCE,
+                               Trajectory, default_dt, expect_a_raw, expect_n_raw,
+                               to_bands, unvectorize, vectorize)
 
 from conftest import ALPHA, B1, B2, OMEGA0, random_density, random_hermitian
 
@@ -117,6 +116,15 @@ def test_rk4_rejects_oversized_step():
         rk4_evolve(L, rho0, 10.0, dt=0.1)  # dt * Omega_max >> 0.1
 
 
+@pytest.mark.parametrize("t_final,dt", [
+    (math.nan, 0.0), (math.inf, 0.0), (1.0, math.nan), (1.0, math.inf)])
+def test_rk4_rejects_non_finite_time(t_final, dt):
+    L = make_liouvillian(6)
+    rho0 = density_from_pure(fock_state(FockSpace(6), 0))
+    with pytest.raises(DomainError):
+        rk4_evolve(L, rho0, t_final, dt=dt)
+
+
 def test_rk4_rejects_dimension_mismatch():
     L = make_liouvillian(6)
     rho0 = density_from_pure(fock_state(FockSpace(5), 0))
@@ -133,19 +141,16 @@ def test_rk4_truncation_overflow_with_thermal_pumping():
         rk4_evolve(L, rho0, 400.0, dt=0.05)
 
 
-def test_trajectory_records_and_snapshots():
+def test_trajectory_records_and_final_state():
     space = FockSpace(20)
     L = make_liouvillian(20, b=B1, gamma=1e-3)
     rho0 = density_from_pure(coherent_state(space, -1.0))
-    traj = rk4_evolve(L, rho0, 5.0, dt=0.01, record_every=100)
+    traj = rk4_evolve(L, rho0, 5.0, dt=0.01)
     assert len(traj) == 501
     assert np.all(np.diff(traj.times) > 0)
     assert traj.times[0] == 0.0
-    # snapshots at 0, 100, ..., 500
-    assert [int(round(t / 0.01)) for t, _ in traj.states] == [0, 100, 200, 300, 400, 500]
-    for t, rho in traj.states:
-        assert np.abs(rho - rho.conj().T).max() <= 1e-8
-        assert abs(np.trace(rho).real - 1.0) <= 1e-8
+    np.testing.assert_array_equal(traj.final, traj.final.conj().T)
+    assert abs(np.trace(traj.final).real - 1.0) <= 1e-8
 
 
 def test_expm_identity_at_zero(rng):
@@ -174,25 +179,19 @@ def test_expm_agrees_with_rk4(rng):
     rho0 = DensityMatrix(FockSpace(8), random_density(rng, 8))
     t = 20.0
     direct = expm_propagate(L, rho0, t)
-    traj_rho = rk4_evolve(L, rho0, t, dt=0.004, record_every=len_steps(t, 0.004))
-    final = traj_rho.states[-1][1]
+    final = rk4_evolve(L, rho0, t, dt=0.004).final
     assert np.abs(final - direct.matrix).max() <= 1e-9
-
-
-def len_steps(t, dt):
-    return max(1, math.ceil(t / dt - 1e-12))
 
 
 # ---------------------------------------------------------------------------
 # the block propagator against the stage-wise RK4 loop
 
 
-def reference_rk4(L, rho0, t_final, dt, record_every=0):
+def reference_rk4(L, rho0, t_final, dt):
     """Stage-wise RK4 on the full D x D matrix with the gates of rk4_evolve.
 
     Four generator applications per step, re-Hermitized after each step;
-    observables and gates per step, in the order trace, top level, purity,
-    then the snapshot gate at record points.
+    observables and gates per step, in the order trace, top level, purity.
     """
     nsteps = max(1, math.ceil(t_final / dt - 1e-12))
     dt = t_final / nsteps
@@ -201,7 +200,6 @@ def reference_rk4(L, rho0, t_final, dt, record_every=0):
     times = np.arange(nsteps + 1) * dt
     a_rec = np.empty(nsteps + 1, dtype=complex)
     n_rec, tr_rec, pur_rec = (np.empty(nsteps + 1) for _ in range(3))
-    states = []
     top_limit = float(rho[-1, -1].real) + TOP_LEVEL_TOLERANCE
 
     def observe(i):
@@ -215,10 +213,6 @@ def reference_rk4(L, rho0, t_final, dt, record_every=0):
             raise TruncationError(f"top level at t={times[i]:.6g}")
         if not 0.0 < pur <= 1.0 + TRACE_TOLERANCE:
             raise StabilityError(f"purity at t={times[i]:.6g}")
-        if record_every > 0 and (i % record_every == 0 or i == nsteps):
-            if not abs(float(np.trace(rho).real) - 1.0) <= SNAPSHOT_TOLERANCE:
-                raise StabilityError(f"snapshot at t={times[i]:.6g}")
-            states.append((float(times[i]), rho.copy()))
 
     observe(0)
     for s in range(1, nsteps + 1):
@@ -237,7 +231,7 @@ def reference_rk4(L, rho0, t_final, dt, record_every=0):
         rho *= 0.5
         observe(s)
     return Trajectory(times=times, a_expect=a_rec, n_expect=n_rec, trace=tr_rec,
-                      purity=pur_rec, states=states)
+                      purity=pur_rec, final=rho)
 
 
 def failure_time(excinfo):
@@ -265,15 +259,14 @@ def _mixed(rng, dim):
     # undamped Kerr, undamped cubic from a displaced state, damped cubic from
     # a displaced state, thermal full equation, random mixed state
     dict(dim=30, b=B1, k=2, t=300.0),
-    dict(dim=34, b=B2, k=3, state_n=2, t=40.0, record_every=97),
-    dict(dim=34, b=B2, k=3, gamma=1e-3, state_n=2, t=40.0, record_every=97),
-    dict(dim=24, b=B1, k=2, gamma=2e-3, n_thermal=0.5, full=True, t=100.0,
-         record_every=50),
-    dict(dim=12, b=B2, k=3, gamma=3e-3, mixed=True, t=100.0, record_every=64),
+    dict(dim=34, b=B2, k=3, state_n=2, t=40.0),
+    dict(dim=34, b=B2, k=3, gamma=1e-3, state_n=2, t=40.0),
+    dict(dim=24, b=B1, k=2, gamma=2e-3, n_thermal=0.5, full=True, t=100.0),
+    dict(dim=12, b=B2, k=3, gamma=3e-3, mixed=True, t=100.0),
 ], ids=["kerr", "cubic-displaced", "damped-cubic-displaced", "thermal-full", "mixed"])
 def test_rk4_matches_stage_loop(rng, case):
     case = dict(case)
-    dim, t, every = case.pop("dim"), case.pop("t"), case.pop("record_every", 0)
+    dim, t = case.pop("dim"), case.pop("t")
     state_n, mixed = case.pop("state_n", 0), case.pop("mixed", False)
     L = make_liouvillian(dim, **case)
     space = FockSpace(dim)
@@ -284,16 +277,14 @@ def test_rk4_matches_stage_loop(rng, case):
     else:
         rho0 = density_from_pure(coherent_state(space, ALPHA))
     dt = default_dt(L, rho0)
-    got = rk4_evolve(L, rho0, t, record_every=every)
-    want = reference_rk4(L, rho0, t, dt, record_every=every)
+    got = rk4_evolve(L, rho0, t)
+    want = reference_rk4(L, rho0, t, dt)
     np.testing.assert_array_equal(got.times, want.times)
     for name in ("a_expect", "n_expect", "trace", "purity"):
         err = np.abs(getattr(got, name) - getattr(want, name)).max()
         assert err <= 1e-10, (name, err)
-    assert [t for t, _ in got.states] == [t for t, _ in want.states]
-    for (_, x), (_, y) in zip(got.states, want.states):
-        assert np.abs(x - y).max() <= 1e-10
-        np.testing.assert_array_equal(x, x.conj().T)
+    assert np.abs(got.final - want.final).max() <= 1e-10
+    np.testing.assert_array_equal(got.final, got.final.conj().T)
 
 
 @pytest.mark.parametrize("nsteps,gamma", [
@@ -306,10 +297,10 @@ def test_rk4_block_edges(nsteps, gamma):
     L = make_liouvillian(14, b=B1, gamma=gamma)
     rho0 = density_from_pure(coherent_state(FockSpace(14), -0.8))
     dt = 0.05
-    got = rk4_evolve(L, rho0, nsteps * dt, dt=dt, record_every=7)
-    want = reference_rk4(L, rho0, nsteps * dt, dt, record_every=7)
+    got = rk4_evolve(L, rho0, nsteps * dt, dt=dt)
+    want = reference_rk4(L, rho0, nsteps * dt, dt)
     assert len(got) == len(want) == nsteps + 1
-    assert [t for t, _ in got.states] == [t for t, _ in want.states]
+    assert np.abs(got.final - want.final).max() <= 1e-12
     assert np.abs(got.a_expect - want.a_expect).max() <= 1e-12
     assert np.abs(got.purity - want.purity).max() <= 1e-12
 
@@ -346,9 +337,9 @@ def test_gates_fail_on_nan(column, error):
 
     values = {"trace": np.ones(4), "top": np.zeros(4), "purity": np.full(4, 0.5)}
     values[column][2] = np.nan
-    i, exc = _first_failure(np.arange(4.0), values["trace"], values["purity"],
-                            values["top"], top_limit=1e-6)
-    assert i == 2 and isinstance(exc, error) and "t=2" in str(exc)
+    exc = _first_failure(np.arange(4.0), values["trace"], values["purity"],
+                         values["top"], top_limit=1e-6)
+    assert isinstance(exc, error) and "t=2" in str(exc)
 
 
 def test_rk4_runs_on_one_blas_thread(monkeypatch):

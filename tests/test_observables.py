@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from revivals import coherent_state, density_from_pure, displaced_number_state, fock_state
-from revivals.observables import expect_a_raw, expect_n_raw
+from revivals.lindblad import expect_a_raw, expect_n_raw
 
 from conftest import ALPHA
 

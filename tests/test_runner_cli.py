@@ -189,6 +189,36 @@ def test_cli_sweep_bad_values(tmp_path, capsys):
     assert main(["sweep", str(path), "--axis", "gamma", "--values", "x,y"]) == 2
 
 
+@pytest.mark.parametrize("field,value", [
+    ("t_final", math.nan), ("gamma", math.nan), ("b", math.nan), ("omega0", math.nan),
+    ("alpha_re", math.nan), ("t_final", math.inf), ("dt", math.nan), ("dim", 30.5),
+    ("state_n", 1.5), ("dim", "30"), ("full_equation", "no")])
+@pytest.mark.parametrize("verb", ["run", "validate"])
+def test_cli_rejects_mistyped_config(tmp_path, capsys, verb, field, value):
+    # json writes NaN and Infinity, and reads them back as floats
+    path = write_config(tmp_path, **{field: value})
+    out = tmp_path / "out"
+    extra = ["--out-dir", str(out)] if verb == "run" else []
+    assert main([verb, str(path), *extra]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("error: config:") and err.count("\n") == 1
+    assert f"{field} must be" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("axis,values", [
+    ("state_n", "1,1.5,2.9"), ("state_n", "nan"), ("gamma", "nan"), ("gamma", "inf"),
+    ("gamma", ",")])
+def test_cli_sweep_rejects_bad_values(tmp_path, capsys, axis, values):
+    path = write_config(tmp_path, b=0.005, t_final=50.0)
+    out = tmp_path / "out"
+    assert main(["sweep", str(path), "--axis", axis, "--values", values,
+                 "--out-dir", str(out)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("error: config:") and err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_cli_unknown_preset(capsys):
     assert main(["preset", "fig99"]) == 2
 
@@ -320,7 +350,8 @@ def test_write_csv_matches_per_value_format(tmp_path, rng, outputs):
     values[:, :len(edges)] = edges
     values[:, -len(edges):] = edges[::-1]
     traj = Trajectory(times=values[0], a_expect=values[1] + 1j * values[2],
-                      n_expect=values[3], trace=values[4], purity=values[5])
+                      n_expect=values[3], trace=values[4], purity=values[5],
+                      final=np.eye(2) / 2)
     write_csv(tmp_path / "got.csv", traj, outputs)
     _write_csv_reference(tmp_path / "want.csv", traj, outputs)
     assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
