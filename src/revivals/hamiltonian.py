@@ -40,12 +40,13 @@ class Timescales:
 
 def build_hamiltonian(space: FockSpace, omega0: float, b: float, k: int) -> DiagonalHamiltonian:
     """Energy ladder E_n = omega0*n + b*n^k for n = 0..dim-1."""
-    if omega0 <= 0:
-        raise DomainError(f"omega0 must be positive, got {omega0}")
+    # written as not (in range) so that NaN fails too
+    if not 0 < omega0 < math.inf:
+        raise DomainError(f"omega0 must be positive and finite, got {omega0}")
     if k not in SUPPORTED_ORDERS:
         raise DomainError(f"nonlinearity order k={k} unsupported; use one of {SUPPORTED_ORDERS}")
-    if b < 0:
-        raise DomainError(f"nonlinearity strength must be >= 0, got {b}")
+    if not 0 <= b < math.inf:
+        raise DomainError(f"nonlinearity strength must be >= 0 and finite, got {b}")
     n = np.arange(space.dim, dtype=float)
     energies = omega0 * n + b * n**k
     e = np.ascontiguousarray(energies)

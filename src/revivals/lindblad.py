@@ -19,6 +19,15 @@ Two propagators share one generator:
   rounding; only the order of the floating-point operations differs. The
   final state's upper triangle is the conjugate of its lower bands, so it is
   Hermitian by construction.
+
+  The damped (dense) path runs the band products of each block after the
+  first on one thread per CPU in the process's affinity mask, or on one
+  thread inside a multiprocessing worker, whose pool already fills the
+  cores. The bands are dealt into groups of equal flops, one group per
+  thread. Every product still runs on one OpenBLAS thread, so the bytes of
+  each band do not depend on the thread count. The first block, the
+  observables, the gates and the undamped (diagonal) path run on the
+  calling thread.
 * ``expm_propagate`` - dense exponential of the D^2 x D^2 superoperator,
   restricted to small dimensions. It exists to cross-check the RK4 path.
 
@@ -31,6 +40,9 @@ import contextlib
 import ctypes
 import functools
 import math
+import multiprocessing
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -67,10 +79,11 @@ class DampingSpec:
     full_equation: bool = False
 
     def __post_init__(self) -> None:
-        if self.gamma < 0:
-            raise DomainError(f"gamma must be >= 0, got {self.gamma}")
-        if self.n_thermal < 0:
-            raise DomainError(f"n_thermal must be >= 0, got {self.n_thermal}")
+        # written as not (in range) so that NaN fails too
+        if not 0 <= self.gamma < math.inf:
+            raise DomainError(f"gamma must be >= 0 and finite, got {self.gamma}")
+        if not 0 <= self.n_thermal < math.inf:
+            raise DomainError(f"n_thermal must be >= 0 and finite, got {self.n_thermal}")
 
 
 def vectorize(rho: np.ndarray) -> np.ndarray:
@@ -260,6 +273,44 @@ def _first_failure(times: np.ndarray, trace: np.ndarray, purity: np.ndarray,
                           f"t={times[i]:.6g}; reduce dt")
 
 
+def _band_threads() -> int:
+    """Threads for the band products: the CPUs this process may run on.
+
+    A multiprocessing worker gets one, since the sweep's process pool already
+    spreads its workers over the cores.
+    """
+    if multiprocessing.parent_process() is not None:
+        return 1
+    if not hasattr(os, "sched_getaffinity"):  # not on macOS or Windows
+        return os.cpu_count() or 1
+    return len(os.sched_getaffinity(0))
+
+
+def _band_groups(d: int, ngroups: int) -> list[list[int]]:
+    """Bands 0..d-1 dealt into at most ngroups groups of near-equal flops.
+
+    Band q costs (d-q)^2 per column. The bands go largest first, each to
+    the group with the least cost so far.
+    """
+    groups: list[list[int]] = [[] for _ in range(min(ngroups, d))]
+    cost = [0] * len(groups)
+    for q in range(d):
+        g = cost.index(min(cost))
+        groups[g].append(q)
+        cost[g] += (d - q) ** 2
+    return groups
+
+
+def _band_products(jobs: list[tuple[np.ndarray, np.ndarray, np.ndarray]]) -> None:
+    """y = p @ x for each (p, x, y), under the block loop's errstate.
+
+    ``np.errstate`` does not carry over into pool threads, so it is set here.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        for p, x, y in jobs:
+            np.matmul(p, x, out=y)
+
+
 # Both block generators below yield, per block of up to BLOCK_STEPS
 # consecutive samples, the arrays <a>, <n>, trace, purity and top-level
 # population, and last(): the bands (band 0, bands 1..D-1 stacked) of the
@@ -268,8 +319,12 @@ def _first_failure(times: np.ndarray, trace: np.ndarray, purity: np.ndarray,
 
 
 def _dense_blocks(gens: list[np.ndarray], x0: list[np.ndarray], dt: float,
-                  nsamples: int):
-    """Blocks as matrix products of the band states with powers of R_q."""
+                  nsamples: int, pool: ThreadPoolExecutor, threads: int):
+    """Blocks as matrix products of the band states with powers of R_q.
+
+    After the first block, the bands' products are split into ``threads``
+    groups: the calling thread runs the first, ``pool`` the others.
+    """
     d = len(gens)
     nb = BLOCK_STEPS
     # Band 0 lives in a real (D, B) block, bands 1..D-1 stacked row-wise in
@@ -295,11 +350,19 @@ def _dense_blocks(gens: list[np.ndarray], x0: list[np.ndarray], dt: float,
         powers.append(p)  # R^B
     sqrt_n = np.sqrt(np.arange(1.0, d))
     levels = np.arange(float(d))
+    # per group, the products from cur to nxt, then those back, in turn
+    groups = _band_groups(d, threads)
+    jobs = [[[(powers[q], src[2][q], dst[2][q]) for q in g] for g in groups]
+            for src, dst in ((cur, nxt), (nxt, cur))]
 
     for k0 in range(0, nsamples, nb):
         if k0 > 0:
-            for p, x, y in zip(powers, cur[2], nxt[2]):
-                np.matmul(p, x, out=y)
+            own, *rest = jobs[0]
+            futures = [pool.submit(_band_products, group) for group in rest]
+            _band_products(own)
+            for f in futures:
+                f.result()
+            jobs.reverse()
             cur, nxt = nxt, cur
         count = min(nb, nsamples - k0)
         pop, off = cur[0][:, :count], cur[1][:, :count]
@@ -404,7 +467,12 @@ def rk4_evolve(L: Liouvillian, rho0: DensityMatrix, t_final: float,
 
     Observables are recorded every step, the full state only at the last
     one (``Trajectory.final``). The trace is monitored, never renormalized.
-    The band products run on one OpenBLAS thread (``one_blas_thread``).
+    Every band product runs on one OpenBLAS thread (``one_blas_thread``).
+    With damping, the products of independent bands run side by side on a
+    thread pool that lives for this call: one thread per CPU in the
+    process's affinity mask, or one inside a multiprocessing worker. The
+    result does not depend on the thread count. Undamped runs use the
+    calling thread only.
 
     Raises StabilityError when the trace drifts by more than
     TRACE_TOLERANCE or when the purity leaves (0, 1 + TRACE_TOLERANCE];
@@ -440,13 +508,19 @@ def rk4_evolve(L: Liouvillian, rho0: DensityMatrix, t_final: float,
     top_limit = float(rho0.matrix[-1, -1].real) + TOP_LEVEL_TOLERANCE
 
     # Past a failing sample the values may overflow; the gates report it.
-    with np.errstate(over="ignore", invalid="ignore"), one_blas_thread():
+    # The pool starts its threads on first use and joins them on leaving
+    # this block, also on a gate's raise, so none outlives the call (a pool
+    # kept across calls would be inherited, threadless, by forked workers).
+    threads = _band_threads()
+    with np.errstate(over="ignore", invalid="ignore"), one_blas_thread(), \
+            ThreadPoolExecutor(max(1, threads - 1)) as pool:
         gens = L.band_generators()
+        x0 = to_bands(np.asarray(rho0.matrix))
         # without jump terms (gamma = 0) every M_q is diagonal
-        diagonal = all(np.count_nonzero(m) == np.count_nonzero(np.diagonal(m))
-                       for m in gens)
-        blocks = (_diagonal_blocks if diagonal else _dense_blocks)(
-            gens, to_bands(np.asarray(rho0.matrix)), dt, nsamples)
+        if all(np.count_nonzero(m) == np.count_nonzero(np.diagonal(m)) for m in gens):
+            blocks = _diagonal_blocks(gens, x0, dt, nsamples)
+        else:
+            blocks = _dense_blocks(gens, x0, dt, nsamples, pool, threads)
         k0 = 0
         for a, n, tr, pur, top, last in blocks:
             blk = slice(k0, k0 + len(a))

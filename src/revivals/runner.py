@@ -285,9 +285,10 @@ def _sweep_point(args: tuple[ExperimentConfig, str, float]) -> dict:
 def _one_blas_thread() -> None:
     """Pool-worker initializer: one OpenBLAS thread per worker process.
 
-    ``rk4_evolve`` already runs its products on one thread; the workers'
-    other BLAS calls would still spin against each other's, since the
-    workers fill the cores.
+    ``rk4_evolve`` already runs its products on one thread, and in a worker
+    process it also makes its band products one after another, with no
+    thread pool; the workers' other BLAS calls would still spin against
+    each other's, since the workers fill the cores.
     """
     for _, set_threads in openblas_threads():
         set_threads(1)

@@ -1,18 +1,30 @@
 import math
+import os
 import re
+import signal
+import subprocess
+import sys
+import threading
+import warnings
+from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import revivals
 from revivals import (DampingSpec, DensityMatrix, DimensionError, DimensionMismatch,
                       DomainError, FockSpace, StabilityError, TruncationError,
                       build_hamiltonian, build_liouvillian, coherent_state,
                       damped_linear_expect_a, density_from_pure,
                       displaced_number_state, expm_propagate, fock_state,
                       kerr_expect_a_closed_form, rk4_evolve)
+from revivals.config import load_preset
 from revivals.lindblad import (BLOCK_STEPS, TOP_LEVEL_TOLERANCE, TRACE_TOLERANCE,
-                               Trajectory, default_dt, expect_a_raw, expect_n_raw,
-                               to_bands, unvectorize, vectorize)
+                               Trajectory, _band_products, _band_threads, default_dt,
+                               expect_a_raw, expect_n_raw, to_bands, unvectorize,
+                               vectorize)
+from revivals.runner import evolve, resolve
 
 from conftest import ALPHA, B1, B2, OMEGA0, random_density, random_hermitian
 
@@ -368,3 +380,100 @@ def test_rk4_runs_on_one_blas_thread(monkeypatch):
             put(n)
     assert inside == [[1] * len(libs)]
     assert after == [2] * len(libs)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize("name", ["gamma", "n_thermal", "omega0", "b"])
+def test_model_parameters_reject_non_finite(name, value):
+    damping = {"gamma": 1e-3, "n_thermal": 0.0}
+    ladder = {"omega0": OMEGA0, "b": B1}
+    with pytest.raises(DomainError):
+        if name in damping:
+            DampingSpec(**{**damping, name: value})
+        else:
+            build_hamiltonian(FockSpace(30), **{**ladder, name: value}, k=2)
+
+
+def test_rk4_output_does_not_depend_on_thread_count(monkeypatch):
+    # fig8 at n = 10: damped cubic ladder at dim 44, five blocks of samples
+    ctx = resolve(replace(load_preset("fig8").config, state_n=10, t_final=2.0))
+    runs = []
+    for cpus in ({0}, {0, 1, 2, 3}):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: cpus)
+        runs.append(rk4_evolve(ctx.liouvillian, ctx.rho0, 2.0, dt=ctx.dt))
+    one, four = runs
+    assert len(one) > 4 * BLOCK_STEPS
+    for name in ("times", "a_expect", "n_expect", "trace", "purity", "final"):
+        assert np.array_equal(getattr(one, name), getattr(four, name)), name
+
+
+def test_band_products_ignore_overflow_in_pool_threads():
+    # the block loop's np.errstate does not reach pool threads
+    p = np.full((4, 4), 1e200 + 0j)
+    x = np.full((4, 3), 1e200 + 0j)
+    y = np.empty_like(x)
+    with warnings.catch_warnings(), ThreadPoolExecutor(1) as pool:
+        warnings.simplefilter("error")
+        pool.submit(_band_products, [(p, x, y)]).result()
+    assert not np.isfinite(y).any()
+
+
+def test_band_threads_is_one_in_worker_processes():
+    # the sweep's process pool already spreads its workers over the cores
+    with ProcessPoolExecutor(1) as pool:
+        assert pool.submit(_band_threads).result(timeout=60) == 1
+
+
+def test_failed_damped_run_joins_its_threads(monkeypatch):
+    # four CPUs, so that the pool starts threads on any host
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
+    before = threading.active_count()
+    # fig2b at dim 60 fails in the first block, before the pool is used
+    ctx = resolve(replace(load_preset("fig2b").config, dim=60))
+    with pytest.raises(StabilityError) as failed:
+        evolve(ctx)
+    assert str(failed.value) == ("purity 1.0000409021160646 outside (0, 1] at "
+                                 "t=2.62155; reduce dt")
+    # thermal pumping fills the top level in the second block, after it
+    L = make_liouvillian(6, b=0.0, gamma=2e-3, n_thermal=3.0, full=True)
+    rho0 = density_from_pure(fock_state(FockSpace(6), 0))
+    with pytest.raises(TruncationError) as failed:
+        rk4_evolve(L, rho0, 400.0, dt=0.05)
+    assert float(failure_time(failed)) > BLOCK_STEPS * 0.05
+    assert threading.active_count() == before
+    # a pool kept from an earlier call would already be counted in before
+    assert not [t for t in threading.enumerate()
+                if t.name.startswith("ThreadPoolExecutor")]
+
+
+def test_forked_sweep_after_dense_run_does_not_hang(tmp_path):
+    # Every run, in the sweep's forked workers too, uses the band pool. A
+    # pool that outlived rk4_evolve would be inherited there without its
+    # threads, and the workers would wait on it forever.
+    script = f"""
+from revivals import (DampingSpec, FockSpace, build_hamiltonian, build_liouvillian,
+                      coherent_state, density_from_pure, lindblad, rk4_evolve)
+from revivals.config import config_from_dict
+from revivals.runner import run_sweep
+
+lindblad._band_threads = lambda: 4
+h = build_hamiltonian(FockSpace(30), {OMEGA0!r}, {B1!r}, 2)
+L = build_liouvillian(h, DampingSpec(gamma=1e-3))
+rk4_evolve(L, density_from_pure(coherent_state(L.space, {ALPHA!r})), 60.0, dt=0.05)
+cfg = config_from_dict(dict(dim=30, omega0={OMEGA0!r}, alpha_re={ALPHA!r}, alpha_im=0.0,
+                            nonlinearity_order=2, b={B1!r}, gamma=1e-3, t_final=50.0,
+                            dt=0.05))
+run_sweep(cfg, "gamma", [1e-3, 2e-3], parallel=2, out_dir={str(tmp_path)!r})
+"""
+    src = os.path.dirname(os.path.dirname(revivals.__file__))
+    # its own session, so that a hung child and its workers can all be killed
+    child = subprocess.Popen([sys.executable, "-c", script], text=True,
+                             env={**os.environ, "PYTHONPATH": src},
+                             stderr=subprocess.PIPE, start_new_session=True)
+    try:
+        _, err = child.communicate(timeout=120)
+    except subprocess.TimeoutExpired:
+        os.killpg(child.pid, signal.SIGKILL)
+        child.communicate()
+        pytest.fail("sweep after a dense run hung for 120 s")
+    assert child.returncode == 0, err
