@@ -4,15 +4,15 @@ The pipeline is: trajectory -> upper envelope of |<a>(t)| (per-window maxima)
 -> peak/collapse detection -> classification into the qualitative categories
 NO_COLLAPSE / REGULAR_REVIVALS / DAMPED_REVIVALS / IRREGULAR / NO_REVIVALS.
 
-All detection constants live in ClassifierThresholds and are overridable;
-the defaults are calibrated against the exact gamma = 0 amplitude series
-(see tests) so that the onset/offset scans land on the documented values.
+The detection constants below are calibrated against the exact gamma = 0
+amplitude series (see tests) so that the onset/offset scans land on the
+documented values.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -32,29 +32,32 @@ class Classification(Enum):
     NO_REVIVALS = "NO_REVIVALS"
 
 
+#: Detection constants; fractions are relative to the initial amplitude.
+#: COLLAPSE_FRACTION, REVIVAL_FRACTION, REVIVAL_FRACTION_DAMPED and
+#: CV_REGULAR_MAX reproduce the qualitative categories of the source
+#: scenarios; FULL_REVIVAL_FRACTION separates full from fractional revivals,
+#: and IRREGULAR_PERIOD_FRACTION flags patterns whose predicted revival
+#: period is shorter than that fraction of the linear classical period
+#: 2 pi / omega0 (the regime where revivals recur faster than the packet's
+#: own orbit and the trace reads as irregular).
+COLLAPSE_FRACTION = 0.1
+REVIVAL_FRACTION = 0.5
+REVIVAL_FRACTION_DAMPED = 0.1
+CV_REGULAR_MAX = 0.2
+FULL_REVIVAL_FRACTION = 0.9
+MIN_SEPARATION_FRACTION = 0.3
+COLLAPSE_DURATION_PERIODS = 2.0
+IRREGULAR_PERIOD_FRACTION = 1.0 / 3.0
+DECLINE_RTOL = 0.01
+DOMINANT_FRACTION = 0.8
+
+
 @dataclass(frozen=True)
 class ClassifierThresholds:
-    """Detection constants; fractions are relative to the initial amplitude.
+    """The classifier's one setting: the linear classical period 2 pi / omega0
+    that the fast-revival gate compares t_rev against; None falls back to
+    the predicted t_cl."""
 
-    collapse_fraction, revival_fraction, revival_fraction_damped and
-    cv_regular_max reproduce the qualitative categories of the source
-    scenarios; full_revival_fraction separates full from fractional
-    revivals, and irregular_period_fraction flags patterns whose predicted
-    revival period is shorter than that fraction of the linear classical
-    period 2 pi / omega0 (the regime where revivals recur faster than the
-    packet's own orbit and the trace reads as irregular).
-    """
-
-    collapse_fraction: float = 0.1
-    revival_fraction: float = 0.5
-    revival_fraction_damped: float = 0.1
-    cv_regular_max: float = 0.2
-    full_revival_fraction: float = 0.9
-    min_separation_fraction: float = 0.3
-    collapse_duration_periods: float = 2.0
-    irregular_period_fraction: float = 1.0 / 3.0
-    decline_rtol: float = 0.01
-    dominant_fraction: float = 0.8
     linear_classical_period: float | None = None
 
 
@@ -89,7 +92,6 @@ class RevivalReport:
     revival_amplitudes: np.ndarray
     collapse_intervals: list[tuple[float, float]]
     classification: Classification
-    predicted: Timescales | None
 
 
 def extract_envelope(traj: Trajectory, window: float) -> Envelope:
@@ -196,7 +198,6 @@ def detect_revivals(env: Envelope, predicted: Timescales | None,
     when gamma > 0. With require_full_span the envelope must cover at least
     one predicted t_rev (scans disable this to classify bounded windows).
     """
-    cfg = thresholds or DEFAULT_THRESHOLDS
     t_rev = predicted.t_rev if predicted is not None else None
     t_cl = predicted.t_cl if predicted is not None else env.window
     if require_full_span and t_rev is not None and env.span() < t_rev:
@@ -204,19 +205,17 @@ def detect_revivals(env: Envelope, predicted: Timescales | None,
             f"envelope spans {env.span():.4g} < one predicted t_rev {t_rev:.4g}")
 
     init = env.initial
-    lin_period = cfg.linear_classical_period or t_cl
-    if t_rev is not None and t_rev < cfg.irregular_period_fraction * lin_period:
-        return RevivalReport(np.empty(0), np.empty(0), [],
-                             Classification.IRREGULAR, predicted)
+    lin_period = (thresholds or DEFAULT_THRESHOLDS).linear_classical_period or t_cl
+    if t_rev is not None and t_rev < IRREGULAR_PERIOD_FRACTION * lin_period:
+        return RevivalReport(np.empty(0), np.empty(0), [], Classification.IRREGULAR)
 
-    thr = cfg.collapse_fraction * init
-    intervals = _collapse_intervals(env, thr, cfg.collapse_duration_periods * t_cl)
+    thr = COLLAPSE_FRACTION * init
+    intervals = _collapse_intervals(env, thr, COLLAPSE_DURATION_PERIODS * t_cl)
     if not intervals and env.source_min >= thr:
-        return RevivalReport(np.empty(0), np.empty(0), [],
-                             Classification.NO_COLLAPSE, predicted)
+        return RevivalReport(np.empty(0), np.empty(0), [], Classification.NO_COLLAPSE)
 
-    f_eff = cfg.revival_fraction_damped if damped else cfg.revival_fraction
-    min_sep = cfg.min_separation_fraction * (t_rev if t_rev is not None else 2 * t_cl)
+    f_eff = REVIVAL_FRACTION_DAMPED if damped else REVIVAL_FRACTION
+    min_sep = MIN_SEPARATION_FRACTION * (t_rev if t_rev is not None else 2 * t_cl)
     after = intervals[0][0] if intervals else t_cl
     pk_t, pk_a = _detect_peaks(env, f_eff * init, min_sep, after)
 
@@ -224,22 +223,22 @@ def detect_revivals(env: Envelope, predicted: Timescales | None,
         cls = Classification.NO_REVIVALS
     else:
         amax = float(pk_a.max())
-        dom = pk_t[pk_a >= cfg.dominant_fraction * amax]
+        dom = pk_t[pk_a >= DOMINANT_FRACTION * amax]
         cls = None
         if len(dom) >= 3:
             sp = np.diff(dom)
-            if sp.std() / sp.mean() >= cfg.cv_regular_max:
+            if sp.std() / sp.mean() >= CV_REGULAR_MAX:
                 cls = Classification.IRREGULAR
         if cls is None:
             declining = len(pk_a) >= 2 and bool(
-                np.all(pk_a[1:] < pk_a[:-1] * (1.0 - cfg.decline_rtol)))
-            if amax >= cfg.full_revival_fraction * init and not (damped and declining):
+                np.all(pk_a[1:] < pk_a[:-1] * (1.0 - DECLINE_RTOL)))
+            if amax >= FULL_REVIVAL_FRACTION * init and not (damped and declining):
                 cls = Classification.REGULAR_REVIVALS
             elif damped:
                 cls = Classification.DAMPED_REVIVALS
             else:
                 cls = Classification.NO_REVIVALS
-    return RevivalReport(pk_t, pk_a, intervals, cls, predicted)
+    return RevivalReport(pk_t, pk_a, intervals, cls)
 
 
 @dataclass(frozen=True)
@@ -248,40 +247,37 @@ class FirstRevival:
     amplitude: float
 
 
-def first_revival_peak(env: Envelope, period: float,
-                       search_halfwidth: float = 0.25) -> FirstRevival | None:
+def first_revival_peak(env: Envelope, period: float) -> FirstRevival | None:
     """Strongest raw-sample peak near the predicted modulus-revival period.
 
-    The search window is period * (1 +/- search_halfwidth). Anchoring on the
+    The search window is period * (1 +/- 0.25). Anchoring on the
     spectral period rather than a bare amplitude threshold keeps the
     detection meaningful for displaced number states, whose fractional
     revivals can approach the initial amplitude.
     """
     ts, absa = env.source_times, env.source_values
-    lo = np.searchsorted(ts, period * (1.0 - search_halfwidth))
-    hi = np.searchsorted(ts, period * (1.0 + search_halfwidth), side="right")
+    lo = np.searchsorted(ts, period * 0.75)
+    hi = np.searchsorted(ts, period * 1.25, side="right")
     if hi - lo < 3:
         return None
     j = lo + int(np.argmax(absa[lo:hi]))
     return FirstRevival(t=float(ts[j]), amplitude=float(absa[j]))
 
 
-def detect_super_revival(env: Envelope, predicted: Timescales,
-                         thresholds: ClassifierThresholds | None = None,
-                         tie_rtol: float = 1e-3) -> FirstRevival | None:
-    """Strongest late revival peak; amplitude ties resolve to the latest peak.
+def detect_super_revival(env: Envelope, predicted: Timescales) -> FirstRevival | None:
+    """Strongest late revival peak; amplitude ties (within a relative 1e-3)
+    resolve to the latest peak.
 
     For an undamped cubic ladder every full revival has the same amplitude,
     so the latest of the tied peaks marks the super-revival time.
     """
-    cfg = thresholds or DEFAULT_THRESHOLDS
-    min_sep = cfg.min_separation_fraction * (predicted.t_rev or env.window)
-    pk_t, pk_a = _detect_peaks(env, cfg.revival_fraction * env.initial,
+    min_sep = MIN_SEPARATION_FRACTION * (predicted.t_rev or env.window)
+    pk_t, pk_a = _detect_peaks(env, REVIVAL_FRACTION * env.initial,
                                min_sep, after=predicted.t_cl)
     if len(pk_t) == 0:
         return None
     amax = pk_a.max()
-    tied = pk_t[pk_a >= amax * (1.0 - tie_rtol)]
+    tied = pk_t[pk_a >= amax * (1.0 - 1e-3)]
     t_best = float(tied.max())
     return FirstRevival(t=t_best, amplitude=float(pk_a[pk_t == t_best][0]))
 
@@ -310,8 +306,6 @@ def _evolve_amplitude(h: DiagonalHamiltonian, d: DampingSpec, alpha: complex,
 class ScanPoint:
     b: float
     classification: Classification
-    has_collapse: bool
-    report: RevivalReport
 
 
 @dataclass(frozen=True)
@@ -322,17 +316,14 @@ class NonlinearityScan:
 
 
 def scan_nonlinearity(b_values, *, k: int, alpha: complex, omega0: float,
-                      dim: int = 30,
-                      thresholds: ClassifierThresholds | None = None
-                      ) -> NonlinearityScan:
+                      dim: int = 30) -> NonlinearityScan:
     """Classify the undamped collapse/revival pattern across b values.
 
     b_onset is the smallest b classified REGULAR_REVIVALS with a genuine
     (sustained) collapse; b_offset the smallest b classified IRREGULAR.
     """
     space = FockSpace(dim)
-    cfg = replace(thresholds or DEFAULT_THRESHOLDS,
-                  linear_classical_period=2 * math.pi / omega0)
+    cfg = ClassifierThresholds(linear_classical_period=2 * math.pi / omega0)
     n0 = default_n0(alpha)
     points: list[ScanPoint] = []
     b_onset = b_offset = None
@@ -346,9 +337,8 @@ def scan_nonlinearity(b_values, *, k: int, alpha: complex, omega0: float,
         traj = _evolve_amplitude(h, DampingSpec(), alpha, 0, horizon)
         env = extract_envelope(traj, pred.t_cl)
         report = detect_revivals(env, pred, cfg, damped=False, require_full_span=False)
-        has_col = bool(report.collapse_intervals)
-        points.append(ScanPoint(b, report.classification, has_col, report))
-        if (b_onset is None and has_col
+        points.append(ScanPoint(b, report.classification))
+        if (b_onset is None and report.collapse_intervals
                 and report.classification is Classification.REGULAR_REVIVALS):
             b_onset = b
         if b_offset is None and report.classification is Classification.IRREGULAR:

@@ -10,8 +10,6 @@ from numbers import Integral, Real
 
 from .errors import ConfigError
 
-CSV_COLUMNS = ("re_a", "im_a", "abs_a", "n_expect", "trace", "purity")
-
 REQUIRED_FIELDS = ("dim", "omega0", "alpha_re", "nonlinearity_order", "b",
                    "gamma", "t_final")
 
@@ -23,8 +21,6 @@ _KINDS = {
               and math.isfinite(v), "a finite number"),
     "bool": (lambda v: isinstance(v, bool), "true or false"),
     "str": (lambda v: isinstance(v, str), "a string"),
-    "tuple[str, ...]": (lambda v: isinstance(v, tuple)
-                        and all(isinstance(c, str) for c in v), "a list of strings"),
 }
 
 
@@ -44,7 +40,6 @@ class ExperimentConfig:
     full_equation: bool = False
     t_final: float = 0.0
     dt: float = 0.0
-    outputs: tuple[str, ...] = CSV_COLUMNS
     comment: str = ""
 
     @property
@@ -76,9 +71,6 @@ class ExperimentConfig:
             problems.append(f"dt must be >= 0 (0 selects automatic), got {self.dt}")
         if not 0 <= self.state_n < max(self.dim, 1):
             problems.append(f"state_n={self.state_n} outside 0..dim-1")
-        unknown = [c for c in self.outputs if c not in CSV_COLUMNS]
-        if unknown:
-            problems.append(f"unknown outputs {unknown}; known: {list(CSV_COLUMNS)}")
         return problems
 
     def require_valid(self) -> "ExperimentConfig":
@@ -88,12 +80,10 @@ class ExperimentConfig:
         return self
 
     def to_dict(self) -> dict:
-        d = asdict(self)
-        d["outputs"] = list(self.outputs)
-        return d
+        return asdict(self)
 
-    def to_json(self, indent: int = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent)
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict(), indent=2)
 
 
 _FIELD_NAMES = {f.name for f in fields(ExperimentConfig)}
@@ -108,9 +98,6 @@ def config_from_dict(data: dict) -> ExperimentConfig:
     missing = [k for k in REQUIRED_FIELDS if k not in data]
     if missing:
         raise ConfigError(f"missing required fields: {missing}")
-    if isinstance(data.get("outputs"), list):
-        data = dict(data)
-        data["outputs"] = tuple(data["outputs"])
     return ExperimentConfig(**data)
 
 

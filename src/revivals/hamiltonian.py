@@ -59,18 +59,23 @@ def default_n0(alpha: complex, state_n: int = 0) -> int:
     return max(1, round(abs(alpha) ** 2 + state_n))
 
 
+def classical_period(h: DiagonalHamiltonian, n0: int) -> float:
+    """t_cl = 2*pi / E'(n0) = 2*pi / (omega0 + k*b*n0^(k-1))."""
+    return 2 * math.pi / (h.omega0 + h.k * h.b * n0 ** (h.k - 1))
+
+
 def timescales_closed_form(h: DiagonalHamiltonian, n0: int) -> Timescales:
     """Exact timescales of the polynomial ladder evaluated at center n0."""
     if h.b <= 0:
         raise DomainError("no finite revival time for b = 0")
     if n0 < 1:
         raise DomainError(f"n0 must be >= 1, got {n0}")
-    w, b = h.omega0, h.b
+    b = h.b
     if h.k == 2:
-        return Timescales(t_cl=2 * math.pi / (w + 2 * b * n0),
+        return Timescales(t_cl=classical_period(h, n0),
                           t_rev=2 * math.pi / b, t_sr=None, n0=n0)
     if h.k == 3:
-        return Timescales(t_cl=2 * math.pi / (w + 3 * b * n0**2),
+        return Timescales(t_cl=classical_period(h, n0),
                           t_rev=2 * math.pi / (3 * b * n0),
                           t_sr=2 * math.pi / b, n0=n0)
     raise DomainError(f"k={h.k} has a linear ladder: no collapse/revival structure")

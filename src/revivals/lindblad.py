@@ -51,7 +51,7 @@ import scipy.linalg
 from .errors import (DimensionError, DimensionMismatch, DomainError,
                      StabilityError, TruncationError)
 from .fock import DensityMatrix, FockSpace
-from .hamiltonian import DiagonalHamiltonian
+from .hamiltonian import DiagonalHamiltonian, classical_period
 
 #: Trace drift treated as an integration failure; purity above 1 by more
 #: than this is one too.
@@ -222,16 +222,8 @@ def default_dt(L: Liouvillian, rho0: DensityMatrix) -> float:
     T_cl is evaluated at the wave packet's own center, the rounded mean
     photon number of the initial state.
     """
-    h = L.hamiltonian
     n0 = max(1, round(expect_n_raw(rho0.matrix)))
-    if h.k == 2:
-        e1 = h.omega0 + 2 * h.b * n0
-    elif h.k == 3:
-        e1 = h.omega0 + 3 * h.b * n0**2
-    else:
-        e1 = h.omega0 + h.b
-    t_cl = 2 * math.pi / e1
-    return min(0.1 / L.omega_max(), t_cl / 200.0)
+    return min(0.1 / L.omega_max(), classical_period(L.hamiltonian, n0) / 200.0)
 
 
 def _rk4_step(m: np.ndarray, dt: float) -> np.ndarray:

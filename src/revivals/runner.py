@@ -25,9 +25,9 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .analysis import (ClassifierThresholds, Envelope, FirstRevival, RevivalReport,
+from .analysis import (ClassifierThresholds, FirstRevival, RevivalReport,
                        detect_revivals, extract_envelope, first_revival_peak)
-from .config import CSV_COLUMNS, ExperimentConfig
+from .config import ExperimentConfig
 from .errors import ConfigError
 from .fock import (DensityMatrix, FockSpace, coherent_state, density_from_pure,
                    displaced_number_state)
@@ -100,7 +100,6 @@ def evolve(ctx: RunContext) -> Trajectory:
 
 @dataclass(frozen=True)
 class AnalysisSummary:
-    envelope: Envelope
     report: RevivalReport
     first_revival: FirstRevival | None
 
@@ -114,29 +113,21 @@ def analyze(ctx: RunContext, traj: Trajectory) -> AnalysisSummary:
     first = None
     if ctx.period is not None and traj.times[-1] >= 1.1 * ctx.period:
         first = first_revival_peak(env, ctx.period)
-    return AnalysisSummary(envelope=env, report=report, first_revival=first)
+    return AnalysisSummary(report=report, first_revival=first)
 
 
 def _fmt(x: float) -> str:
     return f"{x:.17g}"
 
 
-def write_csv(path: Path, traj: Trajectory, outputs=CSV_COLUMNS) -> None:
-    cols = {
-        "re_a": traj.a_expect.real,
-        "im_a": traj.a_expect.imag,
-        "abs_a": np.abs(traj.a_expect),
-        "n_expect": traj.n_expect,
-        "trace": traj.trace,
-        "purity": traj.purity,
-    }
-    selected = [c for c in CSV_COLUMNS if c in outputs]
-    data = [traj.times] + [cols[c] for c in selected]
+def write_csv(path: Path, traj: Trajectory) -> None:
+    data = [traj.times, traj.a_expect.real, traj.a_expect.imag, np.abs(traj.a_expect),
+            traj.n_expect, traj.trace, traj.purity]
     # one %-format per chunk of rows gives the bytes of _fmt per value; the
     # chunks bound the transient Python floats and strings
     row = ",".join(["%.17g"] * len(data)) + "\n"
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("t," + ",".join(selected) + "\n")
+        fh.write(CSV_HEADER + "\n")
         for k in range(0, len(traj.times), CSV_CHUNK_ROWS):
             chunk = np.column_stack([c[k:k + CSV_CHUNK_ROWS] for c in data])
             fh.write((row * len(chunk)) % tuple(chunk.ravel().tolist()))
@@ -161,13 +152,13 @@ print("wrote {name}.png")
 '''
 
 
-def write_plot_script(path: Path, name: str, csv_name: str, title: str,
-                      outputs=CSV_COLUMNS) -> None:
-    series = [(c, {"lw": 0.6} if c == "re_a" else {"lw": 1.0, "alpha": 0.7})
-              for c in ("re_a", "abs_a") if c in outputs]
-    series = series or [(c, {"lw": 0.8}) for c in outputs[:1]]
+#: (CSV column, matplotlib line style) of each plotted series
+PLOT_SERIES = [("re_a", {"lw": 0.6}), ("abs_a", {"lw": 1.0, "alpha": 0.7})]
+
+
+def write_plot_script(path: Path, name: str, csv_name: str, title: str) -> None:
     path.write_text(PLOT_TEMPLATE.format(name=name, csv=csv_name,
-                                         series=series, title=title),
+                                         series=PLOT_SERIES, title=title),
                     encoding="utf-8")
 
 
@@ -202,12 +193,11 @@ def run_experiment(config: ExperimentConfig, name: str = "run",
     traj = evolve(ctx)
     summary = analyze(ctx, traj)
     csv_path = out / f"{name}.csv"
-    write_csv(csv_path, traj, config.outputs)
+    write_csv(csv_path, traj)
     plot_path = out / f"{name}_plot.py"
     write_plot_script(plot_path, name, csv_path.name,
                       config.comment or f"{name}: k={config.nonlinearity_order}, "
-                      f"b={config.b}, gamma={config.gamma}",
-                      outputs=config.outputs)
+                      f"b={config.b}, gamma={config.gamma}")
     pred = ctx.predicted
     report = summary.report
     manifest_path = _write_manifest(out, name, {
@@ -306,7 +296,10 @@ def run_sweep(base: ExperimentConfig, axis: str, values, parallel: int = 1,
     """One run per value along axis; emits the summary CSV.
 
     Points are independent; results do not depend on the parallelism degree.
+    At most one worker process per point is started.
     """
+    if parallel < 1:
+        raise ConfigError(f"parallel must be >= 1, got {parallel}")
     if axis not in SWEEP_AXES:
         raise ConfigError(f"sweep axis must be one of {SWEEP_AXES}, got {axis!r}")
     if axis == "state_n" and not all(float(v).is_integer() for v in values):
@@ -315,8 +308,9 @@ def run_sweep(base: ExperimentConfig, axis: str, values, parallel: int = 1,
     out = _out_dir(out_dir)
     t_wall = time.perf_counter()
     jobs = [(base, axis, float(v)) for v in values]
-    if parallel > 1 and len(jobs) > 1:
-        with ProcessPoolExecutor(max_workers=parallel,
+    workers = min(parallel, len(jobs))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers,
                                  initializer=_one_blas_thread) as pool:
             rows = list(pool.map(_sweep_point, jobs))
     else:

@@ -197,7 +197,7 @@ def test_criterion_06_cubic_ladder_oracle_and_super_revival():
                                 audit_tag=f"c6-n{n}")
             pred = timescales_closed_form(hn, default_n0(ALPHA, n))
             env = extract_envelope(traj_n, pred.t_cl)
-            peak = detect_super_revival(env, pred, THRESHOLDS)
+            peak = detect_super_revival(env, pred)
             assert peak is not None, f"no super revival found for n={n}"
             assert abs(peak.t - t_sr) <= 0.02 * t_sr, (n, peak.t)
             detected[n] = peak.t

@@ -152,7 +152,7 @@ def test_super_revival_detection_on_oracle():
     ts_obj = cubic_timescales()
     t_sr = ts_obj.t_sr
     env = oracle_envelope("fock_sum", 1.05 * t_sr, ts_obj.t_cl, b=B2, k=3)
-    got = detect_super_revival(env, ts_obj, THRESHOLDS)
+    got = detect_super_revival(env, ts_obj)
     assert got is not None
     assert abs(got.t - t_sr) <= 0.02 * t_sr
     assert got.amplitude == pytest.approx(abs(ALPHA), rel=1e-3)

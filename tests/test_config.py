@@ -1,4 +1,6 @@
 import json
+from importlib import resources
+from pathlib import Path
 
 import pytest
 
@@ -30,8 +32,8 @@ def test_empty_config_lists_missing_fields():
         assert name in msg
 
 
-# record_every and seed_preset were fields once; configs carrying them fail
-@pytest.mark.parametrize("field", ["bogus", "record_every", "seed_preset"])
+# record_every, seed_preset and outputs were fields once; configs carrying them fail
+@pytest.mark.parametrize("field", ["bogus", "record_every", "seed_preset", "outputs"])
 def test_unknown_fields_rejected(field):
     with pytest.raises(ConfigError, match="unknown config fields"):
         config_from_json(json.dumps(sample_config(**{field: 1})))
@@ -43,11 +45,6 @@ def test_validate_collects_problems():
     assert len(problems) == 3
     with pytest.raises(ConfigError):
         cfg.require_valid()
-
-
-def test_validate_outputs_subset():
-    cfg = config_from_json(json.dumps(sample_config(outputs=["abs_a", "nope"])))
-    assert any("nope" in p for p in cfg.validate())
 
 
 def test_alpha_property():
@@ -87,3 +84,9 @@ def test_preset_panel_registry_is_consistent():
     for label, panels in PRESET_PANELS.items():
         for p in panels:
             assert p.startswith(label)
+
+
+def test_preset_table_lists_every_shipped_json():
+    shipped = resources.files("revivals.presets").iterdir()
+    assert set(preset_names()) == {Path(f.name).stem for f in shipped
+                                   if f.name.endswith(".json")}

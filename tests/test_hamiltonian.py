@@ -5,6 +5,7 @@ import pytest
 
 from revivals import (DomainError, FockSpace, Timescales, build_hamiltonian,
                       default_n0, modulus_revival_period, timescales_closed_form)
+from revivals.hamiltonian import classical_period
 
 from conftest import ALPHA, B1, B2, OMEGA0
 
@@ -78,6 +79,14 @@ def test_closed_form_cubic(space30):
                 139.62634015954637, 104.71975511965978]
     for n0, want in zip((1, 2, 3, 4), expected):
         assert timescales_closed_form(h, n0).t_rev == pytest.approx(want, rel=1e-14)
+
+
+@pytest.mark.parametrize("n0", [1, 4, 17])
+def test_classical_period_per_order(space30, n0):
+    # the same floating-point operations as the per-order forms, bit for bit
+    per_order = {1: OMEGA0 + B1, 2: OMEGA0 + 2 * B1 * n0, 3: OMEGA0 + 3 * B1 * n0**2}
+    for k, e1 in per_order.items():
+        assert classical_period(build_hamiltonian(space30, OMEGA0, B1, k), n0) == 2 * math.pi / e1
 
 
 def test_closed_form_rejects_zero_b(space30):

@@ -21,9 +21,9 @@ from revivals import (DampingSpec, DensityMatrix, DimensionError, DimensionMisma
                       kerr_expect_a_closed_form, rk4_evolve)
 from revivals.config import load_preset
 from revivals.lindblad import (BLOCK_STEPS, TOP_LEVEL_TOLERANCE, TRACE_TOLERANCE,
-                               Trajectory, _band_products, _band_threads, default_dt,
-                               expect_a_raw, expect_n_raw, to_bands, unvectorize,
-                               vectorize)
+                               Trajectory, _band_groups, _band_products, _band_threads,
+                               default_dt, expect_a_raw, expect_n_raw, to_bands,
+                               unvectorize, vectorize)
 from revivals.runner import evolve, resolve
 
 from conftest import ALPHA, B1, B2, OMEGA0, random_density, random_hermitian
@@ -416,6 +416,16 @@ def test_band_products_ignore_overflow_in_pool_threads():
         warnings.simplefilter("error")
         pool.submit(_band_products, [(p, x, y)]).result()
     assert not np.isfinite(y).any()
+
+
+@pytest.mark.parametrize("ngroups", [1, 2, 3, 8, 100])
+@pytest.mark.parametrize("d", [2, 5, 44, 60])
+def test_band_groups_deal_every_band_once(d, ngroups):
+    groups = _band_groups(d, ngroups)
+    assert len(groups) == min(ngroups, d)
+    assert sorted(q for g in groups for q in g) == list(range(d))
+    cost = [sum((d - q) ** 2 for q in g) for g in groups]
+    assert max(cost) <= sum(cost) / ngroups + d**2
 
 
 def test_band_threads_is_one_in_worker_processes():

@@ -4,9 +4,9 @@ import math
 import numpy as np
 import pytest
 
-from revivals import ExperimentConfig
+from revivals import ConfigError, ExperimentConfig, runner
 from revivals.cli import EXIT_CONFIG, EXIT_OUTPUT, main
-from revivals.config import CSV_COLUMNS, config_from_dict
+from revivals.config import config_from_dict
 from revivals.lindblad import Trajectory
 from revivals.runner import (CSV_CHUNK_ROWS, CSV_HEADER, SWEEP_HEADER, run_experiment,
                              run_sweep, write_csv)
@@ -52,13 +52,6 @@ def test_run_deterministic_bodies(tmp_path):
     assert a.csv_path.read_bytes() == b.csv_path.read_bytes()
 
 
-def test_output_column_subset(tmp_path):
-    cfg = small_config(outputs=["abs_a", "trace"])
-    result = run_experiment(cfg, name="sub", out_dir=tmp_path)
-    header = result.csv_path.read_text().splitlines()[0]
-    assert header == "t,abs_a,trace"
-
-
 def test_sweep_degenerate_matches_run(tmp_path):
     cfg = small_config(nonlinearity_order=2, b=0.005, t_final=80.0)
     run_result = run_experiment(cfg, name="single", out_dir=tmp_path)
@@ -80,6 +73,42 @@ def test_sweep_parallel_matches_serial(tmp_path):
                          name="s2", out_dir=tmp_path)
     assert (serial.csv_path.read_text().splitlines()[1:]
             == parallel.csv_path.read_text().splitlines()[1:])
+
+
+@pytest.mark.parametrize("parallel, started", [(64, [3]), (2, [2]), (1, [])])
+def test_sweep_starts_at_most_one_worker_per_point(tmp_path, monkeypatch, parallel, started):
+    workers = []
+
+    class SerialPool:
+        """Records max_workers and maps in this process; starts no process."""
+
+        def __init__(self, max_workers, initializer=None):
+            workers.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs):
+            return map(fn, jobs)
+
+    monkeypatch.setattr(runner, "ProcessPoolExecutor", SerialPool)
+    sweep = run_sweep(small_config(b=0.005, t_final=20.0), "gamma", [0.0, 1e-3, 2e-3],
+                      parallel=parallel, name="w", out_dir=tmp_path)
+    assert workers == started
+    assert len(sweep.rows) == 3
+
+
+@pytest.mark.parametrize("parallel", [0, -1])
+def test_sweep_rejects_parallel_below_one(tmp_path, capsys, parallel):
+    with pytest.raises(ConfigError, match="parallel must be >= 1"):
+        run_sweep(small_config(), "gamma", [0.0], parallel=parallel, out_dir=tmp_path)
+    path = write_config(tmp_path)
+    assert main(["sweep", str(path), "--axis", "gamma", "--values", "0",
+                 "--parallel", str(parallel), "--out-dir", str(tmp_path)]) == EXIT_CONFIG
+    assert "parallel must be >= 1" in capsys.readouterr().err
 
 
 def test_sweep_records_per_point_failures(tmp_path):
@@ -327,20 +356,17 @@ def test_cli_unwritable_out_dir_exit_code(tmp_path, capsys, verb):
     assert "Traceback" not in err
 
 
-def _write_csv_reference(path, traj, outputs):
+def _write_csv_reference(path, traj):
     """Per-value f-string formatting, the writer's original form."""
-    cols = {"re_a": traj.a_expect.real, "im_a": traj.a_expect.imag,
-            "abs_a": np.abs(traj.a_expect), "n_expect": traj.n_expect,
-            "trace": traj.trace, "purity": traj.purity}
-    selected = [c for c in CSV_COLUMNS if c in outputs]
+    cols = [traj.times, traj.a_expect.real, traj.a_expect.imag, np.abs(traj.a_expect),
+            traj.n_expect, traj.trace, traj.purity]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("t," + ",".join(selected) + "\n")
-        for row in zip(*([traj.times] + [cols[c] for c in selected])):
+        fh.write("t,re_a,im_a,abs_a,n_expect,trace,purity\n")
+        for row in zip(*cols):
             fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
 
 
-@pytest.mark.parametrize("outputs", [CSV_COLUMNS, ("abs_a", "trace")])
-def test_write_csv_matches_per_value_format(tmp_path, rng, outputs):
+def test_write_csv_matches_per_value_format(tmp_path, rng):
     # edge values: signed zero, tiny, huge and both sides of the %g switch
     # to exponent notation (1e-5 and 1e17); rows span several write chunks
     edges = np.array([-0.0, 0.0, 1e-300, -1e-300, 1e20, 1e-5, 9.999999999999999e-06,
@@ -352,6 +378,6 @@ def test_write_csv_matches_per_value_format(tmp_path, rng, outputs):
     traj = Trajectory(times=values[0], a_expect=values[1] + 1j * values[2],
                       n_expect=values[3], trace=values[4], purity=values[5],
                       final=np.eye(2) / 2)
-    write_csv(tmp_path / "got.csv", traj, outputs)
-    _write_csv_reference(tmp_path / "want.csv", traj, outputs)
+    write_csv(tmp_path / "got.csv", traj)
+    _write_csv_reference(tmp_path / "want.csv", traj)
     assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
