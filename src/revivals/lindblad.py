@@ -14,11 +14,14 @@ Two propagators share one generator:
   (gamma = 0) every M_q is diagonal, and so is R_q: the step is then the
   vector r = diag R over the stacked bands, sample j of a block is the
   block-start state times r^j elementwise, and the observables are products
-  of the block-start state with one table of r^j. The steps, the time grid
-  and the recorded values are those of the stage-wise RK4 loop, up to
-  rounding; only the order of the floating-point operations differs. The
-  final state's upper triangle is the conjugate of its lower bands, so it is
-  Hermitian by construction.
+  of the block-start state with one table of r^j. One pass of that loop
+  reads the observables of up to CHUNK_BLOCKS blocks in one stacked product,
+  one vector-matrix product per block, so the Python work per pass is spread
+  over many blocks and the bytes are those of one block at a time. The
+  steps, the time grid and the recorded values are those of the stage-wise
+  RK4 loop, up to rounding; only the order of the floating-point operations
+  differs. The final state's upper triangle is the conjugate of its lower
+  bands, so it is Hermitian by construction.
 
   The damped (dense) path runs the band products of each block after the
   first on one thread per CPU in the process's affinity mask, or on one
@@ -62,6 +65,9 @@ TOP_LEVEL_TOLERANCE = 1e-6
 
 #: Steps per block of samples in ``rk4_evolve``; a power of two.
 BLOCK_STEPS = 128
+
+#: Full blocks whose observables one pass of the undamped block loop computes.
+CHUNK_BLOCKS = 32
 
 
 @dataclass(frozen=True)
@@ -303,11 +309,13 @@ def _band_products(jobs: list[tuple[np.ndarray, np.ndarray, np.ndarray]]) -> Non
             np.matmul(p, x, out=y)
 
 
-# Both block generators below yield, per block of up to BLOCK_STEPS
-# consecutive samples, the arrays <a>, <n>, trace, purity and top-level
-# population, and last(): the bands (band 0, bands 1..D-1 stacked) of the
-# block's last sample, formed only when called (in every block, that cost the
-# undamped scan 4-9%) and valid until the next block is drawn.
+# Both block generators below yield pieces of consecutive samples: the dense
+# one a block of up to BLOCK_STEPS samples, the diagonal one a chunk of up to
+# CHUNK_BLOCKS full blocks, or a run's last partial block alone. Each piece is
+# the arrays <a>, <n>, trace, purity and top-level population, and last(): the
+# bands (band 0, bands 1..D-1 stacked) of the piece's last sample, formed only
+# when called (in every block, that cost the undamped scan 4-9%) and valid
+# until the next piece is drawn.
 
 
 def _dense_blocks(gens: list[np.ndarray], x0: list[np.ndarray], dt: float,
@@ -370,6 +378,8 @@ def _diagonal_blocks(gens: list[np.ndarray], x0: list[np.ndarray], dt: float,
 
     Only valid when every M_q is diagonal: then so is R_q, and sample j of a
     block is x(block start) * r^j with r the stacked diagonals of the R_q.
+    A chunk holds up to CHUNK_BLOCKS full blocks; a run's last partial block
+    comes alone, against the first ``count`` columns of the table.
     """
     d = len(gens)
     nb = BLOCK_STEPS
@@ -386,24 +396,36 @@ def _diagonal_blocks(gens: list[np.ndarray], x0: list[np.ndarray], dt: float,
     abs2 = table.real ** 2 + table.imag ** 2
     weight = np.full(len(x), 2.0)  # each band q >= 1 also stands for band -q
     weight[:d] = 1.0
-    pop_t, a_t = table[:d], table[d:2 * d - 1]
     sqrt_n = np.sqrt(np.arange(1.0, d))
     levels = np.arange(float(d))
+
+    def rows(v: np.ndarray, t: np.ndarray) -> np.ndarray:
+        # row i of v times t, one vector-matrix product per row: the BLAS
+        # call of v[i] @ t, so the bytes do not depend on the chunk size
+        return np.matmul(v[:, None, :], t)[:, 0, :].reshape(-1)
 
     def last() -> tuple[np.ndarray, np.ndarray]:
         v = x * table[:, count - 1]
         return v[:d].real, v[d:]
 
-    for k0 in range(0, nsamples, nb):
-        if k0 > 0:
-            x *= p
-        count = min(nb, nsamples - k0)
-        pop = x[:d]
-        yield ((sqrt_n * x[d:2 * d - 1]) @ a_t[:, :count],
-               ((levels * pop) @ pop_t[:, :count]).real,
-               (pop @ pop_t[:, :count]).real,
-               (weight * (x.real ** 2 + x.imag ** 2)) @ abs2[:, :count],
-               (pop[-1] * pop_t[-1, :count]).real, last)
+    nfull, rest = divmod(nsamples, nb)
+    chunks = [(b0, min(CHUNK_BLOCKS, nfull - b0), nb)
+              for b0 in range(0, nfull, CHUNK_BLOCKS)]
+    if rest:
+        chunks.append((nfull, 1, rest))
+    for b0, nrows, count in chunks:
+        t = table[:, :count]
+        starts = np.empty((nrows, len(x)), dtype=complex)
+        for i in range(nrows):
+            if b0 + i > 0:
+                x *= p
+            starts[i] = x
+        pop = starts[:, :d]
+        yield (rows(sqrt_n * starts[:, d:2 * d - 1], t[d:2 * d - 1]),
+               rows(levels * pop, t[:d]).real,
+               rows(pop, t[:d]).real,
+               rows(weight * (starts.real ** 2 + starts.imag ** 2), abs2[:, :count]),
+               (pop[:, -1:] * t[d - 1]).real.reshape(-1), last)
 
 
 @functools.cache

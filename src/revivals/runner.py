@@ -4,7 +4,8 @@ Output layout per run NAME in the output directory (env REVIVALS_OUT_DIR or
 ./out):
 
     NAME.csv            the trajectory table (schema below)
-    NAME.manifest.json  resolved parameters, derived scales, analysis summary
+    NAME.manifest.json  resolved parameters, derived scales, analysis summary,
+                        stage timings
     NAME_plot.py        standalone matplotlib script reading NAME.csv
 
 CSV bodies are byte-identical across runs of the same config; only the
@@ -190,14 +191,18 @@ def run_experiment(config: ExperimentConfig, name: str = "run",
     out = _out_dir(out_dir)
     t_wall = time.perf_counter()
     ctx = resolve(config)
+    t_resolved = time.perf_counter()
     traj = evolve(ctx)
+    t_evolved = time.perf_counter()
     summary = analyze(ctx, traj)
+    t_analyzed = time.perf_counter()
     csv_path = out / f"{name}.csv"
     write_csv(csv_path, traj)
     plot_path = out / f"{name}_plot.py"
     write_plot_script(plot_path, name, csv_path.name,
                       config.comment or f"{name}: k={config.nonlinearity_order}, "
                       f"b={config.b}, gamma={config.gamma}")
+    t_written = time.perf_counter()
     pred = ctx.predicted
     report = summary.report
     manifest_path = _write_manifest(out, name, {
@@ -222,6 +227,12 @@ def run_experiment(config: ExperimentConfig, name: str = "run",
                                "amplitude": summary.first_revival.amplitude}),
         },
         "outputs": {"csv": csv_path.name, "plot_script": plot_path.name},
+        # seconds per stage; write_s is the CSV and the plot script, while
+        # the manifest's own write falls in wall_time_s alone
+        "timing": {"resolve_s": t_resolved - t_wall,
+                   "evolve_s": t_evolved - t_resolved,
+                   "analyze_s": t_analyzed - t_evolved,
+                   "write_s": t_written - t_analyzed},
     }, t_wall)
     return RunResult(name=name, trajectory=traj, summary=summary,
                      csv_path=csv_path, manifest_path=manifest_path,

@@ -20,10 +20,10 @@ from revivals import (DampingSpec, DensityMatrix, DimensionError, DimensionMisma
                       displaced_number_state, expm_propagate, fock_state,
                       kerr_expect_a_closed_form, rk4_evolve)
 from revivals.config import load_preset
-from revivals.lindblad import (BLOCK_STEPS, TOP_LEVEL_TOLERANCE, TRACE_TOLERANCE,
-                               Trajectory, _band_groups, _band_products, _band_threads,
-                               default_dt, expect_a_raw, expect_n_raw, to_bands,
-                               unvectorize, vectorize)
+from revivals.lindblad import (BLOCK_STEPS, CHUNK_BLOCKS, TOP_LEVEL_TOLERANCE,
+                               TRACE_TOLERANCE, Trajectory, _band_groups, _band_products,
+                               _band_threads, _rk4_step, default_dt, expect_a_raw,
+                               expect_n_raw, to_bands, unvectorize, vectorize)
 from revivals.runner import evolve, resolve
 
 from conftest import ALPHA, B1, B2, OMEGA0, random_density, random_hermitian
@@ -246,6 +246,46 @@ def reference_rk4(L, rho0, t_final, dt):
                       purity=pur_rec, final=rho)
 
 
+def per_block_diagonal_blocks(gens, x0, dt, nsamples):
+    """The undamped block generator with one block per loop pass.
+
+    The observables of each block are vector-matrix products of its start
+    state with the table of r^j; the chunked generator must give their bytes.
+    """
+    d = len(gens)
+    nb = BLOCK_STEPS
+    x = np.concatenate(x0)
+    p = _rk4_step(np.concatenate([np.diagonal(m) for m in gens]), dt)
+    table = np.empty((len(x), nb), dtype=complex)
+    table[:, 0] = 1.0
+    width = 1
+    while width < nb:
+        np.multiply(p[:, None], table[:, :width], out=table[:, width:2 * width])
+        p = p * p
+        width *= 2
+    abs2 = table.real ** 2 + table.imag ** 2
+    weight = np.full(len(x), 2.0)
+    weight[:d] = 1.0
+    pop_t, a_t = table[:d], table[d:2 * d - 1]
+    sqrt_n = np.sqrt(np.arange(1.0, d))
+    levels = np.arange(float(d))
+
+    def last():
+        v = x * table[:, count - 1]
+        return v[:d].real, v[d:]
+
+    for k0 in range(0, nsamples, nb):
+        if k0 > 0:
+            x *= p
+        count = min(nb, nsamples - k0)
+        pop = x[:d]
+        yield ((sqrt_n * x[d:2 * d - 1]) @ a_t[:, :count],
+               ((levels * pop) @ pop_t[:, :count]).real,
+               (pop @ pop_t[:, :count]).real,
+               (weight * (x.real ** 2 + x.imag ** 2)) @ abs2[:, :count],
+               (pop[-1] * pop_t[-1, :count]).real, last)
+
+
 def failure_time(excinfo):
     return re.search(r"t=(\S+?);?\s", str(excinfo.value) + " ").group(1)
 
@@ -330,6 +370,73 @@ def test_rk4_stability_error_at_reference_time():
         reference_rk4(L, rho0, 300 * dt, dt)
     assert "purity" in str(got.value)
     assert failure_time(got) == failure_time(want)
+
+
+CHUNK = CHUNK_BLOCKS * BLOCK_STEPS
+
+
+@pytest.mark.parametrize("nsamples", [
+    1, BLOCK_STEPS - 1, BLOCK_STEPS, BLOCK_STEPS + 1,
+    CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 77])
+def test_chunked_diagonal_blocks_match_per_block_loop(monkeypatch, nsamples):
+    from revivals import lindblad
+
+    L = make_liouvillian(14, b=B1, gamma=0.0)
+    rho0 = density_from_pure(coherent_state(FockSpace(14), -0.8))
+    dt = 0.0625  # a power of two, so that t_final / dt gives nsamples - 1 steps
+
+    def drain(blocks):
+        # <a>, <n>, trace, purity, top level, then the bands of the last sample
+        cols = [[] for _ in range(5)]
+        for *values, last in blocks:
+            for col, v in zip(cols, values):
+                col.append(np.array(v))
+        return [np.concatenate(c) for c in cols] + list(last())
+
+    gens, x0 = L.band_generators(), to_bands(np.asarray(rho0.matrix))
+    got = drain(lindblad._diagonal_blocks(gens, x0, dt, nsamples))
+    want = drain(per_block_diagonal_blocks(gens, x0, dt, nsamples))
+    assert len(got[0]) == nsamples
+    for g, w in zip(got, want):
+        assert np.array_equal(g, w)
+    if nsamples == 1:
+        return  # rk4_evolve takes at least one step
+    runs = [rk4_evolve(L, rho0, (nsamples - 1) * dt, dt=dt)]
+    monkeypatch.setattr(lindblad, "_diagonal_blocks", per_block_diagonal_blocks)
+    runs.append(rk4_evolve(L, rho0, (nsamples - 1) * dt, dt=dt))
+    chunked, per_block = runs
+    assert len(chunked) == nsamples
+    for name in ("times", "a_expect", "n_expect", "trace", "purity", "final"):
+        assert np.array_equal(getattr(chunked, name), getattr(per_block, name)), name
+
+
+def test_undamped_failure_past_first_chunk_at_reference_time():
+    # b = 0 with the far band's phase dt*(E_29 - E_0) 0.05% past RK4's
+    # stability bound 2*sqrt(2): that band grows by ~0.7% a step while the
+    # near-bound bands decay, and the purity gate first fails in the second
+    # chunk of blocks
+    L = make_liouvillian(30, b=0.0, gamma=0.0)
+    rho0 = density_from_pure(coherent_state(FockSpace(30), ALPHA))
+    e = L.hamiltonian.energies
+    dt = 1.0005 * 2 * math.sqrt(2) / (e[-1] - e[0])
+    with pytest.raises(StabilityError) as got:
+        rk4_evolve(L, rho0, 6000 * dt, dt=dt)
+    with pytest.raises(StabilityError) as want:
+        reference_rk4(L, rho0, 6000 * dt, dt)
+    assert "purity" in str(got.value)
+    assert float(failure_time(got)) > CHUNK * dt
+    assert failure_time(got) == failure_time(want)
+
+
+def test_undamped_dim60_failure_message():
+    # fig2a at dim 60 with the step the automatic rule picks for it: the far
+    # bands are past RK4's stability bound, and the purity gate names the
+    # first failing sample, inside the first chunk
+    config = replace(load_preset("fig2a").config, dim=60, dt=0.11398298141763404)
+    with pytest.raises(StabilityError) as failed:
+        evolve(resolve(config))
+    assert str(failed.value) == ("purity 1.0000428017038252 outside (0, 1] at "
+                                 "t=2.62155; reduce dt")
 
 
 def test_rk4_truncation_error_at_reference_time():

@@ -37,6 +37,15 @@ def test_run_experiment_writes_artifacts(tmp_path):
     assert "demo.csv" in result.plot_path.read_text()
 
 
+def test_run_manifest_times_each_stage(tmp_path):
+    result = run_experiment(small_config(), name="timed", out_dir=tmp_path)
+    manifest = json.loads(result.manifest_path.read_text())
+    timing = manifest["timing"]
+    assert sorted(timing) == ["analyze_s", "evolve_s", "resolve_s", "write_s"]
+    assert all(v >= 0.0 for v in timing.values())
+    assert sum(timing.values()) <= manifest["wall_time_s"]
+
+
 def test_run_outputs_full_precision(tmp_path):
     result = run_experiment(small_config(), name="p", out_dir=tmp_path)
     row = result.csv_path.read_text().splitlines()[5].split(",")
