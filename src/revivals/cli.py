@@ -90,7 +90,14 @@ def cmd_run(args) -> None:
     _execute(args, config, args.name or Path(args.config).stem)
 
 
+def _check_parallel(args) -> None:
+    """--parallel below 1 is a config error, raised before anything runs."""
+    if args.parallel < 1:
+        raise ConfigError(f"parallel must be >= 1, got {args.parallel}")
+
+
 def cmd_sweep(args) -> None:
+    _check_parallel(args)
     config = load_config(args.config).require_valid()
     values = parse_values(args.values)
     name = args.name or f"{Path(args.config).stem}_{args.axis}_sweep"
@@ -98,6 +105,7 @@ def cmd_sweep(args) -> None:
 
 
 def cmd_preset(args) -> None:
+    _check_parallel(args)
     for panel in expand_preset(args.name):
         spec = load_preset(panel)
         _execute(args, spec.config, panel, spec.sweep_axis, spec.sweep_values)

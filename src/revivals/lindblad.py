@@ -23,14 +23,18 @@ Two propagators share one generator:
   differs. The final state's upper triangle is the conjugate of its lower
   bands, so it is Hermitian by construction.
 
-  The damped (dense) path runs the band products of each block after the
-  first on one thread per CPU in the process's affinity mask, or on one
-  thread inside a multiprocessing worker, whose pool already fills the
-  cores. The bands are dealt into groups of equal flops, one group per
-  thread. Every product still runs on one OpenBLAS thread, so the bytes of
-  each band do not depend on the thread count. The first block, the
-  observables, the gates and the undamped (diagonal) path run on the
-  calling thread.
+  The damped (dense) path uses one thread per CPU in the process's
+  affinity mask (``usable_cpus``), or one thread inside a multiprocessing
+  worker, whose pool already fills the cores. Before it yields a block, it
+  starts the band products of the next block on the pool's threads; they
+  write the other pair of blocks while the calling thread reads this
+  block's observables and the consumer checks the gates. When the consumer
+  draws the next block, the calling thread joins in. Every thread takes
+  bands, largest first, from one shared iterator, so a band goes to
+  whichever thread comes free. Every product still runs on one OpenBLAS
+  thread, so the bytes of each band do not depend on the thread count. The
+  first block, the observables, the gates and the undamped (diagonal) path
+  run on the calling thread.
 * ``expm_propagate`` - dense exponential of the D^2 x D^2 superoperator,
   restricted to small dimensions. It exists to cross-check the RK4 path.
 
@@ -49,7 +53,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (DimensionError, DimensionMismatch, DomainError,
                      StabilityError, TruncationError)
@@ -271,10 +274,10 @@ def _first_failure(times: np.ndarray, trace: np.ndarray, purity: np.ndarray,
                           f"t={times[i]:.6g}; reduce dt")
 
 
-def _band_threads() -> int:
-    """Threads for the band products: the CPUs this process may run on.
+def usable_cpus() -> int:
+    """CPUs this process may run on: the size of its affinity mask.
 
-    A multiprocessing worker gets one, since the sweep's process pool already
+    A multiprocessing worker gets one, since the pool it belongs to already
     spreads its workers over the cores.
     """
     if multiprocessing.parent_process() is not None:
@@ -284,25 +287,12 @@ def _band_threads() -> int:
     return len(os.sched_getaffinity(0))
 
 
-def _band_groups(d: int, ngroups: int) -> list[list[int]]:
-    """Bands 0..d-1 dealt into at most ngroups groups of near-equal flops.
+def _band_products(jobs) -> None:
+    """y = p @ x for each (p, x, y) drawn from jobs, under the block loop's errstate.
 
-    Band q costs (d-q)^2 per column. The bands go largest first, each to
-    the group with the least cost so far.
-    """
-    groups: list[list[int]] = [[] for _ in range(min(ngroups, d))]
-    cost = [0] * len(groups)
-    for q in range(d):
-        g = cost.index(min(cost))
-        groups[g].append(q)
-        cost[g] += (d - q) ** 2
-    return groups
-
-
-def _band_products(jobs: list[tuple[np.ndarray, np.ndarray, np.ndarray]]) -> None:
-    """y = p @ x for each (p, x, y), under the block loop's errstate.
-
-    ``np.errstate`` does not carry over into pool threads, so it is set here.
+    Several threads may draw from one list iterator: its next() runs under
+    the GIL, so each job goes to exactly one of them. ``np.errstate`` does
+    not carry over into pool threads, so it is set here.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         for p, x, y in jobs:
@@ -322,8 +312,9 @@ def _dense_blocks(gens: list[np.ndarray], x0: list[np.ndarray], dt: float,
                   nsamples: int, pool: ThreadPoolExecutor, threads: int):
     """Blocks as matrix products of the band states with powers of R_q.
 
-    After the first block, the bands' products are split into ``threads``
-    groups: the calling thread runs the first, ``pool`` the others.
+    Before a block is yielded, ``threads - 1`` tasks on ``pool`` start the
+    next block's band products; the calling thread joins them when the
+    consumer draws that block.
     """
     d = len(gens)
     nb = BLOCK_STEPS
@@ -350,26 +341,29 @@ def _dense_blocks(gens: list[np.ndarray], x0: list[np.ndarray], dt: float,
         powers.append(p)  # R^B
     sqrt_n = np.sqrt(np.arange(1.0, d))
     levels = np.arange(float(d))
-    # per group, the products from cur to nxt, then those back, in turn
-    groups = _band_groups(d, threads)
-    jobs = [[[(powers[q], src[2][q], dst[2][q]) for q in g] for g in groups]
+    # the products from cur to nxt, then those back, in turn; band q has
+    # D - q rows, so the bands go largest first
+    jobs = [[(powers[q], src[2][q], dst[2][q]) for q in range(d)]
             for src, dst in ((cur, nxt), (nxt, cur))]
 
     for k0 in range(0, nsamples, nb):
-        if k0 > 0:
-            own, *rest = jobs[0]
-            futures = [pool.submit(_band_products, group) for group in rest]
-            _band_products(own)
-            for f in futures:
-                f.result()
-            jobs.reverse()
-            cur, nxt = nxt, cur
         count = min(nb, nsamples - k0)
+        more = k0 + nb < nsamples
+        if more:
+            # they write nxt while the observables below read cur
+            todo = iter(jobs[0])
+            futures = [pool.submit(_band_products, todo) for _ in range(threads - 1)]
         pop, off = cur[0][:, :count], cur[1][:, :count]
         sq = np.einsum("ij,ij->j", off.view(np.float64), off.view(np.float64))
         yield (sqrt_n @ off[:d - 1], levels @ pop, pop.sum(axis=0),
                np.einsum("ij,ij->j", pop, pop) + 2.0 * (sq[0::2] + sq[1::2]),
                pop[-1], lambda: (pop[:, -1], off[:, -1]))
+        if more:
+            _band_products(todo)
+            for f in futures:
+                f.result()
+            jobs.reverse()
+            cur, nxt = nxt, cur
 
 
 def _diagonal_blocks(gens: list[np.ndarray], x0: list[np.ndarray], dt: float,
@@ -484,9 +478,10 @@ def rk4_evolve(L: Liouvillian, rho0: DensityMatrix, t_final: float,
     Every band product runs on one OpenBLAS thread (``one_blas_thread``).
     With damping, the products of independent bands run side by side on a
     thread pool that lives for this call: one thread per CPU in the
-    process's affinity mask, or one inside a multiprocessing worker. The
-    result does not depend on the thread count. Undamped runs use the
-    calling thread only.
+    process's affinity mask, or one inside a multiprocessing worker
+    (``usable_cpus``). The next block's products overlap this block's
+    observables and gates. The result does not depend on the thread count.
+    Undamped runs use the calling thread only.
 
     Raises StabilityError when the trace drifts by more than
     TRACE_TOLERANCE or when the purity leaves (0, 1 + TRACE_TOLERANCE];
@@ -523,9 +518,11 @@ def rk4_evolve(L: Liouvillian, rho0: DensityMatrix, t_final: float,
 
     # Past a failing sample the values may overflow; the gates report it.
     # The pool starts its threads on first use and joins them on leaving
-    # this block, also on a gate's raise, so none outlives the call (a pool
-    # kept across calls would be inherited, threadless, by forked workers).
-    threads = _band_threads()
+    # this block, also on a gate's raise (the products under way when it
+    # raises run to their end), so none outlives the call: a pool kept
+    # across calls would be inherited, threadless, by forked workers, and a
+    # live thread would stop ``runner.write_csv`` from forking.
+    threads = usable_cpus()
     with np.errstate(over="ignore", invalid="ignore"), one_blas_thread(), \
             ThreadPoolExecutor(max(1, threads - 1)) as pool:
         gens = L.band_generators()
@@ -576,6 +573,8 @@ def expm_propagate(L: Liouvillian, rho0: DensityMatrix, t: float) -> DensityMatr
             f"state dim {rho0.space.dim} vs Liouvillian dim {L.space.dim}")
     if t == 0.0:
         return rho0
+    import scipy.linalg  # only this cross-check needs scipy; keeps it out of CLI start-up
+
     prop = scipy.linalg.expm(L.matrix * t)
     rho = unvectorize(prop @ vectorize(np.asarray(rho0.matrix)), L.space.dim)
     tr = float(np.trace(rho).real)

@@ -9,7 +9,9 @@ Output layout per run NAME in the output directory (env REVIVALS_OUT_DIR or
     NAME_plot.py        standalone matplotlib script reading NAME.csv
 
 CSV bodies are byte-identical across runs of the same config; only the
-manifest carries timestamps.
+manifest carries timestamps. ``write_csv`` formats a run's rows in one slice
+per usable CPU, all but the first in forked child processes; the bytes do
+not depend on the slice count.
 """
 
 from __future__ import annotations
@@ -17,11 +19,14 @@ from __future__ import annotations
 import json
 import math
 import os
+import shutil
+import threading
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from datetime import datetime, timezone
 from pathlib import Path
+from typing import BinaryIO
 
 import numpy as np
 
@@ -35,7 +40,7 @@ from .fock import (DensityMatrix, FockSpace, coherent_state, density_from_pure,
 from .hamiltonian import (Timescales, build_hamiltonian, default_n0,
                           modulus_revival_period, timescales_closed_form)
 from .lindblad import (DampingSpec, Liouvillian, Trajectory, build_liouvillian,
-                       default_dt, openblas_threads, rk4_evolve)
+                       default_dt, openblas_threads, rk4_evolve, usable_cpus)
 
 CSV_HEADER = "t,re_a,im_a,abs_a,n_expect,trace,purity"
 
@@ -121,17 +126,85 @@ def _fmt(x: float) -> str:
     return f"{x:.17g}"
 
 
+def _csv_slices() -> int:
+    """Processes that format one CSV: one per usable CPU, where forking is safe.
+
+    A single one (no fork) where ``os.fork`` is missing (Windows) or where
+    another thread is alive, since a forked child would inherit any lock that
+    thread holds; inside a multiprocessing worker ``usable_cpus`` is 1.
+    """
+    if not hasattr(os, "fork") or threading.active_count() > 1:
+        return 1
+    return usable_cpus()
+
+
+def _fork_slice(chunks) -> tuple[int, BinaryIO]:
+    """Start a child that formats chunks and sends their bytes through a pipe.
+
+    The child formats its whole slice before it writes, so that a full pipe
+    cannot hold it back while the parent formats its own slice, and always
+    leaves with ``os._exit`` (no exit handlers, no inherited buffers
+    flushed twice), with status 0 only when every byte is sent. Returns the
+    child's pid and the pipe's read end.
+    """
+    r, w = os.pipe()
+    pid = os.fork()
+    if pid == 0:  # child
+        status = 1
+        try:
+            os.close(r)
+            data = [s.encode() for s in chunks]
+            with open(w, "wb") as pipe:
+                pipe.writelines(data)
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(w)
+    return pid, open(r, "rb")
+
+
 def write_csv(path: Path, traj: Trajectory) -> None:
+    """The trajectory table, formatted in contiguous slices of its rows.
+
+    One slice per process from ``_csv_slices``, of whole CSV_CHUNK_ROWS
+    chunks. The calling process formats the first slice and streams it to
+    the file chunk by chunk; forked children format the others, whose bytes
+    follow in order. Every child is reaped before this returns or raises. A
+    child that fails raises OSError and leaves no CSV.
+    """
     data = [traj.times, traj.a_expect.real, traj.a_expect.imag, np.abs(traj.a_expect),
             traj.n_expect, traj.trace, traj.purity]
     # one %-format per chunk of rows gives the bytes of _fmt per value; the
     # chunks bound the transient Python floats and strings
     row = ",".join(["%.17g"] * len(data)) + "\n"
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(CSV_HEADER + "\n")
-        for k in range(0, len(traj.times), CSV_CHUNK_ROWS):
+
+    def formatted(starts):
+        for k in starts:
             chunk = np.column_stack([c[k:k + CSV_CHUNK_ROWS] for c in data])
-            fh.write((row * len(chunk)) % tuple(chunk.ravel().tolist()))
+            yield (row * len(chunk)) % tuple(chunk.ravel().tolist())
+
+    starts = range(0, len(traj.times), CSV_CHUNK_ROWS)
+    n = max(1, min(_csv_slices(), len(starts)))
+    bounds = [len(starts) * i // n for i in range(n + 1)]
+    children = []
+    try:
+        for lo, hi in zip(bounds[1:-1], bounds[2:]):
+            children.append(_fork_slice(formatted(starts[lo:hi])))
+        with open(path, "wb") as fh:
+            fh.write((CSV_HEADER + "\n").encode())
+            for text in formatted(starts[:bounds[1]]):
+                fh.write(text.encode())
+            for _, pipe in children:
+                shutil.copyfileobj(pipe, fh)
+    finally:
+        # closed pipes let a child blocked on a write fail and exit
+        for _, pipe in children:
+            pipe.close()
+        codes = [os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) for pid, _ in children]
+    if any(codes):
+        path.unlink()
+        raise OSError(f"{path.name}: the processes formatting CSV slices 2..{n} "
+                      f"exited with status {codes}")
 
 
 PLOT_TEMPLATE = '''#!/usr/bin/env python3

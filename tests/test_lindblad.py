@@ -21,9 +21,10 @@ from revivals import (DampingSpec, DensityMatrix, DimensionError, DimensionMisma
                       kerr_expect_a_closed_form, rk4_evolve)
 from revivals.config import load_preset
 from revivals.lindblad import (BLOCK_STEPS, CHUNK_BLOCKS, TOP_LEVEL_TOLERANCE,
-                               TRACE_TOLERANCE, Trajectory, _band_groups, _band_products,
-                               _band_threads, _rk4_step, default_dt, expect_a_raw,
-                               expect_n_raw, to_bands, unvectorize, vectorize)
+                               TRACE_TOLERANCE, Trajectory, _band_products,
+                               _rk4_step, default_dt, expect_a_raw,
+                               expect_n_raw, to_bands, unvectorize, usable_cpus,
+                               vectorize)
 from revivals.runner import evolve, resolve
 
 from conftest import ALPHA, B1, B2, OMEGA0, random_density, random_hermitian
@@ -501,17 +502,36 @@ def test_model_parameters_reject_non_finite(name, value):
             build_hamiltonian(FockSpace(30), **{**ladder, name: value}, k=2)
 
 
+AFFINITIES = [{0}, {0, 1}, {0, 1, 2}, set(range(8))]
+
+
 def test_rk4_output_does_not_depend_on_thread_count(monkeypatch):
     # fig8 at n = 10: damped cubic ladder at dim 44, five blocks of samples
     ctx = resolve(replace(load_preset("fig8").config, state_n=10, t_final=2.0))
     runs = []
-    for cpus in ({0}, {0, 1, 2, 3}):
+    for cpus in AFFINITIES:
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: cpus)
         runs.append(rk4_evolve(ctx.liouvillian, ctx.rho0, 2.0, dt=ctx.dt))
-    one, four = runs
+    one = runs[0]
     assert len(one) > 4 * BLOCK_STEPS
-    for name in ("times", "a_expect", "n_expect", "trace", "purity", "final"):
-        assert np.array_equal(getattr(one, name), getattr(four, name)), name
+    for other in runs[1:]:
+        for name in ("times", "a_expect", "n_expect", "trace", "purity", "final"):
+            assert np.array_equal(getattr(one, name), getattr(other, name)), name
+
+
+def test_dim2_damped_output_does_not_depend_on_thread_count(monkeypatch, rng):
+    # two bands against up to eight threads: most pool tasks find no band left
+    L = make_liouvillian(2, b=0.0, gamma=0.05)
+    rho0 = DensityMatrix(L.space, random_density(rng, 2))
+    runs = []
+    for cpus in AFFINITIES:
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: cpus)
+        runs.append(rk4_evolve(L, rho0, 700 * 0.05, dt=0.05))
+    one = runs[0]
+    assert len(one) == 701
+    for other in runs[1:]:
+        for name in ("times", "a_expect", "n_expect", "trace", "purity", "final"):
+            assert np.array_equal(getattr(one, name), getattr(other, name)), name
 
 
 def test_band_products_ignore_overflow_in_pool_threads():
@@ -525,20 +545,31 @@ def test_band_products_ignore_overflow_in_pool_threads():
     assert not np.isfinite(y).any()
 
 
-@pytest.mark.parametrize("ngroups", [1, 2, 3, 8, 100])
-@pytest.mark.parametrize("d", [2, 5, 44, 60])
-def test_band_groups_deal_every_band_once(d, ngroups):
-    groups = _band_groups(d, ngroups)
-    assert len(groups) == min(ngroups, d)
-    assert sorted(q for g in groups for q in g) == list(range(d))
-    cost = [sum((d - q) ** 2 for q in g) for g in groups]
-    assert max(cost) <= sum(cost) / ngroups + d**2
+def test_band_products_share_one_iterator_under_contention():
+    # more threads than cores draw from one list iterator with a short switch
+    # interval: every product must be made, each into its own output
+    rng = np.random.default_rng(7)
+    jobs = [(rng.standard_normal((3, 3)), rng.standard_normal((3, 2)), np.full((3, 2), np.nan))
+            for _ in range(4000)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        todo = iter(jobs)
+        with ThreadPoolExecutor(8) as pool:
+            futures = [pool.submit(_band_products, todo) for _ in range(8)]
+            _band_products(todo)
+            for f in futures:
+                f.result(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    for p, x, y in jobs:
+        assert np.array_equal(y, p @ x)
 
 
 def test_band_threads_is_one_in_worker_processes():
     # the sweep's process pool already spreads its workers over the cores
     with ProcessPoolExecutor(1) as pool:
-        assert pool.submit(_band_threads).result(timeout=60) == 1
+        assert pool.submit(usable_cpus).result(timeout=60) == 1
 
 
 def test_failed_damped_run_joins_its_threads(monkeypatch):
@@ -573,7 +604,7 @@ from revivals import (DampingSpec, FockSpace, build_hamiltonian, build_liouvilli
 from revivals.config import config_from_dict
 from revivals.runner import run_sweep
 
-lindblad._band_threads = lambda: 4
+lindblad.usable_cpus = lambda: 4
 h = build_hamiltonian(FockSpace(30), {OMEGA0!r}, {B1!r}, 2)
 L = build_liouvillian(h, DampingSpec(gamma=1e-3))
 rk4_evolve(L, density_from_pure(coherent_state(L.space, {ALPHA!r})), 60.0, dt=0.05)

@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -118,6 +122,28 @@ def test_sweep_rejects_parallel_below_one(tmp_path, capsys, parallel):
     assert main(["sweep", str(path), "--axis", "gamma", "--values", "0",
                  "--parallel", str(parallel), "--out-dir", str(tmp_path)]) == EXIT_CONFIG
     assert "parallel must be >= 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("parallel", [0, -3])
+def test_preset_rejects_parallel_below_one(tmp_path, capsys, parallel):
+    # fig1 is no sweep, so run_sweep's own check never sees the value
+    out = tmp_path / "out"
+    assert main(["preset", "fig1", "--parallel", str(parallel),
+                 "--out-dir", str(out)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err == f"error: config: parallel must be >= 1, got {parallel}\n"
+    assert not out.exists()
+
+
+def test_cli_import_does_not_load_scipy():
+    # only the expm cross-check needs scipy; CLI start-up should not pay for it
+    src = os.path.dirname(os.path.dirname(runner.__file__))
+    code = ("import sys, revivals.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
 
 
 def test_sweep_records_per_point_failures(tmp_path):
@@ -390,3 +416,153 @@ def test_write_csv_matches_per_value_format(tmp_path, rng):
     write_csv(tmp_path / "got.csv", traj)
     _write_csv_reference(tmp_path / "want.csv", traj)
     assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+
+
+def random_trajectory(rng, rows):
+    values = rng.standard_normal((6, rows)) * 10.0 ** rng.integers(-30, 30, (6, rows))
+    return Trajectory(times=values[0], a_expect=values[1] + 1j * values[2],
+                      n_expect=values[3], trace=values[4], purity=values[5],
+                      final=np.eye(2) / 2)
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The live thread count at each os.fork the calling process makes."""
+    made = []
+    real_fork = os.fork
+
+    def fork():
+        made.append(threading.active_count())
+        return real_fork()
+
+    monkeypatch.setattr(os, "fork", fork)
+    return made
+
+
+def no_child_left() -> None:
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def set_cpus(monkeypatch, n: int) -> None:
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+
+
+needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork")
+
+
+@needs_fork
+@pytest.mark.parametrize("rows", [1, 2, CSV_CHUNK_ROWS + 1, 3000])
+@pytest.mark.parametrize("cpus", [1, 2, 3, 8])
+def test_write_csv_same_bytes_for_any_cpu_count(tmp_path, rng, monkeypatch, forks, cpus, rows):
+    traj = random_trajectory(rng, rows)
+    set_cpus(monkeypatch, cpus)
+    write_csv(tmp_path / "got.csv", traj)
+    _write_csv_reference(tmp_path / "want.csv", traj)
+    assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+    # one slice per CPU, of whole chunks; every slice after the first is a child
+    assert len(forks) == min(cpus, -(-rows // CSV_CHUNK_ROWS)) - 1
+    no_child_left()
+
+
+@needs_fork
+def test_write_csv_reaps_children_after_a_write_error(tmp_path, rng, monkeypatch, forks):
+    # each child's slice is larger than a pipe holds, so the children are
+    # still blocked on their writes when the parent fails
+    set_cpus(monkeypatch, 4)
+
+    def broken(src, dst):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(runner.shutil, "copyfileobj", broken)
+    with pytest.raises(OSError, match="disk full"):
+        write_csv(tmp_path / "t.csv", random_trajectory(rng, 16 * CSV_CHUNK_ROWS))
+    assert len(forks) == 3
+    no_child_left()
+
+
+def children_exit_at_once(monkeypatch, status: int) -> None:
+    """Every forked child exits with status before it sends a byte."""
+    real_fork = os.fork
+
+    def fork():
+        pid = real_fork()
+        if pid == 0:
+            os._exit(status)
+        return pid
+
+    monkeypatch.setattr(os, "fork", fork)
+
+
+@needs_fork
+def test_write_csv_failing_child_raises_and_leaves_no_csv(tmp_path, rng, monkeypatch):
+    set_cpus(monkeypatch, 3)
+    children_exit_at_once(monkeypatch, 7)
+    with pytest.raises(OSError, match=r"status \[7, 7\]"):
+        write_csv(tmp_path / "t.csv", random_trajectory(rng, 3000))
+    assert not (tmp_path / "t.csv").exists()
+    no_child_left()
+
+
+@needs_fork
+def test_failing_csv_child_exits_with_output_error(tmp_path, monkeypatch, capsys):
+    set_cpus(monkeypatch, 2)
+    children_exit_at_once(monkeypatch, 1)
+    path = tmp_path / "c.json"
+    path.write_text(small_config().to_json())
+    assert main(["run", str(path), "--out-dir", str(tmp_path)]) == EXIT_OUTPUT
+    assert capsys.readouterr().err.startswith("error: OSError: c.csv:")
+    assert not (tmp_path / "c.csv").exists()
+
+
+@needs_fork
+def test_write_csv_does_not_fork_beside_another_thread(tmp_path, rng, monkeypatch, forks):
+    set_cpus(monkeypatch, 4)
+    traj = random_trajectory(rng, 3000)
+    stop = threading.Event()
+    other = threading.Thread(target=stop.wait)
+    other.start()
+    try:
+        write_csv(tmp_path / "got.csv", traj)
+    finally:
+        stop.set()
+        other.join(timeout=60)
+    assert not other.is_alive()
+    assert forks == []
+    _write_csv_reference(tmp_path / "want.csv", traj)
+    assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+
+
+@needs_fork
+def test_damped_run_forks_with_no_other_thread_alive(tmp_path):
+    # Python 3.12 warns when a process forks while other threads run, which
+    # flags a band thread still alive at the CSV write. os.fork swallows the
+    # warning when it is an error, so the warnings are recorded instead.
+    # BLAS is held to one thread, so that only the program's threads count.
+    script = f"""
+import os, threading, warnings
+from revivals.config import config_from_dict
+from revivals.runner import run_experiment
+
+os.sched_getaffinity = lambda pid: {{0, 1}}
+alive, real_fork = [], os.fork
+def fork():
+    alive.append(threading.active_count())
+    return real_fork()
+os.fork = fork
+cfg = config_from_dict(dict(dim=12, omega0={OMEGA0!r}, alpha_re=0.6, alpha_im=0.0,
+                            nonlinearity_order=2, b=0.005, gamma=1e-3, t_final=150.0,
+                            dt=0.05))
+with warnings.catch_warnings(record=True) as seen:
+    warnings.simplefilter("always")
+    run_experiment(cfg, name="d12", out_dir={str(tmp_path)!r})
+assert alive == [1], alive
+assert not [w for w in seen if issubclass(w.category, DeprecationWarning)], seen
+"""
+    src = os.path.dirname(os.path.dirname(runner.__file__))
+    env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1",
+           "OMP_NUM_THREADS": "1"}
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert (tmp_path / "d12.csv").exists()
