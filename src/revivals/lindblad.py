@@ -299,6 +299,23 @@ def _band_products(jobs) -> None:
             np.matmul(p, x, out=y)
 
 
+def _deal_bands(jobs: list, pool: ThreadPoolExecutor, threads: int):
+    """Start the products of jobs on ``threads - 1`` tasks of pool; return join.
+
+    All draw from one iterator over jobs, so each job goes to whichever
+    thread comes free. join() has the calling thread draw what is left, then
+    waits for the tasks.
+    """
+    todo = iter(jobs)
+    futures = [pool.submit(_band_products, todo) for _ in range(threads - 1)]
+
+    def join() -> None:
+        _band_products(todo)
+        for f in futures:
+            f.result()
+    return join
+
+
 # Both block generators below yield pieces of consecutive samples: the dense
 # one a block of up to BLOCK_STEPS samples, the diagonal one a chunk of up to
 # CHUNK_BLOCKS full blocks, or a run's last partial block alone. Each piece is
@@ -351,17 +368,14 @@ def _dense_blocks(gens: list[np.ndarray], x0: list[np.ndarray], dt: float,
         more = k0 + nb < nsamples
         if more:
             # they write nxt while the observables below read cur
-            todo = iter(jobs[0])
-            futures = [pool.submit(_band_products, todo) for _ in range(threads - 1)]
+            join = _deal_bands(jobs[0], pool, threads)
         pop, off = cur[0][:, :count], cur[1][:, :count]
         sq = np.einsum("ij,ij->j", off.view(np.float64), off.view(np.float64))
         yield (sqrt_n @ off[:d - 1], levels @ pop, pop.sum(axis=0),
                np.einsum("ij,ij->j", pop, pop) + 2.0 * (sq[0::2] + sq[1::2]),
                pop[-1], lambda: (pop[:, -1], off[:, -1]))
         if more:
-            _band_products(todo)
-            for f in futures:
-                f.result()
+            join()
             jobs.reverse()
             cur, nxt = nxt, cur
 

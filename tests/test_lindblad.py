@@ -21,7 +21,7 @@ from revivals import (DampingSpec, DensityMatrix, DimensionError, DimensionMisma
                       kerr_expect_a_closed_form, rk4_evolve)
 from revivals.config import load_preset
 from revivals.lindblad import (BLOCK_STEPS, CHUNK_BLOCKS, TOP_LEVEL_TOLERANCE,
-                               TRACE_TOLERANCE, Trajectory, _band_products,
+                               TRACE_TOLERANCE, Trajectory, _band_products, _deal_bands,
                                _rk4_step, default_dt, expect_a_raw,
                                expect_n_raw, to_bands, unvectorize, usable_cpus,
                                vectorize)
@@ -564,6 +564,40 @@ def test_band_products_share_one_iterator_under_contention():
         sys.setswitchinterval(interval)
     for p, x, y in jobs:
         assert np.array_equal(y, p @ x)
+
+
+class _LoggedBand:
+    """Band q's matrix; logs (q, thread) when a product with it is made."""
+
+    def __init__(self, q, m, log):
+        self.q, self.m, self.log = q, m, log
+
+    def __array_ufunc__(self, ufunc, method, p, x, **kwargs):
+        self.log.append((self.q, threading.get_ident()))
+        return getattr(ufunc, method)(self.m, x, **kwargs)
+
+
+@pytest.mark.parametrize("ngroups", [1, 2, 3, 8, 100])
+@pytest.mark.parametrize("d", [2, 5, 44, 60])
+def test_band_groups_deal_every_band_once(d, ngroups):
+    # ngroups threads (ngroups - 1 pool tasks and the caller, as in the damped
+    # block loop) share the products of a dim-d state's bands
+    rng = np.random.default_rng(d)
+    log = []
+    jobs = [(_LoggedBand(q, rng.standard_normal((d - q, d - q)), log),
+             rng.standard_normal((d - q, 2)), np.full((d - q, 2), np.nan))
+            for q in range(d)]
+    with ThreadPoolExecutor(max(1, ngroups - 1)) as pool:
+        _deal_bands(jobs, pool, ngroups)()
+    assert sorted(q for q, _ in log) == list(range(d))
+    owners = {t for _, t in log}
+    assert 1 <= len(owners) <= min(ngroups, d)
+    # each thread takes its bands largest first
+    for t in owners:
+        mine = [q for q, u in log if u == t]
+        assert mine == sorted(mine)
+    for p, x, y in jobs:
+        assert np.array_equal(y, p.m @ x)
 
 
 def test_band_threads_is_one_in_worker_processes():
