@@ -19,6 +19,7 @@ from pathlib import Path
 
 from .config import ConfigError, expand_preset, load_config, load_preset, parse_values
 from .errors import RevivalsError, StabilityError, TruncationError
+from .lindblad import one_blas_thread
 from .runner import SWEEP_AXES, run_experiment, run_sweep
 
 EXIT_OK = 0
@@ -121,9 +122,16 @@ VERBS = {"run": cmd_run, "sweep": cmd_sweep, "preset": cmd_preset,
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one command on one OpenBLAS thread, and map its failure to an exit code.
+
+    Holding the one thread across the command keeps a panel after the first
+    from restarting the BLAS pool that the previous panel's CSV fork shut
+    down (``lindblad.one_blas_thread``).
+    """
     args = build_parser().parse_args(argv)
     try:
-        VERBS[args.command](args)
+        with one_blas_thread():
+            VERBS[args.command](args)
     except ConfigError as exc:
         print(f"error: config: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -38,6 +38,13 @@ Two propagators share one generator:
 * ``expm_propagate`` - dense exponential of the D^2 x D^2 superoperator,
   restricted to small dimensions. It exists to cross-check the RK4 path.
 
+Work that splits over processes goes through one fork helper: one slice per
+usable CPU where forking is safe (``fork_slices``), slices 2..k in forked
+children that send their bytes back through pipes (``fork_slice``), and one
+block that closes every pipe and reaps every child (``forked_children``).
+``runner.write_csv`` formats a CSV's rows that way; ``run_slices`` runs the
+points of ``analysis.scan_nonlinearity`` that way, on one OpenBLAS thread.
+
 The superoperator uses column-major vectorization: vec(A X B) = (B^T kron A) vec(X).
 """
 
@@ -49,8 +56,12 @@ import functools
 import math
 import multiprocessing
 import os
+import pickle
+import signal
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from typing import BinaryIO, Callable, Iterable
 
 import numpy as np
 
@@ -287,6 +298,108 @@ def usable_cpus() -> int:
     return len(os.sched_getaffinity(0))
 
 
+def fork_slices() -> int:
+    """Slices to split one piece of work into: one per usable CPU, where forking is safe.
+
+    A single one (no fork) where ``os.fork`` is missing (Windows) or where
+    another thread is alive, since a forked child would inherit any lock that
+    thread holds; inside a multiprocessing worker ``usable_cpus`` is 1.
+    """
+    if not hasattr(os, "fork") or threading.active_count() > 1:
+        return 1
+    return usable_cpus()
+
+
+def fork_slice(produce: Callable[[], Iterable[bytes]]) -> tuple[int, BinaryIO]:
+    """Start a child that sends the bytes of ``produce()`` through a pipe.
+
+    The child makes all of them before it writes, so that a full pipe cannot
+    hold it back while the parent works on its own slice, and always leaves
+    with ``os._exit`` (no exit handlers, no inherited buffers flushed twice),
+    with status 0 only when every byte is sent. Returns the child's pid and
+    the pipe's read end, for the list of ``forked_children``.
+    """
+    r, w = os.pipe()
+    pid = os.fork()
+    if pid == 0:  # child
+        status = 1
+        try:
+            os.close(r)
+            data = list(produce())
+            with open(w, "wb") as pipe:
+                pipe.writelines(data)
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(w)
+    return pid, open(r, "rb")
+
+
+@contextlib.contextmanager
+def forked_children(what: str):
+    """Yield a list for the (pid, pipe) pairs of ``fork_slice``; reap them on leaving.
+
+    Leaving closes every pipe and waits for every child, so none outlives
+    the block. If the body raised (a Ctrl-C too), the children are killed
+    first and the body's exception goes on; otherwise a child that exited
+    non-zero raises OSError naming ``what``.
+    """
+    children: list[tuple[int, BinaryIO]] = []
+    try:
+        yield children
+    except BaseException:
+        for pid, _ in children:
+            os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        for _, pipe in children:
+            pipe.close()
+        codes = [os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) for pid, _ in children]
+    if any(codes):
+        raise OSError(f"{what} exited with status {codes}")
+
+
+def run_slices(run: Callable[[int], object], costs: list[float], what: str) -> dict:
+    """run(i) for i in range(len(costs)), in one slice per ``fork_slices()`` process.
+
+    Indices go largest cost first, each to the least loaded slice, so the
+    first slice, which the caller runs, is never empty. Slices 2..k run in
+    forked children that pickle their results back. Every slice runs its
+    indices in ascending order and stops after the first that raises. Once
+    every slice has finished, the result maps each index run to its value
+    or to the exception it raised. The whole runs on one OpenBLAS thread
+    (``one_blas_thread``), so that no child restarts the BLAS pool that the
+    fork shut down.
+    """
+    n = max(1, min(fork_slices(), len(costs)))
+    slices: list[list[int]] = [[] for _ in range(n)]
+    loads = [0.0] * n
+    for i in sorted(range(len(costs)), key=lambda i: -costs[i]):
+        j = loads.index(min(loads))
+        slices[j].append(i)
+        loads[j] += costs[i]
+
+    def outcomes(todo: list[int]) -> dict:
+        done = {}
+        for i in sorted(todo):
+            try:
+                done[i] = run(i)
+            except Exception as exc:
+                done[i] = exc
+                break
+        return done
+
+    with one_blas_thread(), forked_children(
+            f"{what}: the processes running slices 2..{n}") as children:
+        for todo in slices[1:]:
+            children.append(fork_slice(lambda todo=todo: [pickle.dumps(outcomes(todo))]))
+        done = outcomes(slices[0])
+        sent = [pipe.read() for _, pipe in children]
+    for data in sent:
+        done.update(pickle.loads(data))
+    return done
+
+
 def _band_products(jobs) -> None:
     """y = p @ x for each (p, x, y) drawn from jobs, under the block loop's errstate.
 
@@ -470,17 +583,23 @@ def one_blas_thread():
     against any other CPU-bound process on the same cores (on 2 cores, two
     concurrent all-preset passes took 8-20x as long as one), and it changes
     the summation order of the products, so results would depend on the
-    thread count.
+    thread count. A library already at one thread gets no set call: after
+    any fork, the first set call restarts the pool that the fork shut down,
+    even a call setting 1, and the new thread spins for ~80 ms. So callers
+    that fork hold this across their forks, and children inherit the one
+    thread.
     """
     libs = openblas_threads()
     before = [get() for get, _ in libs]
-    for _, put in libs:
-        put(1)
+    for (_, put), n in zip(libs, before):
+        if n != 1:
+            put(1)
     try:
         yield
     finally:
         for (_, put), n in zip(libs, before):
-            put(n)
+            if n != 1:
+                put(n)
 
 
 def rk4_evolve(L: Liouvillian, rho0: DensityMatrix, t_final: float,

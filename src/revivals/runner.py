@@ -10,8 +10,8 @@ Output layout per run NAME in the output directory (env REVIVALS_OUT_DIR or
 
 CSV bodies are byte-identical across runs of the same config; only the
 manifest carries timestamps. ``write_csv`` formats a run's rows in one slice
-per usable CPU, all but the first in forked child processes; the bytes do
-not depend on the slice count.
+per usable CPU, all but the first in forked child processes (through the
+fork helper of ``lindblad``); the bytes do not depend on the slice count.
 """
 
 from __future__ import annotations
@@ -20,13 +20,11 @@ import json
 import math
 import os
 import shutil
-import threading
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import BinaryIO
 
 import numpy as np
 
@@ -40,7 +38,8 @@ from .fock import (DensityMatrix, FockSpace, coherent_state, density_from_pure,
 from .hamiltonian import (Timescales, build_hamiltonian, default_n0,
                           modulus_revival_period, timescales_closed_form)
 from .lindblad import (DampingSpec, Liouvillian, Trajectory, build_liouvillian,
-                       default_dt, openblas_threads, rk4_evolve, usable_cpus)
+                       default_dt, fork_slice, fork_slices, forked_children,
+                       one_blas_thread, openblas_threads, rk4_evolve)
 
 CSV_HEADER = "t,re_a,im_a,abs_a,n_expect,trace,purity"
 
@@ -126,51 +125,15 @@ def _fmt(x: float) -> str:
     return f"{x:.17g}"
 
 
-def _csv_slices() -> int:
-    """Processes that format one CSV: one per usable CPU, where forking is safe.
-
-    A single one (no fork) where ``os.fork`` is missing (Windows) or where
-    another thread is alive, since a forked child would inherit any lock that
-    thread holds; inside a multiprocessing worker ``usable_cpus`` is 1.
-    """
-    if not hasattr(os, "fork") or threading.active_count() > 1:
-        return 1
-    return usable_cpus()
-
-
-def _fork_slice(chunks) -> tuple[int, BinaryIO]:
-    """Start a child that formats chunks and sends their bytes through a pipe.
-
-    The child formats its whole slice before it writes, so that a full pipe
-    cannot hold it back while the parent formats its own slice, and always
-    leaves with ``os._exit`` (no exit handlers, no inherited buffers
-    flushed twice), with status 0 only when every byte is sent. Returns the
-    child's pid and the pipe's read end.
-    """
-    r, w = os.pipe()
-    pid = os.fork()
-    if pid == 0:  # child
-        status = 1
-        try:
-            os.close(r)
-            data = [s.encode() for s in chunks]
-            with open(w, "wb") as pipe:
-                pipe.writelines(data)
-            status = 0
-        finally:
-            os._exit(status)
-    os.close(w)
-    return pid, open(r, "rb")
-
-
 def write_csv(path: Path, traj: Trajectory) -> None:
     """The trajectory table, formatted in contiguous slices of its rows.
 
-    One slice per process from ``_csv_slices``, of whole CSV_CHUNK_ROWS
-    chunks. The calling process formats the first slice and streams it to
-    the file chunk by chunk; forked children format the others, whose bytes
-    follow in order. Every child is reaped before this returns or raises. A
-    child that fails raises OSError and leaves no CSV.
+    One slice per process from ``lindblad.fork_slices``, of whole
+    CSV_CHUNK_ROWS chunks. The calling process formats the first slice and
+    streams it to the file chunk by chunk; forked children
+    (``lindblad.fork_slice``) format the others, whose bytes follow in order.
+    Every child is reaped before this returns or raises. A child that fails
+    raises OSError; a failed child or write leaves no CSV.
     """
     data = [traj.times, traj.a_expect.real, traj.a_expect.imag, np.abs(traj.a_expect),
             traj.n_expect, traj.trace, traj.purity]
@@ -184,27 +147,23 @@ def write_csv(path: Path, traj: Trajectory) -> None:
             yield (row * len(chunk)) % tuple(chunk.ravel().tolist())
 
     starts = range(0, len(traj.times), CSV_CHUNK_ROWS)
-    n = max(1, min(_csv_slices(), len(starts)))
+    n = max(1, min(fork_slices(), len(starts)))
     bounds = [len(starts) * i // n for i in range(n + 1)]
-    children = []
+    fh = open(path, "wb")
     try:
-        for lo, hi in zip(bounds[1:-1], bounds[2:]):
-            children.append(_fork_slice(formatted(starts[lo:hi])))
-        with open(path, "wb") as fh:
+        with fh, forked_children(f"{path.name}: the processes formatting CSV "
+                                 f"slices 2..{n}") as children:
+            for lo, hi in zip(bounds[1:-1], bounds[2:]):
+                children.append(fork_slice(
+                    lambda lo=lo, hi=hi: map(str.encode, formatted(starts[lo:hi]))))
             fh.write((CSV_HEADER + "\n").encode())
             for text in formatted(starts[:bounds[1]]):
                 fh.write(text.encode())
             for _, pipe in children:
                 shutil.copyfileobj(pipe, fh)
-    finally:
-        # closed pipes let a child blocked on a write fail and exit
-        for _, pipe in children:
-            pipe.close()
-        codes = [os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) for pid, _ in children]
-    if any(codes):
+    except BaseException:
         path.unlink()
-        raise OSError(f"{path.name}: the processes formatting CSV slices 2..{n} "
-                      f"exited with status {codes}")
+        raise
 
 
 PLOT_TEMPLATE = '''#!/usr/bin/env python3
@@ -334,17 +293,29 @@ def _predicted_columns(config: ExperimentConfig, axis: str) -> tuple[float, floa
             ts.t_sr if ts.t_sr is not None else math.nan)
 
 
-def _sweep_point(args: tuple[ExperimentConfig, str, float]) -> dict:
+def _sweep_point(args: tuple[ExperimentConfig, str, float]) -> tuple[dict, dict]:
+    """The point's row, and the seconds of each of its stages that finished."""
     base, axis, value = args
     config = replace(base, **{axis: int(value) if axis == "state_n" else value})
     t_rev, t_sr = _predicted_columns(config, axis)
     row = {"param_value": value, "classification": "", "n_revivals": 0,
            "first_revival_t": math.nan, "first_revival_amp": math.nan,
            "predicted_t_rev": t_rev, "predicted_t_sr": t_sr}
+    timing = {}
+    clock = time.perf_counter()
+
+    def lap(stage: str) -> None:
+        nonlocal clock
+        now = time.perf_counter()
+        timing[stage], clock = now - clock, now
+
     try:
         ctx = resolve(config)
+        lap("resolve_s")
         traj = evolve(ctx)
+        lap("evolve_s")
         summary = analyze(ctx, traj)
+        lap("analyze_s")
         row["classification"] = summary.report.classification.value
         row["n_revivals"] = int(len(summary.report.revival_times))
         if summary.first_revival is not None:
@@ -353,7 +324,7 @@ def _sweep_point(args: tuple[ExperimentConfig, str, float]) -> dict:
     except Exception as exc:  # per-point failures land in the row
         row["classification"] = f"ERROR:{type(exc).__name__}"
         row["error"] = str(exc)  # manifest only; the CSV keeps the type
-    return row
+    return row, timing
 
 
 def _one_blas_thread() -> None:
@@ -362,10 +333,13 @@ def _one_blas_thread() -> None:
     ``rk4_evolve`` already runs its products on one thread, and in a worker
     process it also makes its band products one after another, with no
     thread pool; the workers' other BLAS calls would still spin against
-    each other's, since the workers fill the cores.
+    each other's, since the workers fill the cores. Forked workers inherit
+    the one thread that ``run_sweep`` holds, and get no set call, which
+    would restart the pool the fork shut down; spawned ones need it.
     """
-    for _, set_threads in openblas_threads():
-        set_threads(1)
+    for get, put in openblas_threads():
+        if get() != 1:
+            put(1)
 
 
 @dataclass(frozen=True)
@@ -380,7 +354,9 @@ def run_sweep(base: ExperimentConfig, axis: str, values, parallel: int = 1,
     """One run per value along axis; emits the summary CSV.
 
     Points are independent; results do not depend on the parallelism degree.
-    At most one worker process per point is started.
+    At most one worker process per point is started, on one OpenBLAS thread.
+    The manifest's rows add the seconds of each stage of the point that
+    finished (``timing``: resolve_s, evolve_s, analyze_s); the CSV does not.
     """
     if parallel < 1:
         raise ConfigError(f"parallel must be >= 1, got {parallel}")
@@ -394,11 +370,12 @@ def run_sweep(base: ExperimentConfig, axis: str, values, parallel: int = 1,
     jobs = [(base, axis, float(v)) for v in values]
     workers = min(parallel, len(jobs))
     if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers,
-                                 initializer=_one_blas_thread) as pool:
-            rows = list(pool.map(_sweep_point, jobs))
+        with one_blas_thread(), ProcessPoolExecutor(max_workers=workers,
+                                                    initializer=_one_blas_thread) as pool:
+            points = list(pool.map(_sweep_point, jobs))
     else:
-        rows = [_sweep_point(j) for j in jobs]
+        points = [_sweep_point(j) for j in jobs]
+    rows = [row for row, _ in points]
     csv_path = out / f"{name}.csv"
     with open(csv_path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(SWEEP_HEADER + "\n")
@@ -410,6 +387,8 @@ def run_sweep(base: ExperimentConfig, axis: str, values, parallel: int = 1,
             ]) + "\n")
     manifest_path = _write_manifest(out, name, {
         "axis": axis, "values": [float(v) for v in values], "parallel": parallel,
-        "base_config": base.to_dict(), "rows": rows, "outputs": {"csv": csv_path.name},
+        "base_config": base.to_dict(),
+        "rows": [{**row, "timing": timing} for row, timing in points],
+        "outputs": {"csv": csv_path.name},
     }, t_wall)
     return SweepResult(rows=rows, csv_path=csv_path, manifest_path=manifest_path)

@@ -1,9 +1,11 @@
 import math
+import os
+import threading
 
 import numpy as np
 import pytest
 
-from revivals import FockSpace
+from revivals import FockSpace, lindblad, runner
 
 OMEGA0 = 0.15 * math.pi / 2  # 0.23561944901923448
 ALPHA = -1.9
@@ -30,3 +32,67 @@ def random_density(rng, dim):
 def random_hermitian(rng, dim):
     x = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     return 0.5 * (x + x.conj().T)
+
+
+# forked children: shared by the tests of the CSV write and of the scan
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The live thread count at each os.fork the calling process makes."""
+    made = []
+    real_fork = os.fork
+
+    def fork():
+        made.append(threading.active_count())
+        return real_fork()
+
+    monkeypatch.setattr(os, "fork", fork)
+    return made
+
+
+def no_child_left() -> None:
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def set_cpus(monkeypatch, n: int) -> None:
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+
+
+needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork")
+
+
+def children_exit_at_once(monkeypatch, status: int) -> None:
+    """Every forked child exits with status before it sends a byte."""
+    real_fork = os.fork
+
+    def fork():
+        pid = real_fork()
+        if pid == 0:
+            os._exit(status)
+        return pid
+
+    monkeypatch.setattr(os, "fork", fork)
+
+
+@pytest.fixture
+def blas_log(monkeypatch, tmp_path):
+    """A stand-in OpenBLAS at two threads whose every set call is logged.
+
+    The log is a file of ``pid set n`` lines, so that the calls of forked
+    children show too; tests may add their own lines. The count lives in
+    process memory, as OpenBLAS's does, so a forked child inherits it.
+    """
+    log = tmp_path / "blas.log"
+    log.touch()
+    count = [2]
+
+    def put(n: int) -> None:
+        with open(log, "a", encoding="utf-8") as fh:
+            fh.write(f"{os.getpid()} set {n}\n")
+        count[0] = n
+
+    libs = ((lambda: count[0], put),)
+    for module in (lindblad, runner):
+        monkeypatch.setattr(module, "openblas_threads", lambda: libs)
+    return log

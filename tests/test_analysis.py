@@ -1,9 +1,12 @@
 import math
+import os
+import threading
+import time
 
 import numpy as np
 import pytest
 
-from revivals import (Classification, ClassifierThresholds, FockSpace,
+from revivals import (Classification, DomainError, StabilityError, analysis, ClassifierThresholds, FockSpace,
                       InsufficientSampling, SpanTooShort, build_hamiltonian,
                       coherent_state, damped_linear_expect_a, default_n0,
                       detect_revivals, detect_super_revival, displaced_number_state,
@@ -12,7 +15,8 @@ from revivals import (Classification, ClassifierThresholds, FockSpace,
                       scan_nonlinearity, timescales_closed_form)
 from revivals.analysis import envelope_from_series
 
-from conftest import ALPHA, B1, B2, OMEGA0
+from conftest import (ALPHA, B1, B2, OMEGA0, children_exit_at_once, needs_fork,
+                      no_child_left, set_cpus)
 
 LINEAR_PERIOD = 2 * math.pi / OMEGA0
 THRESHOLDS = ClassifierThresholds(linear_classical_period=LINEAR_PERIOD)
@@ -175,3 +179,101 @@ def test_scan_transitions_quadratic_edges():
     assert by_b[1.0] is Classification.IRREGULAR
     assert scan.b_onset is None
     assert scan.b_offset == 1.0
+
+
+#: The grid points of log_grid(1e-5, 10, 5) that bracket the Kerr ladder's
+#: onset and offset; their predicted step counts are about 136k, 136k, 9.4k
+#: and 9.4k, so one to four slices all hold points.
+BRACKET_B = [1.5848931924611134e-4, 2.5118864315095795e-4, 0.630957344480193, 1.0]
+
+
+def bracket_scan():
+    return scan_nonlinearity(BRACKET_B[::-1], k=2, alpha=ALPHA, omega0=OMEGA0)
+
+
+@needs_fork
+@pytest.mark.parametrize("cpus", [1, 2, 3, 8])
+def test_scan_forks_one_slice_per_cpu_with_the_same_result(monkeypatch, forks, cpus):
+    set_cpus(monkeypatch, cpus)
+    scan = bracket_scan()
+    # the caller runs slice 1; every other slice is a child
+    assert len(forks) == min(cpus, len(BRACKET_B)) - 1
+    no_child_left()
+    assert [p.b for p in scan.points] == BRACKET_B
+    assert (scan.b_onset, scan.b_offset) == (BRACKET_B[1], 1.0)
+    set_cpus(monkeypatch, 1)
+    assert scan == bracket_scan()
+
+
+@needs_fork
+@pytest.mark.parametrize("cpus", [2, 3, 8])
+def test_scan_fork_reraises_the_one_cpu_exception(monkeypatch, cpus):
+    # on any of these CPU counts b = 1.58e-4 runs in a child and b = 2.51e-4,
+    # the largest point, in the caller's slice; the smallest failing b is raised
+    evolve = analysis._evolve_amplitude
+    ran = []
+
+    def failing(h, *args):
+        ran.append(h.b)
+        if h.b in BRACKET_B[:2]:
+            raise StabilityError(f"failed at b = {h.b}")
+        return evolve(h, *args)
+
+    monkeypatch.setattr(analysis, "_evolve_amplitude", failing)
+    raised = []
+    for n in (1, cpus):
+        set_cpus(monkeypatch, n)
+        for bs in (BRACKET_B, [0.0, 1.0]):
+            with pytest.raises(Exception) as exc:
+                scan_nonlinearity(bs, k=2, alpha=ALPHA, omega0=OMEGA0)
+            raised.append((type(exc.value), str(exc.value)))
+        no_child_left()
+        if n == 1:
+            # like a serial loop, one slice stops at its first failure
+            assert ran == [BRACKET_B[0]]
+    assert raised[:2] == [(StabilityError, f"failed at b = {BRACKET_B[0]}"),
+                          (DomainError, "no finite revival time for b = 0")]
+    assert raised[2:] == raised[:2]
+
+
+@needs_fork
+def test_scan_child_that_exits_non_zero_raises_oserror(monkeypatch):
+    set_cpus(monkeypatch, 3)
+    children_exit_at_once(monkeypatch, 7)
+    with pytest.raises(OSError, match=r"k=2 ladder: the processes running slices 2\.\.3 "
+                                      r"exited with status \[7, 7\]"):
+        bracket_scan()
+    no_child_left()
+
+
+@needs_fork
+def test_scan_ctrl_c_kills_and_reaps_its_children(monkeypatch):
+    parent = os.getpid()
+
+    def interrupted(*args):
+        if os.getpid() == parent:
+            raise KeyboardInterrupt
+        time.sleep(60)
+
+    monkeypatch.setattr(analysis, "_evolve_amplitude", interrupted)
+    set_cpus(monkeypatch, 4)
+    t0 = time.perf_counter()
+    with pytest.raises(KeyboardInterrupt):
+        bracket_scan()
+    assert time.perf_counter() - t0 < 30
+    no_child_left()
+
+
+@needs_fork
+def test_scan_does_not_fork_beside_another_thread(monkeypatch, forks):
+    set_cpus(monkeypatch, 4)
+    stop = threading.Event()
+    other = threading.Thread(target=stop.wait)
+    other.start()
+    try:
+        scan = bracket_scan()
+    finally:
+        stop.set()
+        other.join(timeout=60)
+    assert forks == []
+    assert (scan.b_onset, scan.b_offset) == (BRACKET_B[1], 1.0)

@@ -490,6 +490,20 @@ def test_rk4_runs_on_one_blas_thread(monkeypatch):
     assert after == [2] * len(libs)
 
 
+def test_one_blas_thread_makes_no_set_call_at_one(blas_log):
+    # a set call, even of 1, restarts the BLAS pool that a fork shut down
+    from revivals import lindblad
+
+    (get, put), = lindblad.openblas_threads()
+    with lindblad.one_blas_thread():
+        assert get() == 1
+        with lindblad.one_blas_thread():
+            pass
+    assert get() == 2
+    pid = os.getpid()
+    assert blas_log.read_text().splitlines() == [f"{pid} set 1", f"{pid} set 2"]
+
+
 @pytest.mark.parametrize("value", [math.nan, math.inf], ids=["nan", "inf"])
 @pytest.mark.parametrize("name", ["gamma", "n_thermal", "omega0", "b"])
 def test_model_parameters_reject_non_finite(name, value):

@@ -1,5 +1,6 @@
 import json
 import math
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -8,14 +9,15 @@ import threading
 import numpy as np
 import pytest
 
-from revivals import ConfigError, ExperimentConfig, runner
+from revivals import ConfigError, ExperimentConfig, cli, runner
 from revivals.cli import EXIT_CONFIG, EXIT_OUTPUT, main
 from revivals.config import config_from_dict
 from revivals.lindblad import Trajectory
 from revivals.runner import (CSV_CHUNK_ROWS, CSV_HEADER, SWEEP_HEADER, run_experiment,
                              run_sweep, write_csv)
 
-from conftest import ALPHA, OMEGA0
+from conftest import (ALPHA, OMEGA0, children_exit_at_once, needs_fork,
+                      no_child_left, set_cpus)
 
 
 def small_config(**over):
@@ -156,6 +158,45 @@ def test_sweep_records_per_point_failures(tmp_path):
     manifest = json.loads(sweep.manifest_path.read_text())
     assert "error" not in manifest["rows"][0]
     assert "state_n=40 outside 0..dim-1" in manifest["rows"][1]["error"]
+
+
+def test_sweep_manifest_rows_time_their_stages(tmp_path):
+    sweep = run_sweep(small_config(b=0.005), "state_n", [0, 40], name="t", out_dir=tmp_path)
+    rows = json.loads(sweep.manifest_path.read_text())["rows"]
+    assert set(rows[0]["timing"]) == {"resolve_s", "evolve_s", "analyze_s"}
+    assert all(s >= 0.0 for s in rows[0]["timing"].values())
+    # state_n = 40 fails to resolve, so no stage finished
+    assert rows[1]["timing"] == {}
+    # the timings are no result: the rows returned and the CSV leave them out
+    assert "timing" not in sweep.rows[0]
+    assert sweep.csv_path.read_text().splitlines()[0] == SWEEP_HEADER
+
+
+@pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                    reason="workers are not forked")
+def test_forked_sweep_workers_make_no_blas_set_call(tmp_path, blas_log):
+    run_sweep(small_config(b=0.005, t_final=20.0), "gamma", [0.0, 1e-3], parallel=2,
+              name="w", out_dir=tmp_path)
+    # only the sweep's own hold of one thread, around the pool
+    pid = os.getpid()
+    assert blas_log.read_text().splitlines() == [f"{pid} set 1", f"{pid} set 2"]
+
+
+def test_preset_panels_make_no_blas_set_call(tmp_path, monkeypatch, blas_log):
+    # each panel's CSV fork shuts the BLAS pool down; a set call in the next
+    # panel would restart it
+    run = cli.run_experiment
+
+    def marked(config, name, out_dir):
+        with open(blas_log, "a", encoding="utf-8") as fh:
+            fh.write(f"{os.getpid()} panel {name}\n")
+        return run(config, name=name, out_dir=out_dir)
+
+    monkeypatch.setattr(cli, "run_experiment", marked)
+    assert main(["preset", "fig2", "--out-dir", str(tmp_path)]) == 0
+    pid = os.getpid()
+    assert blas_log.read_text().splitlines() == (
+        [f"{pid} set 1"] + [f"{pid} panel fig2{p}" for p in "abcd"] + [f"{pid} set 2"])
 
 
 def test_sweep_state_n_reports_inverse_n_theory(tmp_path):
@@ -425,32 +466,6 @@ def random_trajectory(rng, rows):
                       final=np.eye(2) / 2)
 
 
-@pytest.fixture
-def forks(monkeypatch):
-    """The live thread count at each os.fork the calling process makes."""
-    made = []
-    real_fork = os.fork
-
-    def fork():
-        made.append(threading.active_count())
-        return real_fork()
-
-    monkeypatch.setattr(os, "fork", fork)
-    return made
-
-
-def no_child_left() -> None:
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
-def set_cpus(monkeypatch, n: int) -> None:
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
-
-
-needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork")
-
-
 @needs_fork
 @pytest.mark.parametrize("rows", [1, 2, CSV_CHUNK_ROWS + 1, 3000])
 @pytest.mark.parametrize("cpus", [1, 2, 3, 8])
@@ -479,19 +494,6 @@ def test_write_csv_reaps_children_after_a_write_error(tmp_path, rng, monkeypatch
         write_csv(tmp_path / "t.csv", random_trajectory(rng, 16 * CSV_CHUNK_ROWS))
     assert len(forks) == 3
     no_child_left()
-
-
-def children_exit_at_once(monkeypatch, status: int) -> None:
-    """Every forked child exits with status before it sends a byte."""
-    real_fork = os.fork
-
-    def fork():
-        pid = real_fork()
-        if pid == 0:
-            os._exit(status)
-        return pid
-
-    monkeypatch.setattr(os, "fork", fork)
 
 
 @needs_fork
