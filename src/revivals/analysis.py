@@ -21,7 +21,8 @@ from .errors import DomainError, InsufficientSampling, SpanTooShort
 from .fock import FockSpace, coherent_state, density_from_pure, displaced_number_state
 from .hamiltonian import (DiagonalHamiltonian, Timescales, build_hamiltonian,
                           default_n0, timescales_closed_form)
-from .lindblad import DampingSpec, Trajectory, build_liouvillian, rk4_evolve, run_slices
+from .fanout import run_slices
+from .lindblad import DampingSpec, Trajectory, build_liouvillian, rk4_evolve
 
 
 class Classification(Enum):
@@ -323,24 +324,23 @@ def scan_nonlinearity(b_values, *, k: int, alpha: complex, omega0: float,
     (sustained) collapse; b_offset the smallest b classified IRREGULAR.
 
     The points are classified in one slice per usable CPU
-    (``lindblad.run_slices``), dealt largest first by their predicted step
+    (``fanout.run_slices``), dealt largest first by their predicted step
     count: the caller runs the first slice, forked children the others.
     Each point runs the same single-threaded ``rk4_evolve``, so the result
-    does not depend on the slice count. A point that raises is raised after
-    every slice has finished, the one of the smallest such b, as a serial
-    loop would raise it.
+    does not depend on the slice count, and neither does the error raised:
+    that of the smallest failing b, as a serial loop would raise it.
     """
     space = FockSpace(dim)
     cfg = ClassifierThresholds(linear_classical_period=2 * math.pi / omega0)
     n0 = default_n0(alpha)
     bs = sorted(float(x) for x in b_values)
-    plans, outcomes = [], {}
-    for i, b in enumerate(bs):
+    plans, failure = [], None
+    for b in bs:
         try:
             h = build_hamiltonian(space, omega0, b, k)
             pred = timescales_closed_form(h, n0)
         except Exception as exc:
-            outcomes[i] = exc  # raised below, so no larger b needs to run
+            failure = exc  # raised below, so no larger b needs to run
             break
         if k == 2:
             horizon = min(SCAN_HORIZON_QUADRATIC, SCAN_SPAN_FACTOR_QUADRATIC * pred.t_rev)
@@ -356,16 +356,13 @@ def scan_nonlinearity(b_values, *, k: int, alpha: complex, omega0: float,
         report = detect_revivals(env, pred, cfg, damped=False, require_full_span=False)
         return report.classification, bool(report.collapse_intervals)
 
-    outcomes.update(run_slices(classify, [_predicted_steps(*p) for p in plans],
-                               f"scan of b on the k={k} ladder"))
+    verdicts = run_slices(classify, [_predicted_steps(*p) for p in plans],
+                          f"scan of b on the k={k} ladder")
+    if failure is not None:
+        raise failure
     points: list[ScanPoint] = []
     b_onset = b_offset = None
-    # a slice stops at its first failure, so every point below the smallest
-    # failing b has an outcome
-    for i, b in enumerate(bs):
-        if isinstance(outcomes[i], Exception):
-            raise outcomes[i]
-        cls, collapses = outcomes[i]
+    for b, (cls, collapses) in zip(bs, verdicts):
         points.append(ScanPoint(b, cls))
         if b_onset is None and collapses and cls is Classification.REGULAR_REVIVALS:
             b_onset = b

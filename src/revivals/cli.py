@@ -19,7 +19,7 @@ from pathlib import Path
 
 from .config import ConfigError, expand_preset, load_config, load_preset, parse_values
 from .errors import RevivalsError, StabilityError, TruncationError
-from .lindblad import one_blas_thread
+from .fanout import one_blas_thread
 from .runner import SWEEP_AXES, run_experiment, run_sweep
 
 EXIT_OK = 0
@@ -126,7 +126,7 @@ def main(argv: list[str] | None = None) -> int:
 
     Holding the one thread across the command keeps a panel after the first
     from restarting the BLAS pool that the previous panel's CSV fork shut
-    down (``lindblad.one_blas_thread``).
+    down (``fanout.one_blas_thread``).
     """
     args = build_parser().parse_args(argv)
     try:

@@ -39,7 +39,7 @@ class Timescales:
 
 
 def build_hamiltonian(space: FockSpace, omega0: float, b: float, k: int) -> DiagonalHamiltonian:
-    """Energy ladder E_n = omega0*n + b*n^k for n = 0..dim-1."""
+    """Energy ladder E_n = omega0*n + b*n^k for n = 0..dim-1; every E_n finite."""
     # written as not (in range) so that NaN fails too
     if not 0 < omega0 < math.inf:
         raise DomainError(f"omega0 must be positive and finite, got {omega0}")
@@ -47,6 +47,9 @@ def build_hamiltonian(space: FockSpace, omega0: float, b: float, k: int) -> Diag
         raise DomainError(f"nonlinearity order k={k} unsupported; use one of {SUPPORTED_ORDERS}")
     if not 0 <= b < math.inf:
         raise DomainError(f"nonlinearity strength must be >= 0 and finite, got {b}")
+    top = space.dim - 1  # the largest energy; a float product overflows to inf
+    if not math.isfinite(omega0 * top + b * top**k):
+        raise DomainError(f"energy ladder overflows at b={b:g}, dim={space.dim}")
     n = np.arange(space.dim, dtype=float)
     energies = omega0 * n + b * n**k
     e = np.ascontiguousarray(energies)

@@ -23,50 +23,37 @@ Two propagators share one generator:
   differs. The final state's upper triangle is the conjugate of its lower
   bands, so it is Hermitian by construction.
 
-  The damped (dense) path uses one thread per CPU in the process's
-  affinity mask (``usable_cpus``), or one thread inside a multiprocessing
-  worker, whose pool already fills the cores. Before it yields a block, it
-  starts the band products of the next block on the pool's threads; they
-  write the other pair of blocks while the calling thread reads this
-  block's observables and the consumer checks the gates. When the consumer
-  draws the next block, the calling thread joins in. Every thread takes
-  bands, largest first, from one shared iterator, so a band goes to
-  whichever thread comes free. Every product still runs on one OpenBLAS
-  thread, so the bytes of each band do not depend on the thread count. The
-  first block, the observables, the gates and the undamped (diagonal) path
-  run on the calling thread.
+  The damped (dense) path uses one thread per usable CPU
+  (``fanout.usable_cpus``). Before it yields a block, it starts the band
+  products of the next block on the pool's threads; they write the other
+  pair of blocks while the calling thread reads this block's observables
+  and the consumer checks the gates. When the consumer draws the next
+  block, the calling thread joins in. Every thread takes bands, largest
+  first, from one shared iterator, so a band goes to whichever thread comes
+  free. Every product still runs on one OpenBLAS thread, so the bytes of
+  each band do not depend on the thread count. The first block, the
+  observables, the gates and the undamped (diagonal) path run on the
+  calling thread.
 * ``expm_propagate`` - dense exponential of the D^2 x D^2 superoperator,
   restricted to small dimensions. It exists to cross-check the RK4 path.
 
-Work that splits over processes goes through one fork helper: one slice per
-usable CPU where forking is safe (``fork_slices``), slices 2..k in forked
-children that send their bytes back through pipes (``fork_slice``), and one
-block that closes every pipe and reaps every child (``forked_children``).
-``runner.write_csv`` formats a CSV's rows that way; ``run_slices`` runs the
-points of ``analysis.scan_nonlinearity`` that way, on one OpenBLAS thread.
+This module holds the propagator only; work spread over processes, and
+the BLAS thread count, live in ``fanout``.
 
 The superoperator uses column-major vectorization: vec(A X B) = (B^T kron A) vec(X).
 """
 
 from __future__ import annotations
 
-import contextlib
-import ctypes
-import functools
 import math
-import multiprocessing
-import os
-import pickle
-import signal
-import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import BinaryIO, Callable, Iterable
 
 import numpy as np
 
 from .errors import (DimensionError, DimensionMismatch, DomainError,
                      StabilityError, TruncationError)
+from .fanout import one_blas_thread, usable_cpus
 from .fock import DensityMatrix, FockSpace
 from .hamiltonian import DiagonalHamiltonian, classical_period
 
@@ -285,121 +272,6 @@ def _first_failure(times: np.ndarray, trace: np.ndarray, purity: np.ndarray,
                           f"t={times[i]:.6g}; reduce dt")
 
 
-def usable_cpus() -> int:
-    """CPUs this process may run on: the size of its affinity mask.
-
-    A multiprocessing worker gets one, since the pool it belongs to already
-    spreads its workers over the cores.
-    """
-    if multiprocessing.parent_process() is not None:
-        return 1
-    if not hasattr(os, "sched_getaffinity"):  # not on macOS or Windows
-        return os.cpu_count() or 1
-    return len(os.sched_getaffinity(0))
-
-
-def fork_slices() -> int:
-    """Slices to split one piece of work into: one per usable CPU, where forking is safe.
-
-    A single one (no fork) where ``os.fork`` is missing (Windows) or where
-    another thread is alive, since a forked child would inherit any lock that
-    thread holds; inside a multiprocessing worker ``usable_cpus`` is 1.
-    """
-    if not hasattr(os, "fork") or threading.active_count() > 1:
-        return 1
-    return usable_cpus()
-
-
-def fork_slice(produce: Callable[[], Iterable[bytes]]) -> tuple[int, BinaryIO]:
-    """Start a child that sends the bytes of ``produce()`` through a pipe.
-
-    The child makes all of them before it writes, so that a full pipe cannot
-    hold it back while the parent works on its own slice, and always leaves
-    with ``os._exit`` (no exit handlers, no inherited buffers flushed twice),
-    with status 0 only when every byte is sent. Returns the child's pid and
-    the pipe's read end, for the list of ``forked_children``.
-    """
-    r, w = os.pipe()
-    pid = os.fork()
-    if pid == 0:  # child
-        status = 1
-        try:
-            os.close(r)
-            data = list(produce())
-            with open(w, "wb") as pipe:
-                pipe.writelines(data)
-            status = 0
-        finally:
-            os._exit(status)
-    os.close(w)
-    return pid, open(r, "rb")
-
-
-@contextlib.contextmanager
-def forked_children(what: str):
-    """Yield a list for the (pid, pipe) pairs of ``fork_slice``; reap them on leaving.
-
-    Leaving closes every pipe and waits for every child, so none outlives
-    the block. If the body raised (a Ctrl-C too), the children are killed
-    first and the body's exception goes on; otherwise a child that exited
-    non-zero raises OSError naming ``what``.
-    """
-    children: list[tuple[int, BinaryIO]] = []
-    try:
-        yield children
-    except BaseException:
-        for pid, _ in children:
-            os.kill(pid, signal.SIGKILL)
-        raise
-    finally:
-        for _, pipe in children:
-            pipe.close()
-        codes = [os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) for pid, _ in children]
-    if any(codes):
-        raise OSError(f"{what} exited with status {codes}")
-
-
-def run_slices(run: Callable[[int], object], costs: list[float], what: str) -> dict:
-    """run(i) for i in range(len(costs)), in one slice per ``fork_slices()`` process.
-
-    Indices go largest cost first, each to the least loaded slice, so the
-    first slice, which the caller runs, is never empty. Slices 2..k run in
-    forked children that pickle their results back. Every slice runs its
-    indices in ascending order and stops after the first that raises. Once
-    every slice has finished, the result maps each index run to its value
-    or to the exception it raised. The whole runs on one OpenBLAS thread
-    (``one_blas_thread``), so that no child restarts the BLAS pool that the
-    fork shut down.
-    """
-    n = max(1, min(fork_slices(), len(costs)))
-    slices: list[list[int]] = [[] for _ in range(n)]
-    loads = [0.0] * n
-    for i in sorted(range(len(costs)), key=lambda i: -costs[i]):
-        j = loads.index(min(loads))
-        slices[j].append(i)
-        loads[j] += costs[i]
-
-    def outcomes(todo: list[int]) -> dict:
-        done = {}
-        for i in sorted(todo):
-            try:
-                done[i] = run(i)
-            except Exception as exc:
-                done[i] = exc
-                break
-        return done
-
-    with one_blas_thread(), forked_children(
-            f"{what}: the processes running slices 2..{n}") as children:
-        for todo in slices[1:]:
-            children.append(fork_slice(lambda todo=todo: [pickle.dumps(outcomes(todo))]))
-        done = outcomes(slices[0])
-        sent = [pipe.read() for _, pipe in children]
-    for data in sent:
-        done.update(pickle.loads(data))
-    return done
-
-
 def _band_products(jobs) -> None:
     """y = p @ x for each (p, x, y) drawn from jobs, under the block loop's errstate.
 
@@ -549,59 +421,6 @@ def _diagonal_blocks(gens: list[np.ndarray], x0: list[np.ndarray], dt: float,
                (pop[:, -1:] * t[d - 1]).real.reshape(-1), last)
 
 
-@functools.cache
-def openblas_threads() -> tuple[tuple, ...]:
-    """(get, set) thread-count functions of each OpenBLAS loaded in this process.
-
-    The libraries are found among the loaded ones, once per process; where
-    there is none, the tuple is empty.
-    """
-    try:
-        with open("/proc/self/maps", encoding="utf-8") as fh:
-            paths = sorted({line.split()[-1] for line in fh if "openblas" in line})
-    except OSError:
-        return ()
-    found = []
-    for path in paths:
-        lib = ctypes.CDLL(path)
-        for stem in ("scipy_openblas_{}_num_threads64_", "scipy_openblas_{}_num_threads",
-                     "openblas_{}_num_threads64_", "openblas_{}_num_threads"):
-            get, put = (getattr(lib, stem.format(op), None) for op in ("get", "set"))
-            if get is not None and put is not None:
-                get.argtypes, get.restype = [], ctypes.c_int
-                put.argtypes, put.restype = [ctypes.c_int], None
-                found.append((get, put))
-                break
-    return tuple(found)
-
-
-@contextlib.contextmanager
-def one_blas_thread():
-    """Run the body on one OpenBLAS thread; restore the previous counts after.
-
-    The band products are small (D up to ~60). A second BLAS thread spins
-    against any other CPU-bound process on the same cores (on 2 cores, two
-    concurrent all-preset passes took 8-20x as long as one), and it changes
-    the summation order of the products, so results would depend on the
-    thread count. A library already at one thread gets no set call: after
-    any fork, the first set call restarts the pool that the fork shut down,
-    even a call setting 1, and the new thread spins for ~80 ms. So callers
-    that fork hold this across their forks, and children inherit the one
-    thread.
-    """
-    libs = openblas_threads()
-    before = [get() for get, _ in libs]
-    for (_, put), n in zip(libs, before):
-        if n != 1:
-            put(1)
-    try:
-        yield
-    finally:
-        for (_, put), n in zip(libs, before):
-            if n != 1:
-                put(n)
-
-
 def rk4_evolve(L: Liouvillian, rho0: DensityMatrix, t_final: float,
                dt: float = 0.0) -> Trajectory:
     """Propagate rho0 to t_final with classic fixed-step RK4.
@@ -610,8 +429,7 @@ def rk4_evolve(L: Liouvillian, rho0: DensityMatrix, t_final: float,
     one (``Trajectory.final``). The trace is monitored, never renormalized.
     Every band product runs on one OpenBLAS thread (``one_blas_thread``).
     With damping, the products of independent bands run side by side on a
-    thread pool that lives for this call: one thread per CPU in the
-    process's affinity mask, or one inside a multiprocessing worker
+    thread pool that lives for this call, one thread per usable CPU
     (``usable_cpus``). The next block's products overlap this block's
     observables and gates. The result does not depend on the thread count.
     Undamped runs use the calling thread only.
@@ -621,7 +439,7 @@ def rk4_evolve(L: Liouvillian, rho0: DensityMatrix, t_final: float,
     raises TruncationError when the top-level population grows by more than
     TOP_LEVEL_TOLERANCE (possible only with the full equation at
     n_thermal > 0). NaN fails every gate. The error names the first failing
-    time.
+    time. A DomainError names the step count whose records cannot be allocated.
     """
     if rho0.space.dim != L.space.dim:
         raise DimensionMismatch(
@@ -635,15 +453,17 @@ def rk4_evolve(L: Liouvillian, rho0: DensityMatrix, t_final: float,
     if dt * L.omega_max() > 0.1 + 1e-12:
         raise DomainError(
             f"dt={dt:g} too large: dt*Omega_max = {dt * L.omega_max():.3f} > 0.1")
-    nsteps = max(1, math.ceil(t_final / dt - 1e-12))
-    dt = t_final / nsteps
-
-    nsamples = nsteps + 1
-    times = np.arange(nsamples) * dt
-    a_rec = np.empty(nsamples, dtype=complex)
-    n_rec = np.empty(nsamples)
-    tr_rec = np.empty(nsamples)
-    pur_rec = np.empty(nsamples)
+    steps = t_final / dt
+    try:  # an infinite step count cannot be rounded, a huge one not allocated
+        nsteps = max(1, math.ceil(steps - 1e-12))
+        dt = t_final / nsteps
+        nsamples = nsteps + 1
+        times = np.arange(nsamples) * dt
+        a_rec, n_rec = np.empty(nsamples, dtype=complex), np.empty(nsamples)
+        tr_rec, pur_rec = np.empty(nsamples), np.empty(nsamples)
+    except (MemoryError, OverflowError, ValueError) as exc:
+        raise DomainError(f"{steps:.6g} steps to t_final={t_final:g}: cannot "
+                          f"allocate the records of their samples ({exc})") from exc
 
     # downward-only dissipation cannot grow the top-level population, so
     # only growth beyond the initial value signals truncation overflow
@@ -653,7 +473,7 @@ def rk4_evolve(L: Liouvillian, rho0: DensityMatrix, t_final: float,
     # The pool starts its threads on first use and joins them on leaving
     # this block, also on a gate's raise (the products under way when it
     # raises run to their end), so none outlives the call: a pool kept
-    # across calls would be inherited, threadless, by forked workers, and a
+    # across calls would be inherited, threadless, by forked children, and a
     # live thread would stop ``runner.write_csv`` from forking.
     threads = usable_cpus()
     with np.errstate(over="ignore", invalid="ignore"), one_blas_thread(), \

@@ -9,9 +9,9 @@ Output layout per run NAME in the output directory (env REVIVALS_OUT_DIR or
     NAME_plot.py        standalone matplotlib script reading NAME.csv
 
 CSV bodies are byte-identical across runs of the same config; only the
-manifest carries timestamps. ``write_csv`` formats a run's rows in one slice
-per usable CPU, all but the first in forked child processes (through the
-fork helper of ``lindblad``); the bytes do not depend on the slice count.
+manifest carries timestamps. ``write_csv`` formats a run's rows, and
+``run_sweep`` runs its points, in slices of forked processes (``fanout``);
+neither the bytes nor the rows depend on the slice count.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ import math
 import os
 import shutil
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from datetime import datetime, timezone
 from pathlib import Path
@@ -33,13 +32,13 @@ from .analysis import (ClassifierThresholds, FirstRevival, RevivalReport,
                        detect_revivals, extract_envelope, first_revival_peak)
 from .config import ExperimentConfig
 from .errors import ConfigError
+from .fanout import fork_slice, fork_slices, forked_children, run_slices
 from .fock import (DensityMatrix, FockSpace, coherent_state, density_from_pure,
                    displaced_number_state)
 from .hamiltonian import (Timescales, build_hamiltonian, default_n0,
                           modulus_revival_period, timescales_closed_form)
 from .lindblad import (DampingSpec, Liouvillian, Trajectory, build_liouvillian,
-                       default_dt, fork_slice, fork_slices, forked_children,
-                       one_blas_thread, openblas_threads, rk4_evolve)
+                       default_dt, rk4_evolve)
 
 CSV_HEADER = "t,re_a,im_a,abs_a,n_expect,trace,purity"
 
@@ -128,10 +127,10 @@ def _fmt(x: float) -> str:
 def write_csv(path: Path, traj: Trajectory) -> None:
     """The trajectory table, formatted in contiguous slices of its rows.
 
-    One slice per process from ``lindblad.fork_slices``, of whole
+    One slice per process from ``fanout.fork_slices``, of whole
     CSV_CHUNK_ROWS chunks. The calling process formats the first slice and
     streams it to the file chunk by chunk; forked children
-    (``lindblad.fork_slice``) format the others, whose bytes follow in order.
+    (``fanout.fork_slice``) format the others, whose bytes follow in order.
     Every child is reaped before this returns or raises. A child that fails
     raises OSError; a failed child or write leaves no CSV.
     """
@@ -327,21 +326,6 @@ def _sweep_point(args: tuple[ExperimentConfig, str, float]) -> tuple[dict, dict]
     return row, timing
 
 
-def _one_blas_thread() -> None:
-    """Pool-worker initializer: one OpenBLAS thread per worker process.
-
-    ``rk4_evolve`` already runs its products on one thread, and in a worker
-    process it also makes its band products one after another, with no
-    thread pool; the workers' other BLAS calls would still spin against
-    each other's, since the workers fill the cores. Forked workers inherit
-    the one thread that ``run_sweep`` holds, and get no set call, which
-    would restart the pool the fork shut down; spawned ones need it.
-    """
-    for get, put in openblas_threads():
-        if get() != 1:
-            put(1)
-
-
 @dataclass(frozen=True)
 class SweepResult:
     rows: list[dict]
@@ -353,10 +337,11 @@ def run_sweep(base: ExperimentConfig, axis: str, values, parallel: int = 1,
               name: str = "sweep", out_dir: Path | None = None) -> SweepResult:
     """One run per value along axis; emits the summary CSV.
 
-    Points are independent; results do not depend on the parallelism degree.
-    At most one worker process per point is started, on one OpenBLAS thread.
-    The manifest's rows add the seconds of each stage of the point that
-    finished (``timing``: resolve_s, evolve_s, analyze_s); the CSV does not.
+    The points run in at most ``parallel`` slices (``fanout.run_slices``);
+    the rows do not depend on the slice count. A point's failure lands in its
+    row; one outside its run (its predicted columns) is raised and leaves no
+    CSV. The manifest's rows add the seconds of each finished stage of a
+    point (``timing``: resolve_s, evolve_s, analyze_s); the CSV does not.
     """
     if parallel < 1:
         raise ConfigError(f"parallel must be >= 1, got {parallel}")
@@ -368,13 +353,9 @@ def run_sweep(base: ExperimentConfig, axis: str, values, parallel: int = 1,
     out = _out_dir(out_dir)
     t_wall = time.perf_counter()
     jobs = [(base, axis, float(v)) for v in values]
-    workers = min(parallel, len(jobs))
-    if workers > 1:
-        with one_blas_thread(), ProcessPoolExecutor(max_workers=workers,
-                                                    initializer=_one_blas_thread) as pool:
-            points = list(pool.map(_sweep_point, jobs))
-    else:
-        points = [_sweep_point(j) for j in jobs]
+    # through the module globals, which the benchmark's tracer wraps
+    points = run_slices(lambda i: _sweep_point(jobs[i]), [1.0] * len(jobs),
+                        f"sweep of {axis}", cap=parallel)
     rows = [row for row, _ in points]
     csv_path = out / f"{name}.csv"
     with open(csv_path, "w", encoding="utf-8", newline="\n") as fh:

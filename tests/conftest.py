@@ -5,7 +5,7 @@ import threading
 import numpy as np
 import pytest
 
-from revivals import FockSpace, lindblad, runner
+from revivals import FockSpace, fanout
 
 OMEGA0 = 0.15 * math.pi / 2  # 0.23561944901923448
 ALPHA = -1.9
@@ -34,7 +34,8 @@ def random_hermitian(rng, dim):
     return 0.5 * (x + x.conj().T)
 
 
-# forked children: shared by the tests of the CSV write and of the scan
+# forked children: shared by the tests of the fork helper, the CSV write, the
+# scan and the sweep
 
 @pytest.fixture
 def forks(monkeypatch):
@@ -93,6 +94,6 @@ def blas_log(monkeypatch, tmp_path):
         count[0] = n
 
     libs = ((lambda: count[0], put),)
-    for module in (lindblad, runner):
-        monkeypatch.setattr(module, "openblas_threads", lambda: libs)
+    # every module's one_blas_thread is fanout's, which looks the name up there
+    monkeypatch.setattr(fanout, "openblas_threads", lambda: libs)
     return log

@@ -1,18 +1,15 @@
 import math
 import os
 import re
-import signal
-import subprocess
 import sys
 import threading
 import warnings
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-import revivals
 from revivals import (DampingSpec, DensityMatrix, DimensionError, DimensionMismatch,
                       DomainError, FockSpace, StabilityError, TruncationError,
                       build_hamiltonian, build_liouvillian, coherent_state,
@@ -23,8 +20,7 @@ from revivals.config import load_preset
 from revivals.lindblad import (BLOCK_STEPS, CHUNK_BLOCKS, TOP_LEVEL_TOLERANCE,
                                TRACE_TOLERANCE, Trajectory, _band_products, _deal_bands,
                                _rk4_step, default_dt, expect_a_raw,
-                               expect_n_raw, to_bands, unvectorize, usable_cpus,
-                               vectorize)
+                               expect_n_raw, to_bands, unvectorize, vectorize)
 from revivals.runner import evolve, resolve
 
 from conftest import ALPHA, B1, B2, OMEGA0, random_density, random_hermitian
@@ -463,9 +459,9 @@ def test_gates_fail_on_nan(column, error):
 
 
 def test_rk4_runs_on_one_blas_thread(monkeypatch):
-    from revivals import lindblad
+    from revivals import fanout, lindblad
 
-    libs = lindblad.openblas_threads()
+    libs = fanout.openblas_threads()
     if not libs:
         pytest.skip("no OpenBLAS loaded in this process")
     inside = []
@@ -488,20 +484,6 @@ def test_rk4_runs_on_one_blas_thread(monkeypatch):
             put(n)
     assert inside == [[1] * len(libs)]
     assert after == [2] * len(libs)
-
-
-def test_one_blas_thread_makes_no_set_call_at_one(blas_log):
-    # a set call, even of 1, restarts the BLAS pool that a fork shut down
-    from revivals import lindblad
-
-    (get, put), = lindblad.openblas_threads()
-    with lindblad.one_blas_thread():
-        assert get() == 1
-        with lindblad.one_blas_thread():
-            pass
-    assert get() == 2
-    pid = os.getpid()
-    assert blas_log.read_text().splitlines() == [f"{pid} set 1", f"{pid} set 2"]
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf], ids=["nan", "inf"])
@@ -614,12 +596,6 @@ def test_band_groups_deal_every_band_once(d, ngroups):
         assert np.array_equal(y, p.m @ x)
 
 
-def test_band_threads_is_one_in_worker_processes():
-    # the sweep's process pool already spreads its workers over the cores
-    with ProcessPoolExecutor(1) as pool:
-        assert pool.submit(usable_cpus).result(timeout=60) == 1
-
-
 def test_failed_damped_run_joins_its_threads(monkeypatch):
     # four CPUs, so that the pool starts threads on any host
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
@@ -640,36 +616,3 @@ def test_failed_damped_run_joins_its_threads(monkeypatch):
     # a pool kept from an earlier call would already be counted in before
     assert not [t for t in threading.enumerate()
                 if t.name.startswith("ThreadPoolExecutor")]
-
-
-def test_forked_sweep_after_dense_run_does_not_hang(tmp_path):
-    # Every run, in the sweep's forked workers too, uses the band pool. A
-    # pool that outlived rk4_evolve would be inherited there without its
-    # threads, and the workers would wait on it forever.
-    script = f"""
-from revivals import (DampingSpec, FockSpace, build_hamiltonian, build_liouvillian,
-                      coherent_state, density_from_pure, lindblad, rk4_evolve)
-from revivals.config import config_from_dict
-from revivals.runner import run_sweep
-
-lindblad.usable_cpus = lambda: 4
-h = build_hamiltonian(FockSpace(30), {OMEGA0!r}, {B1!r}, 2)
-L = build_liouvillian(h, DampingSpec(gamma=1e-3))
-rk4_evolve(L, density_from_pure(coherent_state(L.space, {ALPHA!r})), 60.0, dt=0.05)
-cfg = config_from_dict(dict(dim=30, omega0={OMEGA0!r}, alpha_re={ALPHA!r}, alpha_im=0.0,
-                            nonlinearity_order=2, b={B1!r}, gamma=1e-3, t_final=50.0,
-                            dt=0.05))
-run_sweep(cfg, "gamma", [1e-3, 2e-3], parallel=2, out_dir={str(tmp_path)!r})
-"""
-    src = os.path.dirname(os.path.dirname(revivals.__file__))
-    # its own session, so that a hung child and its workers can all be killed
-    child = subprocess.Popen([sys.executable, "-c", script], text=True,
-                             env={**os.environ, "PYTHONPATH": src},
-                             stderr=subprocess.PIPE, start_new_session=True)
-    try:
-        _, err = child.communicate(timeout=120)
-    except subprocess.TimeoutExpired:
-        os.killpg(child.pid, signal.SIGKILL)
-        child.communicate()
-        pytest.fail("sweep after a dense run hung for 120 s")
-    assert child.returncode == 0, err

@@ -1,6 +1,5 @@
 import json
 import math
-import multiprocessing
 import os
 import subprocess
 import sys
@@ -9,9 +8,9 @@ import threading
 import numpy as np
 import pytest
 
-from revivals import ConfigError, ExperimentConfig, cli, runner
+from revivals import ConfigError, DomainError, ExperimentConfig, cli, fanout, runner
 from revivals.cli import EXIT_CONFIG, EXIT_OUTPUT, main
-from revivals.config import config_from_dict
+from revivals.config import config_from_dict, load_preset
 from revivals.lindblad import Trajectory
 from revivals.runner import (CSV_CHUNK_ROWS, CSV_HEADER, SWEEP_HEADER, run_experiment,
                              run_sweep, write_csv)
@@ -90,30 +89,55 @@ def test_sweep_parallel_matches_serial(tmp_path):
             == parallel.csv_path.read_text().splitlines()[1:])
 
 
-@pytest.mark.parametrize("parallel, started", [(64, [3]), (2, [2]), (1, [])])
-def test_sweep_starts_at_most_one_worker_per_point(tmp_path, monkeypatch, parallel, started):
-    workers = []
+@needs_fork
+@pytest.mark.parametrize("parallel", [1, 2, 64])
+@pytest.mark.parametrize("cpus", [1, 2, 8])
+def test_sweep_forks_at_most_one_slice_per_point_and_cpu(tmp_path, monkeypatch, forks,
+                                                          cpus, parallel):
+    cfg, values = small_config(b=0.005, t_final=20.0), [0.0, 1e-3, 2e-3]
+    serial = run_sweep(cfg, "gamma", values, name="s", out_dir=tmp_path)
+    set_cpus(monkeypatch, cpus)
+    sweep = run_sweep(cfg, "gamma", values, parallel=parallel, name="w", out_dir=tmp_path)
+    # the caller runs slice 1; every other slice is a child
+    assert len(forks) == min(parallel, cpus, len(values)) - 1
+    no_child_left()
+    # repr, since a row's nan is not equal to itself
+    assert repr(sweep.rows) == repr(serial.rows)
 
-    class SerialPool:
-        """Records max_workers and maps in this process; starts no process."""
 
-        def __init__(self, max_workers, initializer=None):
-            workers.append(max_workers)
+@needs_fork
+def test_sweep_slices_see_one_cpu(tmp_path, monkeypatch, forks):
+    # the slices fill the cores, so no point's damped run starts band threads
+    set_cpus(monkeypatch, 4)
+    point = runner._sweep_point
 
-        def __enter__(self):
-            return self
+    def seen(job):
+        row, timing = point(job)
+        return {**row, "pid": os.getpid(), "cpus": fanout.usable_cpus()}, timing
 
-        def __exit__(self, *exc):
-            return False
+    monkeypatch.setattr(runner, "_sweep_point", seen)
+    cfg, values = small_config(b=0.005, t_final=20.0), [0.0, 1e-3]
+    sweep = run_sweep(cfg, "gamma", values, parallel=2, name="w", out_dir=tmp_path)
+    assert [(r["pid"] == os.getpid(), r["cpus"]) for r in sweep.rows] == [(True, 1),
+                                                                         (False, 1)]
+    assert fanout.usable_cpus() == 4
+    children_exit_at_once(monkeypatch, 3)
+    with pytest.raises(OSError):
+        run_sweep(cfg, "gamma", values, parallel=2, name="x", out_dir=tmp_path)
+    assert fanout.usable_cpus() == 4
 
-        def map(self, fn, jobs):
-            return map(fn, jobs)
 
-    monkeypatch.setattr(runner, "ProcessPoolExecutor", SerialPool)
-    sweep = run_sweep(small_config(b=0.005, t_final=20.0), "gamma", [0.0, 1e-3, 2e-3],
-                      parallel=parallel, name="w", out_dir=tmp_path)
-    assert workers == started
-    assert len(sweep.rows) == 3
+@needs_fork
+@pytest.mark.parametrize("parallel", [1, 2])
+def test_sweep_raises_the_first_failing_point(tmp_path, monkeypatch, forks, parallel):
+    # the predicted columns run outside a point's own failure handling; with
+    # two slices, 1e308 fails in the child and 1e307 after it in the caller
+    set_cpus(monkeypatch, 2)
+    with pytest.raises(DomainError, match=r"b=1e\+308"):
+        run_sweep(small_config(), "b", [0.005, 1e308, 1e307], parallel=parallel,
+                  name="f", out_dir=tmp_path)
+    assert len(forks) == parallel - 1
+    assert not (tmp_path / "f.csv").exists()
 
 
 @pytest.mark.parametrize("parallel", [0, -1])
@@ -172,12 +196,12 @@ def test_sweep_manifest_rows_time_their_stages(tmp_path):
     assert sweep.csv_path.read_text().splitlines()[0] == SWEEP_HEADER
 
 
-@pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
-                    reason="workers are not forked")
-def test_forked_sweep_workers_make_no_blas_set_call(tmp_path, blas_log):
+@needs_fork
+def test_forked_sweep_workers_make_no_blas_set_call(tmp_path, monkeypatch, blas_log):
+    set_cpus(monkeypatch, 2)
     run_sweep(small_config(b=0.005, t_final=20.0), "gamma", [0.0, 1e-3], parallel=2,
               name="w", out_dir=tmp_path)
-    # only the sweep's own hold of one thread, around the pool
+    # only the sweep's own hold of one thread, around its forks
     pid = os.getpid()
     assert blas_log.read_text().splitlines() == [f"{pid} set 1", f"{pid} set 2"]
 
@@ -518,6 +542,20 @@ def test_failing_csv_child_exits_with_output_error(tmp_path, monkeypatch, capsys
 
 
 @needs_fork
+def test_failing_sweep_slice_exits_with_output_error(tmp_path, monkeypatch, capsys):
+    set_cpus(monkeypatch, 2)
+    children_exit_at_once(monkeypatch, 1)
+    path = write_config(tmp_path)
+    out = tmp_path / "out"
+    assert main(["sweep", str(path), "--axis", "gamma", "--values", "0,1e-3",
+                 "--parallel", "2", "--name", "s", "--out-dir", str(out)]) == EXIT_OUTPUT
+    assert capsys.readouterr().err == ("error: OSError: sweep of gamma: the processes "
+                                       "running slices 2..2 exited with status [1]\n")
+    assert not (out / "s.csv").exists()
+    no_child_left()
+
+
+@needs_fork
 def test_write_csv_does_not_fork_beside_another_thread(tmp_path, rng, monkeypatch, forks):
     set_cpus(monkeypatch, 4)
     traj = random_trajectory(rng, 3000)
@@ -568,3 +606,20 @@ assert not [w for w in seen if issubclass(w.category, DeprecationWarning)], seen
                           env=env, timeout=120)
     assert done.returncode == 0, done.stderr
     assert (tmp_path / "d12.csv").exists()
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("b,message", [
+    (1e6, "1.45283e+13 steps to t_final=268.1: cannot allocate"),
+    (1e300, "1.45283e+307 steps to t_final=268.1: cannot allocate"),
+    (1e308, "energy ladder overflows at b=1e+308, dim=44"),
+], ids=["1e6", "1e300", "1e308"])
+def test_cli_run_huge_b_is_a_domain_error(tmp_path, capsys, b, message):
+    # fig8 with b too large for its step records, or for its energy ladder
+    config = {**load_preset("fig8").config.to_dict(), "b": b}
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(config))
+    assert main(["run", str(path), "--out-dir", str(tmp_path)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: DomainError: {message}")
+    assert err.count("\n") == 1 and "Traceback" not in err
