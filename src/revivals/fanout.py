@@ -1,8 +1,10 @@
 """Work spread over forked processes, and the BLAS thread count it runs on.
 
-``runner.write_csv`` formats a CSV's rows in slices of forked children
-(``fork_slices``, ``fork_slice``, ``forked_children``); ``run_slices`` runs
-the points of a scan or a sweep that way.
+Four users: ``runner.write_csv`` formats a CSV's rows in slices of forked
+children, and a damped ``lindblad.rk4_evolve`` propagates its largest
+bands in one forked band child, both through ``fork_slices``,
+``fork_slice`` and ``forked_children``; ``run_slices`` runs the points of
+the nonlinearity scan and of a sweep that way.
 """
 
 from __future__ import annotations
@@ -45,11 +47,13 @@ def fork_slices() -> int:
 def fork_slice(produce: Callable[[], Iterable[bytes]]) -> tuple[int, BinaryIO]:
     """Start a child that sends the bytes of ``produce()`` through a pipe.
 
-    The child makes all of them before it writes, so that a full pipe cannot
-    hold it back while the parent works on its own slice, and always leaves
-    with ``os._exit`` (no exit handlers, no inherited buffers flushed twice),
-    with status 0 only when every byte is sent. Returns the child's pid and
-    the pipe's read end, for the list of ``forked_children``.
+    The child writes each piece as ``produce()`` yields it, so the parent
+    can read the first while the child makes the next; a full pipe holds
+    the child back until the parent reads. A producer that must not wait on
+    the parent returns a list. The child always leaves with ``os._exit`` (no
+    exit handlers, no inherited buffers flushed twice), with status 0 only
+    when every byte is sent. Returns the child's pid and the pipe's read
+    end, for the list of ``forked_children``.
     """
     r, w = os.pipe()
     pid = os.fork()
@@ -57,9 +61,10 @@ def fork_slice(produce: Callable[[], Iterable[bytes]]) -> tuple[int, BinaryIO]:
         status = 1
         try:
             os.close(r)
-            data = list(produce())
             with open(w, "wb") as pipe:
-                pipe.writelines(data)
+                for piece in produce():
+                    pipe.write(piece)
+                    pipe.flush()
             status = 0
         finally:
             os._exit(status)

@@ -23,37 +23,38 @@ Two propagators share one generator:
   differs. The final state's upper triangle is the conjugate of its lower
   bands, so it is Hermitian by construction.
 
-  The damped (dense) path uses one thread per usable CPU
-  (``fanout.usable_cpus``). Before it yields a block, it starts the band
-  products of the next block on the pool's threads; they write the other
-  pair of blocks while the calling thread reads this block's observables
-  and the consumer checks the gates. When the consumer draws the next
-  block, the calling thread joins in. Every thread takes bands, largest
-  first, from one shared iterator, so a band goes to whichever thread comes
-  free. Every product still runs on one OpenBLAS thread, so the bytes of
-  each band do not depend on the thread count. The first block, the
-  observables, the gates and the undamped (diagonal) path run on the
-  calling thread.
+  The damped (dense) path splits the bands between two processes: one
+  forked band child propagates the largest complex bands, 1..k-1, and
+  sends <a> and its part of the purity sum per block through a pipe; the
+  calling process propagates band 0 and bands k..D-1, continues the purity
+  sum and checks the gates. Small BLAS products on threads of one process
+  contend for the GIL, so the band child is a process, and it works ahead
+  of the caller while the pipe holds its blocks. A run of one block, or
+  one where ``fanout.fork_slices()`` allows a single process, draws the
+  child's records from the same generator in the calling process. Every
+  product runs on one OpenBLAS thread, and the child's part of the purity
+  sum is continued in the order of one sum over all rows, so the bytes do
+  not depend on the split or on the fork. The module starts no threads.
 * ``expm_propagate`` - dense exponential of the D^2 x D^2 superoperator,
   restricted to small dimensions. It exists to cross-check the RK4 path.
 
-This module holds the propagator only; work spread over processes, and
-the BLAS thread count, live in ``fanout``.
+This module holds the propagator only; the fork helper, and the BLAS
+thread count, live in ``fanout``.
 
 The superoperator uses column-major vectorization: vec(A X B) = (B^T kron A) vec(X).
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import (DimensionError, DimensionMismatch, DomainError,
                      StabilityError, TruncationError)
-from .fanout import one_blas_thread, usable_cpus
+from .fanout import fork_slice, fork_slices, forked_children, one_blas_thread
 from .fock import DensityMatrix, FockSpace
 from .hamiltonian import DiagonalHamiltonian, classical_period
 
@@ -69,6 +70,10 @@ BLOCK_STEPS = 128
 
 #: Full blocks whose observables one pass of the undamped block loop computes.
 CHUNK_BLOCKS = 32
+
+#: Share of the damped band products' cost, (D - q)^2 for band q, that the
+#: band child of ``_dense_blocks`` takes; the bytes do not depend on it.
+BAND_CHILD_SHARE = 0.7
 
 
 @dataclass(frozen=True)
@@ -272,67 +277,42 @@ def _first_failure(times: np.ndarray, trace: np.ndarray, purity: np.ndarray,
                           f"t={times[i]:.6g}; reduce dt")
 
 
-def _band_products(jobs) -> None:
-    """y = p @ x for each (p, x, y) drawn from jobs, under the block loop's errstate.
-
-    Several threads may draw from one list iterator: its next() runs under
-    the GIL, so each job goes to exactly one of them. ``np.errstate`` does
-    not carry over into pool threads, so it is set here.
-    """
-    with np.errstate(over="ignore", invalid="ignore"):
-        for p, x, y in jobs:
-            np.matmul(p, x, out=y)
-
-
-def _deal_bands(jobs: list, pool: ThreadPoolExecutor, threads: int):
-    """Start the products of jobs on ``threads - 1`` tasks of pool; return join.
-
-    All draw from one iterator over jobs, so each job goes to whichever
-    thread comes free. join() has the calling thread draw what is left, then
-    waits for the tasks.
-    """
-    todo = iter(jobs)
-    futures = [pool.submit(_band_products, todo) for _ in range(threads - 1)]
-
-    def join() -> None:
-        _band_products(todo)
-        for f in futures:
-            f.result()
-    return join
-
-
 # Both block generators below yield pieces of consecutive samples: the dense
 # one a block of up to BLOCK_STEPS samples, the diagonal one a chunk of up to
 # CHUNK_BLOCKS full blocks, or a run's last partial block alone. Each piece is
 # the arrays <a>, <n>, trace, purity and top-level population, and last(): the
 # bands (band 0, bands 1..D-1 stacked) of the piece's last sample, formed only
 # when called (in every block, that cost the undamped scan 4-9%) and valid
-# until the next piece is drawn.
+# until the next piece is drawn. The dense generator's last() works in a
+# run's last block only, the one that reads the band child's last column.
 
 
-def _dense_blocks(gens: list[np.ndarray], x0: list[np.ndarray], dt: float,
-                  nsamples: int, pool: ThreadPoolExecutor, threads: int):
-    """Blocks as matrix products of the band states with powers of R_q.
+def _band_split(d: int) -> int:
+    """k such that the band child propagates bands 1..k-1, 2 <= k <= D.
 
-    Before a block is yielded, ``threads - 1`` tasks on ``pool`` start the
-    next block's band products; the calling thread joins them when the
-    consumer draws that block.
+    The child takes the largest complex bands, band 1 first, until their
+    share of the summed (D - q)^2 reaches BAND_CHILD_SHARE.
     """
-    d = len(gens)
+    cost = (d - np.arange(d)) ** 2
+    share = np.cumsum(cost[1:]) / cost.sum()  # share[i]: bands 1..i+1
+    return min(d, 2 + int(np.searchsorted(share, BAND_CHILD_SHARE)))
+
+
+def _band_states(gens: list[np.ndarray], x0: list[np.ndarray], dt: float,
+                 nblocks: int, dtype: type):
+    """Blocks of BLOCK_STEPS samples of some bands, stacked row-wise in one array.
+
+    The first block comes by doubling: columns [w, 2w) are R_q^w applied to
+    [0, w). Each later block is R_q^B times the one before. Two arrays take
+    the blocks in turn, so a yielded block is valid until the next but one
+    is drawn.
+    """
     nb = BLOCK_STEPS
-    # Band 0 lives in a real (D, B) block, bands 1..D-1 stacked row-wise in
-    # one complex block, band 1 first; a second pair of blocks takes the
-    # next B samples.
-    rows = np.concatenate(([0], np.cumsum(np.arange(d - 1, 0, -1))))
-
-    def blocks() -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
-        diag, off = np.empty((d, nb)), np.empty((rows[-1], nb), dtype=complex)
-        return diag, off, [diag] + [off[rows[q - 1]:rows[q]] for q in range(1, d)]
-
-    cur, nxt = blocks(), blocks()
-    # first block by doubling: columns [w, 2w) are R^w applied to [0, w)
+    rows = np.cumsum([0] + [len(x) for x in x0])
+    buffers = [np.empty((rows[-1], nb), dtype=dtype) for _ in range(2)]
+    bands = [[b[lo:hi] for lo, hi in zip(rows[:-1], rows[1:])] for b in buffers]
     powers = []
-    for x, xq, m in zip(cur[2], x0, gens):
+    for x, xq, m in zip(bands[0], x0, gens):
         x[:, 0] = xq
         p = _rk4_step(m, dt)
         width = 1
@@ -341,28 +321,87 @@ def _dense_blocks(gens: list[np.ndarray], x0: list[np.ndarray], dt: float,
             p = p @ p
             width *= 2
         powers.append(p)  # R^B
-    sqrt_n = np.sqrt(np.arange(1.0, d))
-    levels = np.arange(float(d))
-    # the products from cur to nxt, then those back, in turn; band q has
-    # D - q rows, so the bands go largest first
-    jobs = [[(powers[q], src[2][q], dst[2][q]) for q in range(d)]
-            for src, dst in ((cur, nxt), (nxt, cur))]
+    yield buffers[0]
+    for i in range(1, nblocks):
+        for p, x, y in zip(powers, bands[(i - 1) % 2], bands[i % 2]):
+            np.matmul(p, x, out=y)
+        yield buffers[i % 2]
 
-    for k0 in range(0, nsamples, nb):
+
+def _band_child(gens: list[np.ndarray], x0: list[np.ndarray], dt: float, nsamples: int):
+    """The band child's part of a damped run, bands 1..k-1, as bytes.
+
+    Per block: <a> from band 1, then the purity sums of the float view of
+    these bands' rows (re^2 and im^2 per sample, summed over the rows).
+    After the last block: the last column of these bands.
+    """
+    d = len(x0[0]) + 1  # band 1 has D - 1 entries
+    nb = BLOCK_STEPS
+    sqrt_n = np.sqrt(np.arange(1.0, d))
+    states = _band_states(gens, x0, dt, -(-nsamples // nb), complex)
+    for k0, off in zip(range(0, nsamples, nb), states):
         count = min(nb, nsamples - k0)
-        more = k0 + nb < nsamples
-        if more:
-            # they write nxt while the observables below read cur
-            join = _deal_bands(jobs[0], pool, threads)
-        pop, off = cur[0][:, :count], cur[1][:, :count]
-        sq = np.einsum("ij,ij->j", off.view(np.float64), off.view(np.float64))
-        yield (sqrt_n @ off[:d - 1], levels @ pop, pop.sum(axis=0),
-               np.einsum("ij,ij->j", pop, pop) + 2.0 * (sq[0::2] + sq[1::2]),
-               pop[-1], lambda: (pop[:, -1], off[:, -1]))
-        if more:
-            join()
-            jobs.reverse()
-            cur, nxt = nxt, cur
+        v = off[:, :count].view(np.float64)
+        yield (sqrt_n @ off[:d - 1, :count]).tobytes() + np.einsum("ij,ij->j", v, v).tobytes()
+    yield off[:, count - 1].tobytes()
+
+
+def _dense_blocks(gens: list[np.ndarray], x0: list[np.ndarray], dt: float, nsamples: int):
+    """Blocks as matrix products of the band states with powers of R_q.
+
+    The band child (``_band_child``) propagates bands 1..k-1 (``_band_split``);
+    the caller propagates band 0 and bands k..D-1 and reads the child's
+    record of each block. Where ``fanout.fork_slices()`` allows more than one
+    process and the run has more than one block, the child runs in a forked
+    process (``fanout.fork_slice``) and works ahead while the pipe holds its
+    records; otherwise the caller draws them from the same generator. The
+    caller continues the child's purity sums row by row over its own rows,
+    as the einsum over all rows adds them, so the bytes do not depend on k
+    or on the fork.
+    """
+    d = len(gens)
+    nb = BLOCK_STEPS
+    nblocks = -(-nsamples // nb)
+    k = _band_split(d)
+    split = sum(len(x) for x in x0[1:k])  # rows of bands 1..k-1
+    child = _band_child(gens[1:k], x0[1:k], dt, nsamples)
+    pops = _band_states(gens[:1], x0[:1], dt, nblocks, float)
+    owns = _band_states(gens[k:], x0[k:], dt, nblocks, complex)
+    levels = np.arange(float(d))
+    # row 0 takes the child's sums, the others the squares of own rows
+    squares = np.empty((1 + sum(len(x) for x in x0[k:]), 2 * nb))
+    what = f"the band child propagating bands 1..{k - 1}"
+    tail = None
+
+    def last():
+        return pop[:, -1], np.concatenate([tail, own[:, -1]])
+
+    with contextlib.ExitStack() as stack:
+        if nblocks > 1 and fork_slices() > 1:
+            children = stack.enter_context(forked_children(what))
+            children.append(fork_slice(lambda: child))
+            recv = children[0][1].read
+        else:
+            recv = lambda n: next(child)
+
+        def exactly(n: int) -> bytes:
+            data = recv(n)
+            if len(data) != n:
+                raise OSError(f"{what} sent {len(data)} of {n} bytes")
+            return data
+
+        for k0, pop, own in zip(range(0, nsamples, nb), pops, owns):
+            count = min(nb, nsamples - k0)
+            record = exactly(32 * count)
+            pop, own, sq = pop[:, :count], own[:, :count], squares[:, :2 * count]
+            sq[0] = np.frombuffer(record, np.float64, offset=16 * count)
+            np.square(own.view(np.float64), out=sq[1:])
+            sq = np.add.reduce(sq, axis=0)
+            if k0 + nb >= nsamples:
+                tail = np.frombuffer(exactly(16 * split), complex)
+            yield (np.frombuffer(record, complex, count), levels @ pop, pop.sum(axis=0),
+                   np.einsum("ij,ij->j", pop, pop) + 2.0 * (sq[0::2] + sq[1::2]),
+                   pop[-1], last)
 
 
 def _diagonal_blocks(gens: list[np.ndarray], x0: list[np.ndarray], dt: float,
@@ -428,11 +467,11 @@ def rk4_evolve(L: Liouvillian, rho0: DensityMatrix, t_final: float,
     Observables are recorded every step, the full state only at the last
     one (``Trajectory.final``). The trace is monitored, never renormalized.
     Every band product runs on one OpenBLAS thread (``one_blas_thread``).
-    With damping, the products of independent bands run side by side on a
-    thread pool that lives for this call, one thread per usable CPU
-    (``usable_cpus``). The next block's products overlap this block's
-    observables and gates. The result does not depend on the thread count.
-    Undamped runs use the calling thread only.
+    With damping and more than one block of samples, the largest bands run
+    in one forked band child where ``fanout.fork_slices()`` allows it (see
+    ``_dense_blocks``), which is killed and reaped before this returns or
+    raises. The result does not depend on the fork. Undamped runs, and the
+    rest, use the calling process only; no thread is started.
 
     Raises StabilityError when the trace drifts by more than
     TRACE_TOLERANCE or when the purity leaves (0, 1 + TRACE_TOLERANCE];
@@ -470,29 +509,24 @@ def rk4_evolve(L: Liouvillian, rho0: DensityMatrix, t_final: float,
     top_limit = float(rho0.matrix[-1, -1].real) + TOP_LEVEL_TOLERANCE
 
     # Past a failing sample the values may overflow; the gates report it.
-    # The pool starts its threads on first use and joins them on leaving
-    # this block, also on a gate's raise (the products under way when it
-    # raises run to their end), so none outlives the call: a pool kept
-    # across calls would be inherited, threadless, by forked children, and a
-    # live thread would stop ``runner.write_csv`` from forking.
-    threads = usable_cpus()
-    with np.errstate(over="ignore", invalid="ignore"), one_blas_thread(), \
-            ThreadPoolExecutor(max(1, threads - 1)) as pool:
+    # Closing the blocks on a gate's raise kills and reaps the band child.
+    with np.errstate(over="ignore", invalid="ignore"), one_blas_thread():
         gens = L.band_generators()
         x0 = to_bands(np.asarray(rho0.matrix))
         # without jump terms (gamma = 0) every M_q is diagonal
         if all(np.count_nonzero(m) == np.count_nonzero(np.diagonal(m)) for m in gens):
             blocks = _diagonal_blocks(gens, x0, dt, nsamples)
         else:
-            blocks = _dense_blocks(gens, x0, dt, nsamples, pool, threads)
+            blocks = _dense_blocks(gens, x0, dt, nsamples)
         k0 = 0
-        for a, n, tr, pur, top, last in blocks:
-            blk = slice(k0, k0 + len(a))
-            a_rec[blk], n_rec[blk], tr_rec[blk], pur_rec[blk] = a, n, tr, pur
-            failure = _first_failure(times[blk], tr, pur, top, top_limit)
-            if failure is not None:
-                raise failure
-            k0 += len(a)
+        with contextlib.closing(blocks):
+            for a, n, tr, pur, top, last in blocks:
+                blk = slice(k0, k0 + len(a))
+                a_rec[blk], n_rec[blk], tr_rec[blk], pur_rec[blk] = a, n, tr, pur
+                failure = _first_failure(times[blk], tr, pur, top, top_limit)
+                if failure is not None:
+                    raise failure
+                k0 += len(a)
         pop, off = last()
 
     d = L.space.dim

@@ -152,9 +152,11 @@ def write_csv(path: Path, traj: Trajectory) -> None:
     try:
         with fh, forked_children(f"{path.name}: the processes formatting CSV "
                                  f"slices 2..{n}") as children:
+            # a list, so that each child formats its whole slice while the
+            # parent formats the first, not waiting on a pipe read only after
             for lo, hi in zip(bounds[1:-1], bounds[2:]):
                 children.append(fork_slice(
-                    lambda lo=lo, hi=hi: map(str.encode, formatted(starts[lo:hi]))))
+                    lambda lo=lo, hi=hi: [t.encode() for t in formatted(starts[lo:hi])]))
             fh.write((CSV_HEADER + "\n").encode())
             for text in formatted(starts[:bounds[1]]):
                 fh.write(text.encode())

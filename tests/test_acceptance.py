@@ -11,7 +11,6 @@ import time
 from contextlib import contextmanager
 
 import numpy as np
-import pytest
 
 from revivals import (Classification, ClassifierThresholds, DampingSpec,
                       DensityMatrix, FockSpace, build_hamiltonian,
@@ -19,9 +18,8 @@ from revivals import (Classification, ClassifierThresholds, DampingSpec,
                       default_n0, density_from_pure, detect_revivals,
                       detect_super_revival, diagonal_h_fock_sum_expect_a,
                       displaced_number_state, expm_propagate, extract_envelope,
-                      first_revival_peak, kerr_expect_a_closed_form, log_grid,
-                      modulus_revival_period, rk4_evolve, scan_nonlinearity,
-                      timescales_closed_form)
+                      kerr_expect_a_closed_form, log_grid, rk4_evolve,
+                      scan_nonlinearity, timescales_closed_form)
 from revivals.config import load_preset
 from revivals.runner import run_sweep
 

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from revivals import ConfigError, ExperimentConfig, config_from_json
+from revivals import ConfigError, config_from_json
 from revivals.config import (PRESET_PANELS, expand_preset, load_preset,
                              preset_names)
 

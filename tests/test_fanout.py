@@ -32,16 +32,17 @@ def test_band_threads_is_one_in_worker_processes():
 
 
 def test_forked_sweep_after_dense_run_does_not_hang(tmp_path):
-    # Every run, in the sweep's forked workers too, uses the band pool. A
-    # pool that outlived rk4_evolve would be inherited there without its
-    # threads, and the workers would wait on it forever.
+    # The dense run forks a band child, the sweep a slice. Neither may
+    # outlive its call: the sweep after the dense run finishes, and the
+    # script ends with no child left.
     script = f"""
+import os
 from revivals import (DampingSpec, FockSpace, build_hamiltonian, build_liouvillian,
-                      coherent_state, density_from_pure, lindblad, rk4_evolve)
+                      coherent_state, density_from_pure, rk4_evolve)
 from revivals.config import config_from_dict
 from revivals.runner import run_sweep
 
-lindblad.usable_cpus = lambda: 4
+os.sched_getaffinity = lambda pid: {{0, 1, 2, 3}}
 h = build_hamiltonian(FockSpace(30), {OMEGA0!r}, {B1!r}, 2)
 L = build_liouvillian(h, DampingSpec(gamma=1e-3))
 rk4_evolve(L, density_from_pure(coherent_state(L.space, {ALPHA!r})), 60.0, dt=0.05)
@@ -49,6 +50,12 @@ cfg = config_from_dict(dict(dim=30, omega0={OMEGA0!r}, alpha_re={ALPHA!r}, alpha
                             nonlinearity_order=2, b={B1!r}, gamma=1e-3, t_final=50.0,
                             dt=0.05))
 run_sweep(cfg, "gamma", [1e-3, 2e-3], parallel=2, out_dir={str(tmp_path)!r})
+try:
+    os.waitpid(-1, os.WNOHANG)
+except ChildProcessError:
+    pass
+else:
+    raise SystemExit("a child is left")
 """
     src = os.path.dirname(os.path.dirname(revivals.__file__))
     # its own session, so that a hung child and its workers can all be killed

@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from revivals import (DomainError, FockSpace, Timescales, build_hamiltonian,
-                      default_n0, modulus_revival_period, timescales_closed_form)
+from revivals import (DomainError, Timescales, build_hamiltonian, default_n0,
+                      modulus_revival_period, timescales_closed_form)
 from revivals.hamiltonian import classical_period
 
 from conftest import ALPHA, B1, B2, OMEGA0

@@ -1,10 +1,8 @@
 import math
 import os
 import re
-import sys
 import threading
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 import numpy as np
@@ -17,13 +15,15 @@ from revivals import (DampingSpec, DensityMatrix, DimensionError, DimensionMisma
                       displaced_number_state, expm_propagate, fock_state,
                       kerr_expect_a_closed_form, rk4_evolve)
 from revivals.config import load_preset
+from revivals.fanout import run_slices
 from revivals.lindblad import (BLOCK_STEPS, CHUNK_BLOCKS, TOP_LEVEL_TOLERANCE,
-                               TRACE_TOLERANCE, Trajectory, _band_products, _deal_bands,
-                               _rk4_step, default_dt, expect_a_raw,
-                               expect_n_raw, to_bands, unvectorize, vectorize)
+                               TRACE_TOLERANCE, Trajectory, _rk4_step, default_dt,
+                               expect_a_raw, expect_n_raw, to_bands, unvectorize,
+                               vectorize)
 from revivals.runner import evolve, resolve
 
-from conftest import ALPHA, B1, B2, OMEGA0, random_density, random_hermitian
+from conftest import (ALPHA, B1, B2, OMEGA0, children_exit_at_once, needs_fork,
+                      no_child_left, random_density, random_hermitian, set_cpus)
 
 
 def make_liouvillian(dim, b=B1, k=2, gamma=0.0, n_thermal=0.0, full=False):
@@ -283,8 +283,9 @@ def per_block_diagonal_blocks(gens, x0, dt, nsamples):
                (pop[-1] * pop_t[-1, :count]).real, last)
 
 
-def failure_time(excinfo):
-    return re.search(r"t=(\S+?);?\s", str(excinfo.value) + " ").group(1)
+def failure_time(failed):
+    """The time a gate's error names; failed is the error or pytest's ExceptionInfo."""
+    return re.search(r"t=(\S+?);?\s", str(getattr(failed, "value", failed)) + " ").group(1)
 
 
 @pytest.mark.parametrize("gamma,n_thermal,full", [
@@ -530,89 +531,210 @@ def test_dim2_damped_output_does_not_depend_on_thread_count(monkeypatch, rng):
             assert np.array_equal(getattr(one, name), getattr(other, name)), name
 
 
-def test_band_products_ignore_overflow_in_pool_threads():
-    # the block loop's np.errstate does not reach pool threads
-    p = np.full((4, 4), 1e200 + 0j)
-    x = np.full((4, 3), 1e200 + 0j)
-    y = np.empty_like(x)
-    with warnings.catch_warnings(), ThreadPoolExecutor(1) as pool:
-        warnings.simplefilter("error")
-        pool.submit(_band_products, [(p, x, y)]).result()
-    assert not np.isfinite(y).any()
+# ---------------------------------------------------------------------------
+# the band child of the damped path
 
 
-def test_band_products_share_one_iterator_under_contention():
-    # more threads than cores draw from one list iterator with a short switch
-    # interval: every product must be made, each into its own output
-    rng = np.random.default_rng(7)
-    jobs = [(rng.standard_normal((3, 3)), rng.standard_normal((3, 2)), np.full((3, 2), np.nan))
-            for _ in range(4000)]
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        todo = iter(jobs)
-        with ThreadPoolExecutor(8) as pool:
-            futures = [pool.submit(_band_products, todo) for _ in range(8)]
-            _band_products(todo)
-            for f in futures:
-                f.result(timeout=60)
-    finally:
-        sys.setswitchinterval(interval)
-    for p, x, y in jobs:
-        assert np.array_equal(y, p @ x)
+TRAJECTORY_FIELDS = ("times", "a_expect", "n_expect", "trace", "purity", "final")
 
 
-class _LoggedBand:
-    """Band q's matrix; logs (q, thread) when a product with it is made."""
-
-    def __init__(self, q, m, log):
-        self.q, self.m, self.log = q, m, log
-
-    def __array_ufunc__(self, ufunc, method, p, x, **kwargs):
-        self.log.append((self.q, threading.get_ident()))
-        return getattr(ufunc, method)(self.m, x, **kwargs)
+def assert_same_trajectory(got, want):
+    for name in TRAJECTORY_FIELDS:
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
 
 
+def damped_case(d):
+    """A damped cubic ladder at dim d, a random mixed state and the largest step."""
+    L = make_liouvillian(d, b=B2, k=3, gamma=2e-3)
+    return L, _mixed(np.random.default_rng(d), d), 0.1 / L.omega_max()
+
+
+def test_band_split_takes_the_largest_bands_up_to_the_share():
+    from revivals.lindblad import BAND_CHILD_SHARE, _band_split
+
+    for d in range(2, 80):
+        k = _band_split(d)
+        cost = (d - np.arange(d)) ** 2 / np.sum((d - np.arange(d)) ** 2)
+        assert 2 <= k <= d
+        assert cost[1:k - 1].sum() < BAND_CHILD_SHARE
+        assert cost[1:k].sum() >= BAND_CHILD_SHARE or k == d
+
+
+@needs_fork
+@pytest.mark.parametrize("d", [2, 5, 12, 44])
+def test_band_split_does_not_change_the_bytes(monkeypatch, forks, d):
+    # the band child takes bands 1..k-1 for every k, forked and in the
+    # caller's process; at k = d the caller's purity sum has no rows to add
+    from revivals import lindblad
+
+    L, rho0, dt = damped_case(d)
+    t_final = (2 * BLOCK_STEPS + 44) * dt
+    runs = {}
+    for k in range(2, d + 1):
+        monkeypatch.setattr(lindblad, "_band_split", lambda d, k=k: k)
+        for cpus in (1, 2):
+            set_cpus(monkeypatch, cpus)
+            runs[k, cpus] = rk4_evolve(L, rho0, t_final, dt=dt)
+    assert len(forks) == d - 1
+    assert set(forks) == {1}
+    no_child_left()
+    want = runs[d, 1]
+    assert len(want) == 2 * BLOCK_STEPS + 45
+    for got in runs.values():
+        assert_same_trajectory(got, want)
+
+
+@needs_fork
 @pytest.mark.parametrize("ngroups", [1, 2, 3, 8, 100])
 @pytest.mark.parametrize("d", [2, 5, 44, 60])
-def test_band_groups_deal_every_band_once(d, ngroups):
-    # ngroups threads (ngroups - 1 pool tasks and the caller, as in the damped
-    # block loop) share the products of a dim-d state's bands
-    rng = np.random.default_rng(d)
-    log = []
-    jobs = [(_LoggedBand(q, rng.standard_normal((d - q, d - q)), log),
-             rng.standard_normal((d - q, 2)), np.full((d - q, 2), np.nan))
-            for q in range(d)]
-    with ThreadPoolExecutor(max(1, ngroups - 1)) as pool:
-        _deal_bands(jobs, pool, ngroups)()
-    assert sorted(q for q, _ in log) == list(range(d))
-    owners = {t for _, t in log}
-    assert 1 <= len(owners) <= min(ngroups, d)
-    # each thread takes its bands largest first
-    for t in owners:
-        mine = [q for q, u in log if u == t]
-        assert mine == sorted(mine)
-    for p, x, y in jobs:
-        assert np.array_equal(y, p.m @ x)
+def test_band_groups_deal_every_band_once(monkeypatch, forks, d, ngroups):
+    # with ngroups usable CPUs, the caller and at most one band child share
+    # a damped dim-d run's bands: every band comes out as the stage-wise
+    # loop makes it
+    L, rho0, dt = damped_case(d)
+    t_final = 2 * BLOCK_STEPS * dt
+    set_cpus(monkeypatch, ngroups)
+    got = rk4_evolve(L, rho0, t_final, dt=dt)
+    assert len(forks) == (ngroups > 1)
+    no_child_left()
+    want = reference_rk4(L, rho0, t_final, dt)
+    for name in TRAJECTORY_FIELDS[1:]:
+        err = np.abs(getattr(got, name) - getattr(want, name)).max()
+        assert err <= 1e-12, (name, err)
 
 
-def test_failed_damped_run_joins_its_threads(monkeypatch):
-    # four CPUs, so that the pool starts threads on any host
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
-    before = threading.active_count()
-    # fig2b at dim 60 fails in the first block, before the pool is used
+@needs_fork
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_band_child_ignores_overflow(monkeypatch, forks, cpus):
+    # the band products overflow from the first step; the block loop's
+    # np.errstate holds in the band child's process too, so with warnings
+    # as errors the trace gate still names the failure, forked or not
+    L = make_liouvillian(12, gamma=1e-3)
+    huge = [1e200 * m for m in L.band_generators()]
+    monkeypatch.setattr(L, "band_generators", lambda: huge)
+    set_cpus(monkeypatch, cpus)
+    rho0 = density_from_pure(coherent_state(L.space, 0.5))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(StabilityError, match=r"^trace drifted to nan at t=0\.01;"):
+            rk4_evolve(L, rho0, 3 * BLOCK_STEPS * 0.01, dt=0.01)
+    assert len(forks) == cpus - 1
+    no_child_left()
+
+
+@needs_fork
+def test_failed_damped_run_reaps_its_band_child(monkeypatch, forks):
+    set_cpus(monkeypatch, 4)
+    # fig2b at dim 60 fails in the first block
     ctx = resolve(replace(load_preset("fig2b").config, dim=60))
     with pytest.raises(StabilityError) as failed:
         evolve(ctx)
     assert str(failed.value) == ("purity 1.0000409021160646 outside (0, 1] at "
                                  "t=2.62155; reduce dt")
-    # thermal pumping fills the top level in the second block, after it
+    no_child_left()
+    # thermal pumping fills the top level in the second block
     L = make_liouvillian(6, b=0.0, gamma=2e-3, n_thermal=3.0, full=True)
     rho0 = density_from_pure(fock_state(FockSpace(6), 0))
     with pytest.raises(TruncationError) as failed:
         rk4_evolve(L, rho0, 400.0, dt=0.05)
     assert float(failure_time(failed)) > BLOCK_STEPS * 0.05
-    assert threading.active_count() == before
-    # a pool kept from an earlier call would already be counted in before
-    assert not [t for t in threading.enumerate()
-                if t.name.startswith("ThreadPoolExecutor")]
+    assert forks == [1, 1]
+    no_child_left()
+
+
+@needs_fork
+def test_band_child_that_exits_at_once_raises_oserror(monkeypatch):
+    set_cpus(monkeypatch, 2)
+    children_exit_at_once(monkeypatch, 3)
+    from revivals.lindblad import _band_split
+
+    L, rho0, dt = damped_case(12)
+    with pytest.raises(OSError) as failed:
+        rk4_evolve(L, rho0, 300 * dt, dt=dt)
+    assert str(failed.value) == (f"the band child propagating bands 1..{_band_split(12) - 1} "
+                                 f"sent 0 of {32 * BLOCK_STEPS} bytes")
+    no_child_left()
+
+
+@needs_fork
+def test_no_band_child_inside_a_slice_or_beside_a_thread(monkeypatch, forks):
+    set_cpus(monkeypatch, 2)
+    L, rho0, dt = damped_case(12)
+    alone = rk4_evolve(L, rho0, 300 * dt, dt=dt)
+    assert len(forks) == 1
+
+    def run(i):
+        # the band forks of this slice's process, the child's too
+        before = len(forks)
+        traj = rk4_evolve(L, rho0, 300 * dt, dt=dt)
+        return len(forks) - before, traj
+
+    done = run_slices(run, [1.0, 1.0], "two runs")
+    assert len(forks) == 2  # the second slice's child
+    assert [n for n, _ in done] == [0, 0]
+    stop = threading.Event()
+    other = threading.Thread(target=stop.wait)
+    other.start()
+    try:
+        beside = rk4_evolve(L, rho0, 300 * dt, dt=dt)
+    finally:
+        stop.set()
+        other.join(timeout=60)
+    assert not other.is_alive()
+    assert len(forks) == 2
+    no_child_left()
+    for traj in [traj for _, traj in done] + [beside]:
+        assert_same_trajectory(traj, alone)
+
+
+def seeded_case(seed):
+    """Dim 2-10, ladder order 1-3, b over 1e-4..1e-1, a random mixed state,
+    and in turn no damping, gamma over 1e-4..1e-1, a thermal bath and a
+    thermal bath under the full equation; the step count sits at one
+    block edge or at 32 blocks."""
+    rng = np.random.default_rng(seed)
+    kind = seed % 4
+    L = make_liouvillian(int(rng.integers(2, 11)), b=float(10 ** rng.uniform(-4, -1)),
+                         k=int(rng.integers(1, 4)),
+                         gamma=0.0 if kind == 0 else float(10 ** rng.uniform(-4, -1)),
+                         n_thermal=float(rng.uniform(0.5, 10.0)) if kind >= 2 else 0.0,
+                         full=kind == 3)
+    # populations that fall off by a random rate up the ladder, so that a
+    # hot bath under the full equation may overfill the top level
+    w = np.exp(-rng.uniform(0.0, 1.5) * np.arange(L.space.dim))
+    rho = w[:, None] * random_density(rng, L.space.dim) * w[None, :]
+    rho0 = DensityMatrix(L.space, rho / np.trace(rho).real)
+    nsteps = int(rng.choice([127, 128, 129, 4095, 4096, 4097]))
+    dt = float(rng.uniform(0.2, 1.0)) * 0.1 / L.omega_max()
+    return L, rho0, nsteps * dt, dt
+
+
+def outcome(run):
+    try:
+        return run()
+    except (StabilityError, TruncationError) as exc:
+        return exc
+
+
+@needs_fork
+@pytest.mark.parametrize("seed", range(40))
+def test_rk4_matches_stage_loop_on_seeded_configs(monkeypatch, seed):
+    L, rho0, t_final, dt = seeded_case(seed)
+    runs = []
+    for cpus in (2, 1):
+        set_cpus(monkeypatch, cpus)
+        runs.append(outcome(lambda: rk4_evolve(L, rho0, t_final, dt=dt)))
+    want = outcome(lambda: reference_rk4(L, rho0, t_final, dt))
+    if isinstance(want, Exception):
+        # the same gate fails at the same sample
+        for got in runs:
+            assert type(got) is type(want), got
+            assert failure_time(got) == failure_time(want)
+        return
+    forked, in_process = runs
+    assert isinstance(forked, Trajectory) and isinstance(in_process, Trajectory)
+    assert_same_trajectory(forked, in_process)
+    np.testing.assert_array_equal(forked.times, want.times)
+    for name in TRAJECTORY_FIELDS[1:]:
+        err = np.abs(getattr(forked, name) - getattr(want, name)).max()
+        assert err <= 1e-11, (name, err)

@@ -8,10 +8,10 @@ import threading
 import numpy as np
 import pytest
 
-from revivals import ConfigError, DomainError, ExperimentConfig, cli, fanout, runner
+from revivals import ConfigError, DomainError, cli, fanout, runner
 from revivals.cli import EXIT_CONFIG, EXIT_OUTPUT, main
 from revivals.config import config_from_dict, load_preset
-from revivals.lindblad import Trajectory
+from revivals.lindblad import Trajectory, _band_split
 from revivals.runner import (CSV_CHUNK_ROWS, CSV_HEADER, SWEEP_HEADER, run_experiment,
                              run_sweep, write_csv)
 
@@ -95,11 +95,16 @@ def test_sweep_parallel_matches_serial(tmp_path):
 def test_sweep_forks_at_most_one_slice_per_point_and_cpu(tmp_path, monkeypatch, forks,
                                                           cpus, parallel):
     cfg, values = small_config(b=0.005, t_final=20.0), [0.0, 1e-3, 2e-3]
+    set_cpus(monkeypatch, 1)
     serial = run_sweep(cfg, "gamma", values, name="s", out_dir=tmp_path)
+    assert forks == []
     set_cpus(monkeypatch, cpus)
     sweep = run_sweep(cfg, "gamma", values, parallel=parallel, name="w", out_dir=tmp_path)
-    # the caller runs slice 1; every other slice is a child
-    assert len(forks) == min(parallel, cpus, len(values)) - 1
+    # the caller runs slice 1; every other slice is a child. A lone slice
+    # sees every CPU, so each of its two damped runs forks a band child.
+    n = min(parallel, cpus, len(values))
+    assert len(forks) == n - 1 + (2 if n == 1 and cpus > 1 else 0)
+    assert set(forks) <= {1}
     no_child_left()
     # repr, since a row's nan is not equal to itself
     assert repr(sweep.rows) == repr(serial.rows)
@@ -131,12 +136,13 @@ def test_sweep_slices_see_one_cpu(tmp_path, monkeypatch, forks):
 @pytest.mark.parametrize("parallel", [1, 2])
 def test_sweep_raises_the_first_failing_point(tmp_path, monkeypatch, forks, parallel):
     # the predicted columns run outside a point's own failure handling; with
-    # two slices, 1e308 fails in the child and 1e307 after it in the caller
+    # two slices, 1e308 fails in the child and 1e307 after it in the caller.
+    # With one slice, the damped run at b = 0.005 forks a band child.
     set_cpus(monkeypatch, 2)
     with pytest.raises(DomainError, match=r"b=1e\+308"):
         run_sweep(small_config(), "b", [0.005, 1e308, 1e307], parallel=parallel,
                   name="f", out_dir=tmp_path)
-    assert len(forks) == parallel - 1
+    assert forks == [1]
     assert not (tmp_path / "f.csv").exists()
 
 
@@ -535,10 +541,23 @@ def test_failing_csv_child_exits_with_output_error(tmp_path, monkeypatch, capsys
     set_cpus(monkeypatch, 2)
     children_exit_at_once(monkeypatch, 1)
     path = tmp_path / "c.json"
-    path.write_text(small_config().to_json())
+    # undamped, so that the CSV child is the run's only one
+    path.write_text(small_config(gamma=0.0).to_json())
     assert main(["run", str(path), "--out-dir", str(tmp_path)]) == EXIT_OUTPUT
     assert capsys.readouterr().err.startswith("error: OSError: c.csv:")
     assert not (tmp_path / "c.csv").exists()
+
+
+@needs_fork
+def test_failing_band_child_exits_with_output_error(tmp_path, monkeypatch, capsys):
+    set_cpus(monkeypatch, 2)
+    children_exit_at_once(monkeypatch, 1)
+    path = write_config(tmp_path)
+    assert main(["run", str(path), "--out-dir", str(tmp_path)]) == EXIT_OUTPUT
+    assert capsys.readouterr().err == ("error: OSError: the band child propagating bands "
+                                       f"1..{_band_split(30) - 1} sent 0 of 4096 bytes\n")
+    assert not (tmp_path / "cfg.csv").exists()
+    no_child_left()
 
 
 @needs_fork
@@ -575,8 +594,8 @@ def test_write_csv_does_not_fork_beside_another_thread(tmp_path, rng, monkeypatc
 
 @needs_fork
 def test_damped_run_forks_with_no_other_thread_alive(tmp_path):
-    # Python 3.12 warns when a process forks while other threads run, which
-    # flags a band thread still alive at the CSV write. os.fork swallows the
+    # Python 3.12 warns when a process forks while other threads run: at
+    # the band child's fork or the CSV write's. os.fork swallows the
     # warning when it is an error, so the warnings are recorded instead.
     # BLAS is held to one thread, so that only the program's threads count.
     script = f"""
@@ -596,7 +615,7 @@ cfg = config_from_dict(dict(dim=12, omega0={OMEGA0!r}, alpha_re=0.6, alpha_im=0.
 with warnings.catch_warnings(record=True) as seen:
     warnings.simplefilter("always")
     run_experiment(cfg, name="d12", out_dir={str(tmp_path)!r})
-assert alive == [1], alive
+assert alive == [1, 1], alive
 assert not [w for w in seen if issubclass(w.category, DeprecationWarning)], seen
 """
     src = os.path.dirname(os.path.dirname(runner.__file__))
