@@ -31,6 +31,7 @@ from . import __version__
 from .analysis import (ClassifierThresholds, FirstRevival, RevivalReport,
                        detect_revivals, extract_envelope, first_revival_peak)
 from .config import ExperimentConfig
+from .csvtext import format_rows
 from .errors import ConfigError
 from .fanout import fork_slice, fork_slices, forked_children, run_slices
 from .fock import (DensityMatrix, FockSpace, coherent_state, density_from_pure,
@@ -136,14 +137,11 @@ def write_csv(path: Path, traj: Trajectory) -> None:
     """
     data = [traj.times, traj.a_expect.real, traj.a_expect.imag, np.abs(traj.a_expect),
             traj.n_expect, traj.trace, traj.purity]
-    # one %-format per chunk of rows gives the bytes of _fmt per value; the
-    # chunks bound the transient Python floats and strings
-    row = ",".join(["%.17g"] * len(data)) + "\n"
 
     def formatted(starts):
+        # the bytes of _fmt per value; the chunks bound the temporaries
         for k in starts:
-            chunk = np.column_stack([c[k:k + CSV_CHUNK_ROWS] for c in data])
-            yield (row * len(chunk)) % tuple(chunk.ravel().tolist())
+            yield format_rows([c[k:k + CSV_CHUNK_ROWS] for c in data])
 
     starts = range(0, len(traj.times), CSV_CHUNK_ROWS)
     n = max(1, min(fork_slices(), len(starts)))
@@ -155,11 +153,10 @@ def write_csv(path: Path, traj: Trajectory) -> None:
             # a list, so that each child formats its whole slice while the
             # parent formats the first, not waiting on a pipe read only after
             for lo, hi in zip(bounds[1:-1], bounds[2:]):
-                children.append(fork_slice(
-                    lambda lo=lo, hi=hi: [t.encode() for t in formatted(starts[lo:hi])]))
+                children.append(fork_slice(lambda lo=lo, hi=hi: list(formatted(starts[lo:hi]))))
             fh.write((CSV_HEADER + "\n").encode())
             for text in formatted(starts[:bounds[1]]):
-                fh.write(text.encode())
+                fh.write(text)
             for _, pipe in children:
                 shutil.copyfileobj(pipe, fh)
     except BaseException:
@@ -231,6 +228,7 @@ def run_experiment(config: ExperimentConfig, name: str = "run",
     t_analyzed = time.perf_counter()
     csv_path = out / f"{name}.csv"
     write_csv(csv_path, traj)
+    t_csv = time.perf_counter()
     plot_path = out / f"{name}_plot.py"
     write_plot_script(plot_path, name, csv_path.name,
                       config.comment or f"{name}: k={config.nonlinearity_order}, "
@@ -260,12 +258,13 @@ def run_experiment(config: ExperimentConfig, name: str = "run",
                                "amplitude": summary.first_revival.amplitude}),
         },
         "outputs": {"csv": csv_path.name, "plot_script": plot_path.name},
-        # seconds per stage; write_s is the CSV and the plot script, while
-        # the manifest's own write falls in wall_time_s alone
+        # seconds per stage; write_s is the CSV and the plot script, csv_s
+        # the CSV alone, while the manifest's own write falls in wall_time_s
         "timing": {"resolve_s": t_resolved - t_wall,
                    "evolve_s": t_evolved - t_resolved,
                    "analyze_s": t_analyzed - t_evolved,
-                   "write_s": t_written - t_analyzed},
+                   "write_s": t_written - t_analyzed,
+                   "csv_s": t_csv - t_analyzed},
     }, t_wall)
     return RunResult(name=name, trajectory=traj, summary=summary,
                      csv_path=csv_path, manifest_path=manifest_path,
@@ -339,6 +338,9 @@ def run_sweep(base: ExperimentConfig, axis: str, values, parallel: int = 1,
               name: str = "sweep", out_dir: Path | None = None) -> SweepResult:
     """One run per value along axis; emits the summary CSV.
 
+    ``values`` is any iterable of numbers, read once; an empty one raises
+    ConfigError, as do non-integer values on the ``state_n`` axis.
+
     The points run in at most ``parallel`` slices (``fanout.run_slices``);
     the rows do not depend on the slice count. A point's failure lands in its
     row; one outside its run (its predicted columns) is raised and leaves no
@@ -349,12 +351,15 @@ def run_sweep(base: ExperimentConfig, axis: str, values, parallel: int = 1,
         raise ConfigError(f"parallel must be >= 1, got {parallel}")
     if axis not in SWEEP_AXES:
         raise ConfigError(f"sweep axis must be one of {SWEEP_AXES}, got {axis!r}")
-    if axis == "state_n" and not all(float(v).is_integer() for v in values):
-        raise ConfigError(f"state_n sweep values must be integers, got {list(values)}")
+    values = [float(v) for v in values]  # read once: values may be an iterator
+    if not values:
+        raise ConfigError("sweep values must be one or more numbers, got none")
+    if axis == "state_n" and not all(v.is_integer() for v in values):
+        raise ConfigError(f"state_n sweep values must be integers, got {values}")
     base.require_valid()
     out = _out_dir(out_dir)
     t_wall = time.perf_counter()
-    jobs = [(base, axis, float(v)) for v in values]
+    jobs = [(base, axis, v) for v in values]
     # through the module globals, which the benchmark's tracer wraps
     points = run_slices(lambda i: _sweep_point(jobs[i]), [1.0] * len(jobs),
                         f"sweep of {axis}", cap=parallel)
@@ -369,7 +374,7 @@ def run_sweep(base: ExperimentConfig, axis: str, values, parallel: int = 1,
                 _fmt(r["predicted_t_rev"]), _fmt(r["predicted_t_sr"]),
             ]) + "\n")
     manifest_path = _write_manifest(out, name, {
-        "axis": axis, "values": [float(v) for v in values], "parallel": parallel,
+        "axis": axis, "values": values, "parallel": parallel,
         "base_config": base.to_dict(),
         "rows": [{**row, "timing": timing} for row, timing in points],
         "outputs": {"csv": csv_path.name},

@@ -46,9 +46,11 @@ def test_run_manifest_times_each_stage(tmp_path):
     result = run_experiment(small_config(), name="timed", out_dir=tmp_path)
     manifest = json.loads(result.manifest_path.read_text())
     timing = manifest["timing"]
-    assert sorted(timing) == ["analyze_s", "evolve_s", "resolve_s", "write_s"]
+    assert sorted(timing) == ["analyze_s", "csv_s", "evolve_s", "resolve_s", "write_s"]
     assert all(v >= 0.0 for v in timing.values())
-    assert sum(timing.values()) <= manifest["wall_time_s"]
+    # csv_s is the CSV's part of write_s, which adds the plot script
+    assert timing["csv_s"] <= timing["write_s"]
+    assert sum(timing.values()) - timing["csv_s"] <= manifest["wall_time_s"]
 
 
 def test_run_outputs_full_precision(tmp_path):
@@ -188,6 +190,23 @@ def test_sweep_records_per_point_failures(tmp_path):
     manifest = json.loads(sweep.manifest_path.read_text())
     assert "error" not in manifest["rows"][0]
     assert "state_n=40 outside 0..dim-1" in manifest["rows"][1]["error"]
+
+
+@pytest.mark.parametrize("axis, values", [("state_n", [0, 1]), ("gamma", [0.0, 1e-3])])
+def test_sweep_reads_its_values_once(tmp_path, axis, values):
+    # a generator is consumed by its first pass; every point must still run
+    cfg = small_config(b=0.005, t_final=20.0)
+    sweep = run_sweep(cfg, axis, (v for v in values), name="g", out_dir=tmp_path)
+    assert [r["param_value"] for r in sweep.rows] == values
+    assert len(sweep.csv_path.read_text().splitlines()) == 1 + len(values)
+    assert json.loads(sweep.manifest_path.read_text())["values"] == values
+
+
+@pytest.mark.parametrize("values", [[], iter(())])
+def test_sweep_rejects_empty_values(tmp_path, values):
+    with pytest.raises(ConfigError, match="one or more numbers"):
+        run_sweep(small_config(), "gamma", values, name="e", out_dir=tmp_path)
+    assert not (tmp_path / "e.csv").exists()
 
 
 def test_sweep_manifest_rows_time_their_stages(tmp_path):
