@@ -13,15 +13,16 @@ from .analysis import (Classification, ClassifierThresholds, Envelope,
                        detect_super_revival, extract_envelope, first_revival_peak,
                        log_grid, scan_nonlinearity)
 from .config import ExperimentConfig, config_from_json, load_config, load_preset
-from .errors import (ConfigError, DimensionError, DimensionMismatch, DomainError,
+from .errors import (ConfigError, DimensionMismatch, DomainError,
                      InsufficientSampling, RevivalsError, SpanTooShort,
                      StabilityError, TruncationError, TruncationWarning)
 from .fock import (DensityMatrix, FockSpace, PureState, coherent_state,
-                   density_from_pure, displaced_number_state, fock_state)
+                   density_from_pure, displaced_number_state)
 from .hamiltonian import (DiagonalHamiltonian, Timescales, build_hamiltonian,
                           default_n0, modulus_revival_period, timescales_closed_form)
 from .lindblad import (DampingSpec, Liouvillian, Trajectory, build_liouvillian,
-                       default_dt, expm_propagate, rk4_evolve)
+                       default_dt, rk4_evolve)
 from .reference import (damped_linear_expect_a, diagonal_h_fock_sum_expect_a,
-                        displacement_matrix_element, kerr_expect_a_closed_form)
+                        displacement_matrix_element, kerr_expect_a_closed_form,
+                        superoperator, superoperator_evolve)
 from .runner import run_experiment, run_sweep

@@ -13,10 +13,6 @@ class DimensionMismatch(RevivalsError, ValueError):
     """Two objects built against different Fock-space dimensions were combined."""
 
 
-class DimensionError(RevivalsError, ValueError):
-    """A dimension exceeds what an algorithm supports (e.g. dense superoperator paths)."""
-
-
 class TruncationError(RevivalsError):
     """Fock-space truncation corrupts the requested object beyond tolerance."""
 

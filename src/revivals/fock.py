@@ -56,7 +56,8 @@ class PureState:
                 f"state length {c.shape} does not match dim {self.space.dim}"
             )
         norm2 = float(np.sum(np.abs(c) ** 2))
-        if abs(norm2 - 1.0) > 1e-12:
+        # written as not (within tolerance) so that NaN fails too
+        if not abs(norm2 - 1.0) <= 1e-12:
             raise DomainError(f"state norm^2 deviates from 1 by {abs(norm2 - 1.0):.3e}")
         tail = float(abs(c[-1]) ** 2)
         if tail >= TAIL_TOLERANCE:
@@ -71,7 +72,7 @@ class PureState:
 
 @dataclass(frozen=True)
 class DensityMatrix:
-    """Hermitian, unit-trace density matrix. Positivity is checked on demand."""
+    """Hermitian, unit-trace density matrix. Positivity is not checked."""
 
     space: FockSpace
     matrix: np.ndarray
@@ -82,16 +83,14 @@ class DensityMatrix:
             raise DimensionMismatch(
                 f"density matrix shape {m.shape} does not match dim {self.space.dim}"
             )
-        herm = float(np.abs(m - m.conj().T).max())
-        if herm > 1e-12:
+        with np.errstate(invalid="ignore"):  # inf - inf: NaN, which fails as in PureState
+            herm = float(np.abs(m - m.conj().T).max())
+        if not herm <= 1e-12:
             raise DomainError(f"density matrix not Hermitian: defect {herm:.3e}")
         tr = complex(np.trace(m))
-        if abs(tr - 1.0) > 1e-12:
+        if not abs(tr - 1.0) <= 1e-12:
             raise DomainError(f"density matrix trace deviates from 1 by {abs(tr - 1.0):.3e}")
         object.__setattr__(self, "matrix", _readonly(m))
-
-    def min_eigenvalue(self) -> float:
-        return float(np.linalg.eigvalsh(self.matrix)[0])
 
 
 def annihilation_op(space: FockSpace) -> np.ndarray:
@@ -167,14 +166,6 @@ def displaced_number_state(space: FockSpace, alpha: complex, n: int) -> PureStat
     if not 0 <= n < space.dim:
         raise IndexError(f"level n={n} outside 0..{space.dim - 1}")
     return _renormalized_column(space, alpha, n)
-
-
-def fock_state(space: FockSpace, n: int) -> PureState:
-    if not 0 <= n < space.dim:
-        raise IndexError(f"level n={n} outside 0..{space.dim - 1}")
-    c = np.zeros(space.dim, dtype=complex)
-    c[n] = 1.0
-    return PureState(space, c)
 
 
 def density_from_pure(psi: PureState) -> DensityMatrix:

@@ -1,47 +1,42 @@
 """Lindblad generator and time propagation for a damped nonlinear mode.
 
-Two propagators share one generator:
+``rk4_evolve`` is fixed-step classic Runge-Kutta. Because the Hamiltonian
+is diagonal and the jump operators are ladder operators, the generator
+never mixes diagonal bands of rho: band q, x_q[m] = rho[m+q, m], evolves
+on its own under a (D-q) x (D-q) matrix M_q (the damping-basis structure
+of Briegel & Englert, PRA 47, 3311 (1993)). For a time-independent linear
+generator one RK4 step is exactly the matrix polynomial
+R_q = I + hM_q + (hM_q)^2/2 + (hM_q)^3/6 + (hM_q)^4/24, so the step is
+evaluated as that matrix, and samples come out in blocks of BLOCK_STEPS
+steps as matrix products with powers of R_q. Without jump terms
+(gamma = 0) every M_q is diagonal, and so is R_q: the step is then the
+vector r = diag R over the stacked bands, sample j of a block is the
+block-start state times r^j elementwise, and the observables are products
+of the block-start state with one table of r^j. One pass of that loop
+reads the observables of up to CHUNK_BLOCKS blocks in one stacked product,
+one vector-matrix product per block, so the Python work per pass is spread
+over many blocks and the bytes are those of one block at a time. The
+steps, the time grid and the recorded values are those of the stage-wise
+RK4 loop, up to rounding; only the order of the floating-point operations
+differs. The final state's upper triangle is the conjugate of its lower
+bands, so it is Hermitian by construction.
 
-* ``rk4_evolve`` - fixed-step classic Runge-Kutta. Because the Hamiltonian
-  is diagonal and the jump operators are ladder operators, the generator
-  never mixes diagonal bands of rho: band q, x_q[m] = rho[m+q, m], evolves
-  on its own under a (D-q) x (D-q) matrix M_q (the damping-basis structure
-  of Briegel & Englert, PRA 47, 3311 (1993)). For a time-independent linear
-  generator one RK4 step is exactly the matrix polynomial
-  R_q = I + hM_q + (hM_q)^2/2 + (hM_q)^3/6 + (hM_q)^4/24, so the step is
-  evaluated as that matrix, and samples come out in blocks of BLOCK_STEPS
-  steps as matrix products with powers of R_q. Without jump terms
-  (gamma = 0) every M_q is diagonal, and so is R_q: the step is then the
-  vector r = diag R over the stacked bands, sample j of a block is the
-  block-start state times r^j elementwise, and the observables are products
-  of the block-start state with one table of r^j. One pass of that loop
-  reads the observables of up to CHUNK_BLOCKS blocks in one stacked product,
-  one vector-matrix product per block, so the Python work per pass is spread
-  over many blocks and the bytes are those of one block at a time. The
-  steps, the time grid and the recorded values are those of the stage-wise
-  RK4 loop, up to rounding; only the order of the floating-point operations
-  differs. The final state's upper triangle is the conjugate of its lower
-  bands, so it is Hermitian by construction.
-
-  The damped (dense) path splits the bands between two processes: one
-  forked band child propagates the largest complex bands, 1..k-1, and
-  sends <a> and its part of the purity sum per block through a pipe; the
-  calling process propagates band 0 and bands k..D-1, continues the purity
-  sum and checks the gates. Small BLAS products on threads of one process
-  contend for the GIL, so the band child is a process, and it works ahead
-  of the caller while the pipe holds its blocks. A run of one block, or
-  one where ``fanout.fork_slices()`` allows a single process, draws the
-  child's records from the same generator in the calling process. Every
-  product runs on one OpenBLAS thread, and the child's part of the purity
-  sum is continued in the order of one sum over all rows, so the bytes do
-  not depend on the split or on the fork. The module starts no threads.
-* ``expm_propagate`` - dense exponential of the D^2 x D^2 superoperator,
-  restricted to small dimensions. It exists to cross-check the RK4 path.
+The damped (dense) path splits the bands between two processes: one
+forked band child propagates the largest complex bands, 1..k-1, and
+sends <a> and its part of the purity sum per block through a pipe; the
+calling process propagates band 0 and bands k..D-1, continues the purity
+sum and checks the gates. Small BLAS products on threads of one process
+contend for the GIL, so the band child is a process, and it works ahead
+of the caller while the pipe holds its blocks. A run of one block, or
+one where ``fanout.fork_slices()`` allows a single process, draws the
+child's records from the same generator in the calling process. Every
+product runs on one OpenBLAS thread, and the child's part of the purity
+sum is continued in the order of one sum over all rows, so the bytes do
+not depend on the split or on the fork. The module starts no threads.
 
 This module holds the propagator only; the fork helper, and the BLAS
-thread count, live in ``fanout``.
-
-The superoperator uses column-major vectorization: vec(A X B) = (B^T kron A) vec(X).
+thread count, live in ``fanout``. The dense superoperator that
+cross-checks it is built independently in ``reference``.
 """
 
 from __future__ import annotations
@@ -52,8 +47,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (DimensionError, DimensionMismatch, DomainError,
-                     StabilityError, TruncationError)
+from .errors import DimensionMismatch, DomainError, StabilityError, TruncationError
 from .fanout import fork_slice, fork_slices, forked_children, one_blas_thread
 from .fock import DensityMatrix, FockSpace
 from .hamiltonian import DiagonalHamiltonian, classical_period
@@ -98,15 +92,6 @@ class DampingSpec:
             raise DomainError(f"n_thermal must be >= 0 and finite, got {self.n_thermal}")
 
 
-def vectorize(rho: np.ndarray) -> np.ndarray:
-    """Column-major vec."""
-    return rho.reshape(-1, order="F")
-
-
-def unvectorize(v: np.ndarray, dim: int) -> np.ndarray:
-    return v.reshape((dim, dim), order="F")
-
-
 def expect_a_raw(rho: np.ndarray) -> complex:
     """Tr(a rho); it reduces to the first subdiagonal, O(dim) per call."""
     d = rho.shape[0]
@@ -148,7 +133,6 @@ class Liouvillian:
             self._w_up = g_up * np.sqrt(np.outer(n[1:], n[1:]))
         self._diag = diag
         self._w_down = g_down * np.sqrt(np.outer(n[:-1] + 1.0, n[:-1] + 1.0))
-        self._matrix: np.ndarray | None = None
 
     def apply(self, rho: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """drho/dt for a raw D x D array; O(D^2) elementwise work."""
@@ -175,30 +159,6 @@ class Liouvillian:
                     m += np.diag(np.diagonal(self._w_up, -q), -1)
             gens.append(m.real.copy() if q == 0 else m)
         return gens
-
-    @property
-    def matrix(self) -> np.ndarray:
-        """Dense D^2 x D^2 superoperator (built lazily, column-vectorized)."""
-        if self._matrix is None:
-            d = self.space.dim
-            eye = np.eye(d)
-            n = np.arange(d, dtype=float)
-            a = np.zeros((d, d), dtype=complex)
-            a[np.arange(d - 1), np.arange(1, d)] = np.sqrt(n[1:])
-            ad = a.conj().T
-            h = np.diag(self.hamiltonian.energies).astype(complex)
-            m = -1j * (np.kron(eye, h) - np.kron(h.T, eye))
-            g_down = self.damping.gamma * (self.damping.n_thermal + 1.0)
-            nd = ad @ a
-            m += g_down * (np.kron(a.conj(), a)
-                           - 0.5 * (np.kron(eye, nd) + np.kron(nd.T, eye)))
-            if self.damping.full_equation and self.damping.n_thermal > 0:
-                g_up = self.damping.gamma * self.damping.n_thermal
-                aad = a @ ad
-                m += g_up * (np.kron(ad.conj(), ad)
-                             - 0.5 * (np.kron(eye, aad) + np.kron(aad.T, eye)))
-            self._matrix = m
-        return self._matrix
 
     def omega_max(self) -> float:
         """Fastest phase plus decay scale, used for step-size control."""
@@ -538,33 +498,3 @@ def rk4_evolve(L: Liouvillian, rho0: DensityMatrix, t_final: float,
     return Trajectory(times=times, a_expect=a_rec, n_expect=n_rec, trace=tr_rec,
                       purity=pur_rec, final=final)
 
-
-#: Largest dimension for which the dense superoperator exponential is allowed.
-EXPM_MAX_DIM = 12
-
-
-def expm_propagate(L: Liouvillian, rho0: DensityMatrix, t: float) -> DensityMatrix:
-    """exp(L t) applied to rho0 through the dense superoperator.
-
-    Cross-check path only: limited to dim <= 12 where the D^2 x D^2
-    exponential (scaling-and-squaring Pade, via scipy) is cheap. The
-    result is not symmetrized, so a Hermiticity defect above the
-    DensityMatrix tolerance (1e-12) raises DomainError.
-    """
-    if L.space.dim > EXPM_MAX_DIM:
-        raise DimensionError(
-            f"dense superoperator exponential limited to dim <= {EXPM_MAX_DIM}, "
-            f"got {L.space.dim}")
-    if rho0.space.dim != L.space.dim:
-        raise DimensionMismatch(
-            f"state dim {rho0.space.dim} vs Liouvillian dim {L.space.dim}")
-    if t == 0.0:
-        return rho0
-    import scipy.linalg  # only this cross-check needs scipy; keeps it out of CLI start-up
-
-    prop = scipy.linalg.expm(L.matrix * t)
-    rho = unvectorize(prop @ vectorize(np.asarray(rho0.matrix)), L.space.dim)
-    tr = float(np.trace(rho).real)
-    if abs(tr - 1.0) > 1e-10:
-        raise StabilityError(f"superoperator exponential drifted trace to {tr!r}")
-    return DensityMatrix(L.space, rho / tr)

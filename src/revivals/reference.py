@@ -1,7 +1,8 @@
 """Independent analytic oracles for tests and acceptance checks.
 
 Nothing here touches the propagator machinery; these are closed-form or
-brute-force series evaluations used to cross-check it. They intentionally
+brute-force series evaluations used to cross-check it, and the dense
+superoperator exponential of the whole master equation. They intentionally
 do not reuse the operator constructors either: independence is the point.
 """
 
@@ -14,6 +15,7 @@ import numpy as np
 from .errors import DimensionMismatch
 from .fock import PureState
 from .hamiltonian import DiagonalHamiltonian
+from .lindblad import DampingSpec
 
 MAX_LAGUERRE_INDEX = 170
 
@@ -57,6 +59,45 @@ def diagonal_h_fock_sum_expect_a(state: PureState, h: DiagonalHamiltonian, t):
     t = np.asarray(t)
     phases = np.exp(-1j * np.multiply.outer(t, de))
     return phases @ weights if t.ndim else complex(np.dot(phases, weights))
+
+
+def superoperator(energies: np.ndarray, damping: DampingSpec) -> np.ndarray:
+    """Dense D^2 x D^2 generator of the master equation on column-major vec(rho).
+
+    vec(A X B) = (B^T kron A) vec(X), so with the dissipator
+    D[c] rho = c rho c+ - {c+c, rho}/2 the generator is
+        -i (I kron H - H^T kron I) + gamma (N+1) D[a] (+ gamma N D[a+]),
+    the upward term only with ``full_equation``.
+    """
+    d = len(energies)
+    eye = np.eye(d)
+    a = np.diag(np.sqrt(np.arange(1.0, d)), 1).astype(complex)
+    h = np.diag(energies).astype(complex)
+
+    def dissipator(c: np.ndarray) -> np.ndarray:
+        cdc = c.conj().T @ c
+        return np.kron(c.conj(), c) - 0.5 * (np.kron(eye, cdc) + np.kron(cdc.T, eye))
+
+    m = -1j * (np.kron(eye, h) - np.kron(h.T, eye))
+    m += damping.gamma * (damping.n_thermal + 1.0) * dissipator(a)
+    if damping.full_equation:
+        m += damping.gamma * damping.n_thermal * dissipator(a.conj().T)
+    return m
+
+
+def superoperator_evolve(energies: np.ndarray, damping: DampingSpec,
+                         rho0: np.ndarray, t: float) -> np.ndarray:
+    """exp(L t) rho0 for a raw D x D array, L = ``superoperator(energies, damping)``.
+
+    The exponential is scipy's scaling-and-squaring Pade; its cost grows as
+    D^6, so keep D small. The result is returned as computed: not
+    renormalized, not symmetrized.
+    """
+    import scipy.linalg  # only this oracle needs scipy; runs never import it
+
+    d = len(energies)
+    prop = scipy.linalg.expm(superoperator(energies, damping) * t)
+    return (prop @ np.asarray(rho0).reshape(-1, order="F")).reshape((d, d), order="F")
 
 
 def _genlaguerre(n: int, k: int, x: float) -> float:

@@ -5,7 +5,7 @@ import threading
 import numpy as np
 import pytest
 
-from revivals import FockSpace, fanout
+from revivals import FockSpace, PureState, fanout
 
 OMEGA0 = 0.15 * math.pi / 2  # 0.23561944901923448
 ALPHA = -1.9
@@ -27,6 +27,13 @@ def random_density(rng, dim):
     x = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     rho = x @ x.conj().T
     return rho / np.trace(rho).real
+
+
+def fock_state(space: FockSpace, n: int) -> PureState:
+    """The number state |n>."""
+    c = np.zeros(space.dim, dtype=complex)
+    c[n] = 1.0
+    return PureState(space, c)
 
 
 def random_hermitian(rng, dim):

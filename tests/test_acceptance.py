@@ -17,9 +17,10 @@ from revivals import (Classification, ClassifierThresholds, DampingSpec,
                       build_liouvillian, coherent_state, damped_linear_expect_a,
                       default_n0, density_from_pure, detect_revivals,
                       detect_super_revival, diagonal_h_fock_sum_expect_a,
-                      displaced_number_state, expm_propagate, extract_envelope,
+                      displaced_number_state, extract_envelope,
                       kerr_expect_a_closed_form, log_grid, rk4_evolve,
-                      scan_nonlinearity, timescales_closed_form)
+                      scan_nonlinearity, superoperator_evolve,
+                      timescales_closed_form)
 from revivals.config import load_preset
 from revivals.runner import run_sweep
 
@@ -163,9 +164,10 @@ def test_criterion_05_propagator_cross_validation():
         rho_m = x @ x.conj().T
         rho0 = DensityMatrix(FockSpace(dim), rho_m / np.trace(rho_m).real)
         h = build_hamiltonian(FockSpace(dim), OMEGA0, B1, 2)
-        L = build_liouvillian(h, DampingSpec(gamma=1e-3))
+        damping = DampingSpec(gamma=1e-3)
+        L = build_liouvillian(h, damping)
         t = 50.0
-        reference = expm_propagate(L, rho0, t).matrix
+        reference = superoperator_evolve(h.energies, damping, rho0.matrix, t)
 
         def final_state(dt):
             return rk4_evolve(L, rho0, t, dt=t / round(t / dt)).final

@@ -3,13 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from revivals import (DomainError, FockSpace, TruncationError, TruncationWarning,
-                      coherent_state, density_from_pure, displaced_number_state,
-                      fock_state)
+from revivals import (DensityMatrix, DomainError, FockSpace, TruncationError,
+                      TruncationWarning, coherent_state, density_from_pure,
+                      displaced_number_state)
 from revivals.fock import PureState, annihilation_op, core_levels, displacement_op
 from revivals.reference import displacement_matrix_element
 
-from conftest import ALPHA
+from conftest import ALPHA, fock_state
 
 
 def test_space_requires_two_levels():
@@ -167,4 +167,20 @@ def test_density_from_pure_invariants(space30):
     eig = np.sort(np.linalg.eigvalsh(rho.matrix))
     assert eig[-1] == pytest.approx(1.0, abs=1e-10)
     np.testing.assert_allclose(eig[:-1], 0.0, atol=1e-10)
-    assert rho.min_eigenvalue() >= -1e-10
+    assert eig[0] >= -1e-10
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_states_reject_non_finite_entries(bad):
+    c = np.zeros(4, dtype=complex)
+    c[0] = 1.0
+    c[2] = bad
+    with pytest.raises(DomainError):
+        PureState(FockSpace(4), c)
+    rho = np.diag([1.0, 0.0, 0.0, 0.0]).astype(complex)
+    for where in [(0, 0), (2, 2), (1, 2)]:
+        m = rho.copy()
+        m[where] = bad
+        m[where[::-1]] = bad
+        with pytest.raises(DomainError):
+            DensityMatrix(FockSpace(4), m)

@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from revivals import coherent_state, density_from_pure, displaced_number_state, fock_state
+from revivals import coherent_state, density_from_pure, displaced_number_state
 from revivals.lindblad import expect_a_raw, expect_n_raw
 
-from conftest import ALPHA
+from conftest import ALPHA, fock_state
 
 
 def test_coherent_amplitude_expectation(space30):

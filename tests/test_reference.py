@@ -4,13 +4,13 @@ import numpy as np
 import pytest
 from scipy.special import eval_genlaguerre
 
-from revivals import (FockSpace, build_hamiltonian, coherent_state,
+from revivals import (DampingSpec, FockSpace, build_hamiltonian, coherent_state,
                       damped_linear_expect_a, diagonal_h_fock_sum_expect_a,
                       displaced_number_state, displacement_matrix_element,
-                      fock_state, kerr_expect_a_closed_form)
+                      kerr_expect_a_closed_form, superoperator_evolve)
 from revivals.reference import _genlaguerre
 
-from conftest import ALPHA, B1, B2, OMEGA0
+from conftest import ALPHA, B1, B2, OMEGA0, fock_state
 
 
 def test_damped_linear_at_zero():
@@ -35,6 +35,24 @@ def test_damped_linear_thermal_rate():
     v = damped_linear_expect_a(ALPHA, OMEGA0, 1e-3, 1.5, 100.0)
     assert abs(v) == pytest.approx(abs(ALPHA) * math.exp(-0.5 * 1e-3 * 2.5 * 100.0),
                                    rel=1e-14)
+
+
+@pytest.mark.parametrize("full", [False, True])
+def test_superoperator_two_level_thermal_decay(full):
+    # two levels, downward rate g = gamma (N+1), upward u = gamma N with the
+    # full equation (the truncated a a+ annihilates level 1): the population
+    # relaxes to u / (g + u) at rate g + u, the coherence turns at the level
+    # spacing w and decays at half that rate
+    gamma, n_th, t, w = 2e-3, 0.5, 300.0, 0.3
+    g, u = gamma * (n_th + 1.0), (gamma * n_th if full else 0.0)
+    rho0 = np.array([[0.5, 0.5], [0.5, 0.5]], dtype=complex)
+    rho = superoperator_evolve(np.array([0.0, w]), DampingSpec(gamma, n_th, full),
+                               rho0, t)
+    p1 = u / (g + u) + (0.5 - u / (g + u)) * math.exp(-(g + u) * t)
+    assert rho[1, 1].real == pytest.approx(p1, rel=1e-12)
+    assert rho[1, 0] == pytest.approx(0.5 * np.exp(-(1j * w + 0.5 * (g + u)) * t),
+                                      rel=1e-12)
+    assert np.trace(rho).real == pytest.approx(1.0, abs=1e-14)
 
 
 def test_kerr_at_zero():

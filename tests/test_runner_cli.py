@@ -180,6 +180,18 @@ def test_cli_import_does_not_load_scipy():
     assert done.stdout.strip() == "[]"
 
 
+def test_preset_runs_without_scipy(tmp_path):
+    # scipy is a test dependency only: a damped preset must run where any
+    # import of it fails
+    src = os.path.dirname(os.path.dirname(runner.__file__))
+    code = ("import sys; sys.modules['scipy'] = None; from revivals import cli; "
+            f"sys.exit(cli.main(['preset', 'fig2b', '--out-dir', {str(tmp_path)!r}]))")
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert (tmp_path / "fig2b.csv").read_text().startswith(CSV_HEADER + "\n")
+
+
 def test_sweep_records_per_point_failures(tmp_path):
     cfg = small_config(b=0.005)
     sweep = run_sweep(cfg, "state_n", [0, 40], name="bad", out_dir=tmp_path)
