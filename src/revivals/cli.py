@@ -61,13 +61,11 @@ def build_parser() -> argparse.ArgumentParser:
     sweep_p.add_argument("--axis", required=True, choices=SWEEP_AXES)
     sweep_p.add_argument("--values", required=True,
                          help="comma-separated list of axis values")
-    sweep_p.add_argument("--parallel", type=int, default=1)
     sweep_p.add_argument("--name", default=None)
     sweep_p.add_argument("--out-dir", default=None)
 
     preset_p = sub.add_parser("preset", help="run a shipped preset (fig1..fig8)")
     preset_p.add_argument("name", help="fig1..fig8 or a panel such as fig2b")
-    preset_p.add_argument("--parallel", type=int, default=1)
     preset_p.add_argument("--out-dir", default=None)
 
     val_p = sub.add_parser("validate", help="validate a config without running")
@@ -81,8 +79,7 @@ def _execute(args, config, name: str, axis: str | None = None, values=()) -> Non
         result = run_experiment(config, name=name, out_dir=args.out_dir)
         print(f"{name}: {result.summary.report.classification.value} -> {result.csv_path}")
     else:
-        result = run_sweep(config, axis, values, parallel=args.parallel, name=name,
-                           out_dir=args.out_dir)
+        result = run_sweep(config, axis, values, name=name, out_dir=args.out_dir)
         print(f"{name}: {len(result.rows)} points -> {result.csv_path}")
 
 
@@ -91,14 +88,7 @@ def cmd_run(args) -> None:
     _execute(args, config, args.name or Path(args.config).stem)
 
 
-def _check_parallel(args) -> None:
-    """--parallel below 1 is a config error, raised before anything runs."""
-    if args.parallel < 1:
-        raise ConfigError(f"parallel must be >= 1, got {args.parallel}")
-
-
 def cmd_sweep(args) -> None:
-    _check_parallel(args)
     config = load_config(args.config).require_valid()
     values = parse_values(args.values)
     name = args.name or f"{Path(args.config).stem}_{args.axis}_sweep"
@@ -106,7 +96,6 @@ def cmd_sweep(args) -> None:
 
 
 def cmd_preset(args) -> None:
-    _check_parallel(args)
     for panel in expand_preset(args.name):
         spec = load_preset(panel)
         _execute(args, spec.config, panel, spec.sweep_axis, spec.sweep_values)

@@ -19,14 +19,10 @@ import signal
 import threading
 from typing import BinaryIO, Callable, Iterable
 
-#: Set while ``run_slices`` holds more than one slice; forked children inherit it.
-_sliced = False
-
-
 def usable_cpus() -> int:
     """CPUs this process may run on: the size of its affinity mask, but one
-    inside a slice of ``run_slices`` or a caller's multiprocessing worker."""
-    if _sliced or multiprocessing.parent_process() is not None:
+    in a caller's multiprocessing worker."""
+    if multiprocessing.parent_process() is not None:
         return 1
     if not hasattr(os, "sched_getaffinity"):  # not on macOS or Windows
         return os.cpu_count() or 1
@@ -107,10 +103,10 @@ def run_slices(run: Callable[[int], object], costs: list[float], what: str,
     at the first that raises; the exception of the smallest such index is
     then raised, as a serial loop would raise it. Two or more slices run on
     one OpenBLAS thread (``one_blas_thread``), so that no child restarts the
-    BLAS pool the fork shut down, and see one usable CPU, since they fill
-    the cores.
+    BLAS pool the fork shut down. A slice sees the whole affinity mask: a
+    caller whose points fork children of their own passes a ``cap`` that
+    leaves them CPUs.
     """
-    global _sliced
     n = max(1, min(fork_slices(), len(costs), cap or len(costs)))
     slices: list[list[int]] = [[] for _ in range(n)]
     loads = [0.0] * n
@@ -132,16 +128,12 @@ def run_slices(run: Callable[[int], object], costs: list[float], what: str,
     if n == 1:
         done = outcomes(slices[0])
     else:
-        _sliced = True
-        try:
-            with one_blas_thread(), forked_children(
-                    f"{what}: the processes running slices 2..{n}") as children:
-                for todo in slices[1:]:
-                    children.append(fork_slice(lambda todo=todo: [pickle.dumps(outcomes(todo))]))
-                done = outcomes(slices[0])
-                sent = [pipe.read() for _, pipe in children]
-        finally:
-            _sliced = False
+        with one_blas_thread(), forked_children(
+                f"{what}: the processes running slices 2..{n}") as children:
+            for todo in slices[1:]:
+                children.append(fork_slice(lambda todo=todo: [pickle.dumps(outcomes(todo))]))
+            done = outcomes(slices[0])
+            sent = [pipe.read() for _, pipe in children]
         for data in sent:
             done.update(pickle.loads(data))
     # a slice stops at its first failure, so every index below the first failing one ran

@@ -334,21 +334,21 @@ class SweepResult:
     manifest_path: Path
 
 
-def run_sweep(base: ExperimentConfig, axis: str, values, parallel: int = 1,
-              name: str = "sweep", out_dir: Path | None = None) -> SweepResult:
+def run_sweep(base: ExperimentConfig, axis: str, values, name: str = "sweep",
+              out_dir: Path | None = None) -> SweepResult:
     """One run per value along axis; emits the summary CSV.
 
     ``values`` is any iterable of numbers, read once; an empty one raises
     ConfigError, as do non-integer values on the ``state_n`` axis.
 
-    The points run in at most ``parallel`` slices (``fanout.run_slices``);
-    the rows do not depend on the slice count. A point's failure lands in its
-    row; one outside its run (its predicted columns) is raised and leaves no
-    CSV. The manifest's rows add the seconds of each finished stage of a
-    point (``timing``: resolve_s, evolve_s, analyze_s); the CSV does not.
+    The points run in slices (``fanout.run_slices``): one per usable CPU
+    and point at most, or half as many CPUs' worth when a point is damped
+    (gamma > 0), since every damped run forks a band child. The rows do not depend on the slice count. A
+    point's failure lands in its row; one outside its run (its predicted
+    columns) is raised and leaves no CSV. The manifest's rows add the
+    seconds of each finished stage of a point (``timing``: resolve_s,
+    evolve_s, analyze_s); the CSV does not.
     """
-    if parallel < 1:
-        raise ConfigError(f"parallel must be >= 1, got {parallel}")
     if axis not in SWEEP_AXES:
         raise ConfigError(f"sweep axis must be one of {SWEEP_AXES}, got {axis!r}")
     values = [float(v) for v in values]  # read once: values may be an iterator
@@ -360,9 +360,11 @@ def run_sweep(base: ExperimentConfig, axis: str, values, parallel: int = 1,
     out = _out_dir(out_dir)
     t_wall = time.perf_counter()
     jobs = [(base, axis, v) for v in values]
+    damped = any(v > 0 for v in values) if axis == "gamma" else base.gamma > 0
     # through the module globals, which the benchmark's tracer wraps
     points = run_slices(lambda i: _sweep_point(jobs[i]), [1.0] * len(jobs),
-                        f"sweep of {axis}", cap=parallel)
+                        f"sweep of {axis}",
+                        cap=max(1, fork_slices() // 2) if damped else None)
     rows = [row for row, _ in points]
     csv_path = out / f"{name}.csv"
     with open(csv_path, "w", encoding="utf-8", newline="\n") as fh:
@@ -374,7 +376,7 @@ def run_sweep(base: ExperimentConfig, axis: str, values, parallel: int = 1,
                 _fmt(r["predicted_t_rev"]), _fmt(r["predicted_t_sr"]),
             ]) + "\n")
     manifest_path = _write_manifest(out, name, {
-        "axis": axis, "values": values, "parallel": parallel,
+        "axis": axis, "values": values,
         "base_config": base.to_dict(),
         "rows": [{**row, "timing": timing} for row, timing in points],
         "outputs": {"csv": csv_path.name},

@@ -234,7 +234,7 @@ def test_criterion_08_first_revival_amplitudes_decrease_with_n(tmp_path):
                       "for n = 1..10"):
         spec = load_preset("fig8")
         sweep = run_sweep(spec.config, spec.sweep_axis, spec.sweep_values,
-                          parallel=4, name="c8", out_dir=tmp_path)
+                          name="c8", out_dir=tmp_path)
         amps = np.array([r["first_revival_amp"] for r in sweep.rows])
         assert np.all(np.isfinite(amps)), sweep.rows
         assert np.all(amps[1:] < amps[:-1]), amps

@@ -32,16 +32,25 @@ def test_band_threads_is_one_in_worker_processes():
 
 
 def test_forked_sweep_after_dense_run_does_not_hang(tmp_path):
-    # The dense run forks a band child, the sweep a slice. Neither may
-    # outlive its call: the sweep after the dense run finishes, and the
-    # script ends with no child left.
+    # The dense run forks a band child. At 4 CPUs the damped sweep then runs
+    # two slices, and the run in each forks a band child of its own. No
+    # process may outlive its call: the script ends with no child left, and
+    # the rows are those of one CPU.
     script = f"""
 import os
 from revivals import (DampingSpec, FockSpace, build_hamiltonian, build_liouvillian,
-                      coherent_state, density_from_pure, rk4_evolve)
+                      coherent_state, density_from_pure, lindblad, rk4_evolve)
 from revivals.config import config_from_dict
 from revivals.runner import run_sweep
 
+fork = lindblad.fork_slice
+
+def fork_band(produce):
+    with open({str(tmp_path / "bands")!r}, "a") as fh:
+        fh.write(f"{{os.getpid()}}\\n")
+    return fork(produce)
+
+lindblad.fork_slice = fork_band
 os.sched_getaffinity = lambda pid: {{0, 1, 2, 3}}
 h = build_hamiltonian(FockSpace(30), {OMEGA0!r}, {B1!r}, 2)
 L = build_liouvillian(h, DampingSpec(gamma=1e-3))
@@ -49,13 +58,23 @@ rk4_evolve(L, density_from_pure(coherent_state(L.space, {ALPHA!r})), 60.0, dt=0.
 cfg = config_from_dict(dict(dim=30, omega0={OMEGA0!r}, alpha_re={ALPHA!r}, alpha_im=0.0,
                             nonlinearity_order=2, b={B1!r}, gamma=1e-3, t_final=50.0,
                             dt=0.05))
-run_sweep(cfg, "gamma", [1e-3, 2e-3], parallel=2, out_dir={str(tmp_path)!r})
+rows = repr(run_sweep(cfg, "gamma", [1e-3, 2e-3], out_dir={str(tmp_path)!r}).rows)
 try:
     os.waitpid(-1, os.WNOHANG)
 except ChildProcessError:
     pass
 else:
     raise SystemExit("a child is left")
+with open({str(tmp_path / "bands")!r}) as fh:
+    pids = fh.read().split()
+# the dense run's band child and the caller's slice's from this process,
+# one from the other slice, in any order
+me = str(os.getpid())
+if len(pids) != 3 or len(set(pids)) != 2 or pids.count(me) != 2:
+    raise SystemExit(f"band children forked by {{pids}}")
+os.sched_getaffinity = lambda pid: {{0}}
+if repr(run_sweep(cfg, "gamma", [1e-3, 2e-3], out_dir={str(tmp_path)!r}).rows) != rows:
+    raise SystemExit("rows differ from those at one CPU")
 """
     src = os.path.dirname(os.path.dirname(revivals.__file__))
     # its own session, so that a hung child and its workers can all be killed
@@ -88,9 +107,8 @@ def test_run_slices_caps_its_slice_count(monkeypatch, forks, cap):
     # equal costs go round the slices; the caller runs the first
     assert len({pid for _, pid, _ in done}) == n
     assert done[0][1] == os.getpid()
-    # more than one slice fill the cores, so each sees one CPU
-    assert {cpus for _, _, cpus in done} == {1 if n > 1 else 4}
-    assert usable_cpus() == 4
+    # every slice sees the whole affinity mask
+    assert {cpus for _, _, cpus in done} == {4}
 
 
 @needs_fork
@@ -105,7 +123,7 @@ def test_run_slices_at_one_slice_forks_nothing_and_sets_nothing(monkeypatch, for
 
 
 @needs_fork
-def test_run_slices_clears_its_cpu_hold_on_a_raise(monkeypatch, forks):
+def test_run_slices_clears_its_cpu_hold_on_a_raise(monkeypatch, forks, blas_log):
     set_cpus(monkeypatch, 2)
 
     def interrupted(i):
@@ -115,7 +133,9 @@ def test_run_slices_clears_its_cpu_hold_on_a_raise(monkeypatch, forks):
         run_slices(interrupted, [1.0] * 2, "two points")
     assert len(forks) == 1
     no_child_left()
-    assert usable_cpus() == 2
+    # the hold of one BLAS thread ends with the raise
+    pid = os.getpid()
+    assert blas_log.read_text().splitlines() == [f"{pid} set 1", f"{pid} set 2"]
 
 
 @needs_fork

@@ -656,7 +656,7 @@ def test_band_child_that_exits_at_once_raises_oserror(monkeypatch):
 
 
 @needs_fork
-def test_no_band_child_inside_a_slice_or_beside_a_thread(monkeypatch, forks):
+def test_band_child_inside_a_slice_but_not_beside_a_thread(monkeypatch, forks):
     set_cpus(monkeypatch, 2)
     L, rho0, dt = damped_case(12)
     alone = rk4_evolve(L, rho0, 300 * dt, dt=dt)
@@ -668,9 +668,11 @@ def test_no_band_child_inside_a_slice_or_beside_a_thread(monkeypatch, forks):
         traj = rk4_evolve(L, rho0, 300 * dt, dt=dt)
         return len(forks) - before, traj
 
+    # a slice sees the affinity mask, so the run in each forks a band child
     done = run_slices(run, [1.0, 1.0], "two runs")
-    assert len(forks) == 2  # the second slice's child
-    assert [n for n, _ in done] == [0, 0]
+    assert len(forks) == 3  # the second slice's child, the first's band child
+    assert [n for n, _ in done] == [1, 1]
+    no_child_left()
     stop = threading.Event()
     other = threading.Thread(target=stop.wait)
     other.start()
@@ -680,7 +682,7 @@ def test_no_band_child_inside_a_slice_or_beside_a_thread(monkeypatch, forks):
         stop.set()
         other.join(timeout=60)
     assert not other.is_alive()
-    assert len(forks) == 2
+    assert len(forks) == 3
     no_child_left()
     for traj in [traj for _, traj in done] + [beside]:
         assert_same_trajectory(traj, alone)

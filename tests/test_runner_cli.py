@@ -8,7 +8,7 @@ import threading
 import numpy as np
 import pytest
 
-from revivals import ConfigError, DomainError, cli, fanout, runner
+from revivals import ConfigError, DomainError, cli, fanout, lindblad, runner
 from revivals.cli import EXIT_CONFIG, EXIT_OUTPUT, main
 from revivals.config import config_from_dict, load_preset
 from revivals.lindblad import Trajectory, _band_split
@@ -81,40 +81,75 @@ def test_sweep_degenerate_matches_run(tmp_path):
     assert float(row[5]) == pytest.approx(2 * math.pi / 0.005, rel=1e-12)
 
 
-def test_sweep_parallel_matches_serial(tmp_path):
-    cfg = small_config(b=0.005, t_final=50.0)
-    serial = run_sweep(cfg, "gamma", [0.0, 1e-3], parallel=1,
-                       name="s1", out_dir=tmp_path)
-    parallel = run_sweep(cfg, "gamma", [0.0, 1e-3], parallel=2,
-                         name="s2", out_dir=tmp_path)
-    assert (serial.csv_path.read_text().splitlines()[1:]
-            == parallel.csv_path.read_text().splitlines()[1:])
+#: (config overrides, axis, values) of a damped sweep, whose points at
+#: gamma > 0 each fork a band child, and of an undamped one
+SWEEPS = {"damped": (dict(b=0.005, t_final=20.0), "gamma", [0.0, 1e-3, 2e-3]),
+          "undamped": (dict(b=0.005, gamma=0.0, t_final=20.0), "b", [0.005, 0.01, 0.02])}
+
+#: slices of each sweep per usable CPU count: one per CPU and point, but
+#: two CPUs per slice when a point is damped
+SLICES = {(1, "damped"): 1, (2, "damped"): 1, (4, "damped"): 2,
+          (1, "undamped"): 1, (2, "undamped"): 2, (4, "undamped"): 3}
+
+
+def sweep_of(kind: str, tmp_path, name: str = "w"):
+    over, axis, values = SWEEPS[kind]
+    return run_sweep(small_config(**over), axis, values, name=name, out_dir=tmp_path)
+
+
+def band_forks(monkeypatch) -> list:
+    """The pid of the caller at each band child it forks, beside the ``forks`` fixture."""
+    made = []
+    fork = lindblad.fork_slice
+
+    def fork_band(produce):
+        made.append(os.getpid())
+        return fork(produce)
+
+    monkeypatch.setattr(lindblad, "fork_slice", fork_band)
+    return made
 
 
 @needs_fork
-@pytest.mark.parametrize("parallel", [1, 2, 64])
-@pytest.mark.parametrize("cpus", [1, 2, 8])
+def test_sweep_parallel_matches_serial(tmp_path, monkeypatch):
+    for kind in SWEEPS:
+        got = []
+        for cpus in (1, 2, 4):
+            set_cpus(monkeypatch, cpus)
+            sweep = sweep_of(kind, tmp_path, name=f"{kind}{cpus}")
+            # repr, since a row's nan is not equal to itself
+            got.append((repr(sweep.rows), sweep.csv_path.read_bytes()))
+        no_child_left()
+        assert got[1] == got[0] and got[2] == got[0], kind
+
+
+@needs_fork
+@pytest.mark.parametrize("kind", ["damped", "undamped"])
+@pytest.mark.parametrize("cpus", [1, 2, 4])
 def test_sweep_forks_at_most_one_slice_per_point_and_cpu(tmp_path, monkeypatch, forks,
-                                                          cpus, parallel):
-    cfg, values = small_config(b=0.005, t_final=20.0), [0.0, 1e-3, 2e-3]
+                                                          cpus, kind):
     set_cpus(monkeypatch, 1)
-    serial = run_sweep(cfg, "gamma", values, name="s", out_dir=tmp_path)
+    serial = sweep_of(kind, tmp_path, name="s")
     assert forks == []
     set_cpus(monkeypatch, cpus)
-    sweep = run_sweep(cfg, "gamma", values, parallel=parallel, name="w", out_dir=tmp_path)
-    # the caller runs slice 1; every other slice is a child. A lone slice
-    # sees every CPU, so each of its two damped runs forks a band child.
-    n = min(parallel, cpus, len(values))
-    assert len(forks) == n - 1 + (2 if n == 1 and cpus > 1 else 0)
+    bands = band_forks(monkeypatch)
+    sweep = sweep_of(kind, tmp_path)
+    # the caller runs slice 1 and forks the others. Each damped point it
+    # runs forks a band child where it sees more than one CPU: both of the
+    # damped sweep at 2 CPUs; at 4 CPUs only point 2, since two slices deal
+    # equal costs round and give the caller points 0 and 2
+    n = SLICES[cpus, kind]
+    assert len(bands) == {(2, "damped"): 2, (4, "damped"): 1}.get((cpus, kind), 0)
+    assert len(forks) - len(bands) == n - 1
     assert set(forks) <= {1}
     no_child_left()
-    # repr, since a row's nan is not equal to itself
     assert repr(sweep.rows) == repr(serial.rows)
 
 
 @needs_fork
-def test_sweep_slices_see_one_cpu(tmp_path, monkeypatch, forks):
-    # the slices fill the cores, so no point's damped run starts band threads
+def test_sweep_slices_see_every_cpu(tmp_path, monkeypatch, forks):
+    # at 4 CPUs a damped sweep runs two slices, and each slice's damped run
+    # still sees all 4 CPUs, so it forks a band child of its own
     set_cpus(monkeypatch, 4)
     point = runner._sweep_point
 
@@ -123,50 +158,35 @@ def test_sweep_slices_see_one_cpu(tmp_path, monkeypatch, forks):
         return {**row, "pid": os.getpid(), "cpus": fanout.usable_cpus()}, timing
 
     monkeypatch.setattr(runner, "_sweep_point", seen)
-    cfg, values = small_config(b=0.005, t_final=20.0), [0.0, 1e-3]
-    sweep = run_sweep(cfg, "gamma", values, parallel=2, name="w", out_dir=tmp_path)
-    assert [(r["pid"] == os.getpid(), r["cpus"]) for r in sweep.rows] == [(True, 1),
-                                                                         (False, 1)]
-    assert fanout.usable_cpus() == 4
+    cfg, values = small_config(b=0.005, t_final=20.0), [1e-3, 2e-3]
+    bands = band_forks(monkeypatch)
+    sweep = run_sweep(cfg, "gamma", values, name="w", out_dir=tmp_path)
+    assert [(r["pid"] == os.getpid(), r["cpus"]) for r in sweep.rows] == [(True, 4),
+                                                                         (False, 4)]
+    # the slice child, then the caller's band child; the slice's own band
+    # child is forked in the slice
+    assert len(forks) == 2 and bands == [os.getpid()]
+    no_child_left()
     children_exit_at_once(monkeypatch, 3)
-    with pytest.raises(OSError):
-        run_sweep(cfg, "gamma", values, parallel=2, name="x", out_dir=tmp_path)
-    assert fanout.usable_cpus() == 4
+    with pytest.raises(OSError, match=r"running slices 2\.\.2 exited with status \[3\]"):
+        run_sweep(cfg, "gamma", [0.0, 1e-3], name="x", out_dir=tmp_path)
+    no_child_left()
 
 
 @needs_fork
-@pytest.mark.parametrize("parallel", [1, 2])
-def test_sweep_raises_the_first_failing_point(tmp_path, monkeypatch, forks, parallel):
-    # the predicted columns run outside a point's own failure handling; with
-    # two slices, 1e308 fails in the child and 1e307 after it in the caller.
-    # With one slice, the damped run at b = 0.005 forks a band child.
-    set_cpus(monkeypatch, 2)
+@pytest.mark.parametrize("cpus", [1, 2, 4])
+def test_sweep_raises_the_first_failing_point(tmp_path, monkeypatch, forks, cpus):
+    # the predicted columns run outside a point's own failure handling. The
+    # sweep is damped, so 1 and 2 CPUs run one slice: the damped run at
+    # b = 0.005 forks a band child where it sees 2 CPUs, then 1e308 fails.
+    # At 4 CPUs two slices run: 1e308 fails in the child, and 1e307 after
+    # the band child of b = 0.005 in the caller.
+    set_cpus(monkeypatch, cpus)
     with pytest.raises(DomainError, match=r"b=1e\+308"):
-        run_sweep(small_config(), "b", [0.005, 1e308, 1e307], parallel=parallel,
-                  name="f", out_dir=tmp_path)
-    assert forks == [1]
+        run_sweep(small_config(), "b", [0.005, 1e308, 1e307], name="f", out_dir=tmp_path)
+    assert forks == {1: [], 2: [1], 4: [1, 1]}[cpus]
+    no_child_left()
     assert not (tmp_path / "f.csv").exists()
-
-
-@pytest.mark.parametrize("parallel", [0, -1])
-def test_sweep_rejects_parallel_below_one(tmp_path, capsys, parallel):
-    with pytest.raises(ConfigError, match="parallel must be >= 1"):
-        run_sweep(small_config(), "gamma", [0.0], parallel=parallel, out_dir=tmp_path)
-    path = write_config(tmp_path)
-    assert main(["sweep", str(path), "--axis", "gamma", "--values", "0",
-                 "--parallel", str(parallel), "--out-dir", str(tmp_path)]) == EXIT_CONFIG
-    assert "parallel must be >= 1" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize("parallel", [0, -3])
-def test_preset_rejects_parallel_below_one(tmp_path, capsys, parallel):
-    # fig1 is no sweep, so run_sweep's own check never sees the value
-    out = tmp_path / "out"
-    assert main(["preset", "fig1", "--parallel", str(parallel),
-                 "--out-dir", str(out)]) == EXIT_CONFIG
-    err = capsys.readouterr().err
-    assert err == f"error: config: parallel must be >= 1, got {parallel}\n"
-    assert not out.exists()
 
 
 def test_cli_import_does_not_load_scipy():
@@ -235,12 +255,18 @@ def test_sweep_manifest_rows_time_their_stages(tmp_path):
 
 @needs_fork
 def test_forked_sweep_workers_make_no_blas_set_call(tmp_path, monkeypatch, blas_log):
-    set_cpus(monkeypatch, 2)
-    run_sweep(small_config(b=0.005, t_final=20.0), "gamma", [0.0, 1e-3], parallel=2,
-              name="w", out_dir=tmp_path)
-    # only the sweep's own hold of one thread, around its forks
+    # every run holds one thread; a sweep of more than one slice holds it
+    # around its forks, so that neither a slice nor a band child sets it
     pid = os.getpid()
-    assert blas_log.read_text().splitlines() == [f"{pid} set 1", f"{pid} set 2"]
+    for cpus in (1, 2, 4):
+        set_cpus(monkeypatch, cpus)
+        for kind in SWEEPS:
+            blas_log.write_text("")
+            rows = sweep_of(kind, tmp_path).rows
+            holds = 1 if SLICES[cpus, kind] > 1 else len(rows)
+            assert blas_log.read_text().splitlines() == [f"{pid} set 1",
+                                                         f"{pid} set 2"] * holds
+            no_child_left()
 
 
 def test_preset_panels_make_no_blas_set_call(tmp_path, monkeypatch, blas_log):
@@ -353,6 +379,19 @@ def test_cli_sweep(tmp_path, capsys):
 def test_cli_sweep_bad_values(tmp_path, capsys):
     path = write_config(tmp_path)
     assert main(["sweep", str(path), "--axis", "gamma", "--values", "x,y"]) == 2
+
+
+def test_cli_has_no_parallel_option(tmp_path, capsys):
+    # a sweep sizes its own slices; the option fails as an unknown argument
+    path = write_config(tmp_path)
+    out = tmp_path / "out"
+    for argv in (["sweep", str(path), "--axis", "gamma", "--values", "0"],
+                 ["preset", "fig1"]):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--parallel", "2", "--out-dir", str(out)])
+        assert exc.value.code == EXIT_CONFIG
+        assert "unrecognized arguments: --parallel 2" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("field,value", [
@@ -593,16 +632,20 @@ def test_failing_band_child_exits_with_output_error(tmp_path, monkeypatch, capsy
 
 @needs_fork
 def test_failing_sweep_slice_exits_with_output_error(tmp_path, monkeypatch, capsys):
-    set_cpus(monkeypatch, 2)
     children_exit_at_once(monkeypatch, 1)
-    path = write_config(tmp_path)
     out = tmp_path / "out"
-    assert main(["sweep", str(path), "--axis", "gamma", "--values", "0,1e-3",
-                 "--parallel", "2", "--name", "s", "--out-dir", str(out)]) == EXIT_OUTPUT
-    assert capsys.readouterr().err == ("error: OSError: sweep of gamma: the processes "
-                                       "running slices 2..2 exited with status [1]\n")
-    assert not (out / "s.csv").exists()
-    no_child_left()
+    # an undamped sweep runs two slices at 2 CPUs, a damped one at 4
+    for cpus, gamma, axis, values in ((2, 0.0, "b", "0.005,0.01"),
+                                      (4, 1e-3, "gamma", "0,1e-3")):
+        set_cpus(monkeypatch, cpus)
+        path = write_config(tmp_path, b=0.005, gamma=gamma)
+        assert main(["sweep", str(path), "--axis", axis, "--values", values,
+                     "--name", "s", "--out-dir", str(out)]) == EXIT_OUTPUT
+        assert capsys.readouterr().err == (f"error: OSError: sweep of {axis}: the "
+                                           "processes running slices 2..2 exited with "
+                                           "status [1]\n")
+        assert not (out / "s.csv").exists()
+        no_child_left()
 
 
 @needs_fork
