@@ -124,10 +124,31 @@ def test_sweep_parallel_matches_serial(tmp_path, monkeypatch):
 
 
 @needs_fork
+@pytest.mark.parametrize("points", [1, 2, 64])
+@pytest.mark.parametrize("cpus", [1, 2, 8])
+def test_sweep_forks_at_most_one_slice_per_point_and_cpu(tmp_path, monkeypatch, forks,
+                                                          cpus, points):
+    # an undamped sweep runs one slice per usable CPU, but never more
+    # slices than points; the caller runs slice 1 and forks the others
+    cfg = small_config(b=0.005, gamma=0.0, t_final=20.0)
+    values = [0.005 * (1 + k / points) for k in range(points)]
+    set_cpus(monkeypatch, 1)
+    serial = run_sweep(cfg, "b", values, name="s", out_dir=tmp_path)
+    assert forks == []
+    set_cpus(monkeypatch, cpus)
+    bands = band_forks(monkeypatch)
+    sweep = run_sweep(cfg, "b", values, name="w", out_dir=tmp_path)
+    assert bands == []
+    assert len(forks) == min(cpus, points) - 1
+    assert set(forks) <= {1}
+    no_child_left()
+    assert repr(sweep.rows) == repr(serial.rows)
+
+
+@needs_fork
 @pytest.mark.parametrize("kind", ["damped", "undamped"])
 @pytest.mark.parametrize("cpus", [1, 2, 4])
-def test_sweep_forks_at_most_one_slice_per_point_and_cpu(tmp_path, monkeypatch, forks,
-                                                          cpus, kind):
+def test_sweep_gives_each_slice_two_cpus_when_damped(tmp_path, monkeypatch, forks, cpus, kind):
     set_cpus(monkeypatch, 1)
     serial = sweep_of(kind, tmp_path, name="s")
     assert forks == []
