@@ -7,6 +7,7 @@ import math
 from dataclasses import asdict, dataclass, fields
 from importlib import resources
 from numbers import Integral, Real
+from string import ascii_lowercase
 
 from .errors import ConfigError
 
@@ -134,19 +135,6 @@ def parse_values(text: str) -> list[float]:
 # ---------------------------------------------------------------------------
 # presets
 
-#: figure label -> panel names; bare labels expand to all their panels.
-PRESET_PANELS: dict[str, tuple[str, ...]] = {
-    "fig1": ("fig1",),
-    "fig2": ("fig2a", "fig2b", "fig2c", "fig2d"),
-    "fig3": ("fig3a", "fig3b", "fig3c", "fig3d"),
-    "fig4": ("fig4a", "fig4b", "fig4c", "fig4d"),
-    "fig5": ("fig5a", "fig5b", "fig5c", "fig5d"),
-    "fig6": ("fig6a", "fig6b", "fig6c", "fig6d"),
-    "fig7": ("fig7a", "fig7b", "fig7c", "fig7d"),
-    "fig8": ("fig8",),
-}
-
-
 @dataclass(frozen=True)
 class PresetSpec:
     name: str
@@ -156,10 +144,9 @@ class PresetSpec:
 
 
 def preset_names() -> list[str]:
-    out = []
-    for panels in PRESET_PANELS.values():
-        out.extend(panels)
-    return out
+    """The shipped panels, one per file presets/NAME.json, in name order."""
+    return sorted(f.name[:-5] for f in resources.files("revivals.presets").iterdir()
+                  if f.name.endswith(".json"))
 
 
 def load_preset(name: str) -> PresetSpec:
@@ -180,10 +167,13 @@ def load_preset(name: str) -> PresetSpec:
 
 def expand_preset(label: str) -> list[str]:
     """fig2 -> all fig2 panels; a panel name passes through unchanged."""
-    if label in PRESET_PANELS:
-        return list(PRESET_PANELS[label])
-    if label in preset_names():
+    names = preset_names()
+    figures: dict[str, list[str]] = {}
+    for name in names:  # fig2a..fig2d make fig2; fig1 is a figure of one panel
+        figures.setdefault(name.rstrip(ascii_lowercase), []).append(name)
+    if label in figures:
+        return figures[label]
+    if label in names:
         return [label]
     raise ConfigError(
-        f"unknown preset {label!r}; available: "
-        f"{', '.join(sorted(PRESET_PANELS) + preset_names())}")
+        f"unknown preset {label!r}; available: {', '.join(sorted(figures) + names)}")

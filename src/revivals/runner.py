@@ -32,14 +32,14 @@ from .analysis import (ClassifierThresholds, FirstRevival, RevivalReport,
                        detect_revivals, extract_envelope, first_revival_peak)
 from .config import ExperimentConfig
 from .csvtext import format_rows
-from .errors import ConfigError
-from .fanout import fork_slice, fork_slices, forked_children, run_slices
+from .errors import ConfigError, RevivalsError
+from .fanout import (fork_slice, fork_slices, forked_children, one_blas_thread,
+                     run_slices)
 from .fock import (DensityMatrix, FockSpace, coherent_state, density_from_pure,
                    displaced_number_state)
 from .hamiltonian import (Timescales, build_hamiltonian, default_n0,
                           modulus_revival_period, timescales_closed_form)
-from .lindblad import (DampingSpec, Liouvillian, Trajectory, build_liouvillian,
-                       default_dt, rk4_evolve)
+from .lindblad import DampingSpec, Liouvillian, Trajectory, build_liouvillian, rk4_evolve
 
 CSV_HEADER = "t,re_a,im_a,abs_a,n_expect,trace,purity"
 
@@ -68,7 +68,6 @@ class RunContext:
     config: ExperimentConfig
     liouvillian: Liouvillian
     rho0: DensityMatrix
-    dt: float
     n0: int
     predicted: Timescales | None
     period: float | None          # modulus-revival period, None for b = 0 / k = 1
@@ -92,15 +91,15 @@ def resolve(config: ExperimentConfig) -> RunContext:
     rho0 = density_from_pure(
         coherent_state(space, config.alpha) if config.state_n == 0
         else displaced_number_state(space, config.alpha, config.state_n))
-    dt = config.dt if config.dt > 0 else default_dt(L, rho0)
-    return RunContext(config=config, liouvillian=L, rho0=rho0, dt=dt, n0=n0,
+    return RunContext(config=config, liouvillian=L, rho0=rho0, n0=n0,
                       predicted=predicted, period=modulus_revival_period(h),
                       window=window)
 
 
 def evolve(ctx: RunContext) -> Trajectory:
-    """RK4 run of the resolved model; runs record observables, not states."""
-    return rk4_evolve(ctx.liouvillian, ctx.rho0, ctx.config.t_final, dt=ctx.dt)
+    """RK4 run of the resolved model at the config's dt (0: ``rk4_evolve``'s
+    automatic step); runs record observables, not states."""
+    return rk4_evolve(ctx.liouvillian, ctx.rho0, ctx.config.t_final, dt=ctx.config.dt)
 
 
 @dataclass(frozen=True)
@@ -119,6 +118,23 @@ def analyze(ctx: RunContext, traj: Trajectory) -> AnalysisSummary:
     if ctx.period is not None and traj.times[-1] >= 1.1 * ctx.period:
         first = first_revival_peak(env, ctx.period)
     return AnalysisSummary(report=report, first_revival=first)
+
+
+def _solve(config: ExperimentConfig,
+           timing: dict) -> tuple[RunContext, Trajectory, AnalysisSummary]:
+    """resolve, evolve and analyze config, through the module globals that
+    the benchmark's tracer wraps; timing gets the seconds of each finished stage."""
+    clock = time.perf_counter()
+
+    def lap(stage: str, result):
+        nonlocal clock
+        now = time.perf_counter()
+        timing[stage], clock = now - clock, now
+        return result
+
+    ctx = lap("resolve_s", resolve(config))
+    traj = lap("evolve_s", evolve(ctx))
+    return ctx, traj, lap("analyze_s", analyze(ctx, traj))
 
 
 def _fmt(x: float) -> str:
@@ -220,26 +236,25 @@ def run_experiment(config: ExperimentConfig, name: str = "run",
     """Evolve one configuration and write its CSV, manifest and plot script."""
     out = _out_dir(out_dir)
     t_wall = time.perf_counter()
-    ctx = resolve(config)
-    t_resolved = time.perf_counter()
-    traj = evolve(ctx)
-    t_evolved = time.perf_counter()
-    summary = analyze(ctx, traj)
+    # seconds per stage; write_s is the CSV and the plot script, csv_s the
+    # CSV alone, while the manifest's own write falls in wall_time_s
+    timing = {}
+    ctx, traj, summary = _solve(config, timing)
     t_analyzed = time.perf_counter()
     csv_path = out / f"{name}.csv"
     write_csv(csv_path, traj)
-    t_csv = time.perf_counter()
+    timing["csv_s"] = time.perf_counter() - t_analyzed
     plot_path = out / f"{name}_plot.py"
     write_plot_script(plot_path, name, csv_path.name,
                       config.comment or f"{name}: k={config.nonlinearity_order}, "
                       f"b={config.b}, gamma={config.gamma}")
-    t_written = time.perf_counter()
+    timing["write_s"] = time.perf_counter() - t_analyzed
     pred = ctx.predicted
     report = summary.report
     manifest_path = _write_manifest(out, name, {
         "config": config.to_dict(),
         "resolved": {
-            "dt": ctx.dt,
+            "dt": traj.times[1],  # the step taken
             "steps": len(traj) - 1,
             "n0": ctx.n0,
             "t_cl": pred.t_cl if pred else 2 * math.pi / config.omega0,
@@ -258,13 +273,7 @@ def run_experiment(config: ExperimentConfig, name: str = "run",
                                "amplitude": summary.first_revival.amplitude}),
         },
         "outputs": {"csv": csv_path.name, "plot_script": plot_path.name},
-        # seconds per stage; write_s is the CSV and the plot script, csv_s
-        # the CSV alone, while the manifest's own write falls in wall_time_s
-        "timing": {"resolve_s": t_resolved - t_wall,
-                   "evolve_s": t_evolved - t_resolved,
-                   "analyze_s": t_analyzed - t_evolved,
-                   "write_s": t_written - t_analyzed,
-                   "csv_s": t_csv - t_analyzed},
+        "timing": timing,
     }, t_wall)
     return RunResult(name=name, trajectory=traj, summary=summary,
                      csv_path=csv_path, manifest_path=manifest_path,
@@ -294,34 +303,23 @@ def _predicted_columns(config: ExperimentConfig, axis: str) -> tuple[float, floa
 
 
 def _sweep_point(args: tuple[ExperimentConfig, str, float]) -> tuple[dict, dict]:
-    """The point's row, and the seconds of each of its stages that finished."""
+    """The point's row, and the seconds of each of its stages that finished;
+    a RevivalsError lands in the row, any other error is raised."""
     base, axis, value = args
     config = replace(base, **{axis: int(value) if axis == "state_n" else value})
-    t_rev, t_sr = _predicted_columns(config, axis)
     row = {"param_value": value, "classification": "", "n_revivals": 0,
            "first_revival_t": math.nan, "first_revival_amp": math.nan,
-           "predicted_t_rev": t_rev, "predicted_t_sr": t_sr}
+           "predicted_t_rev": math.nan, "predicted_t_sr": math.nan}
     timing = {}
-    clock = time.perf_counter()
-
-    def lap(stage: str) -> None:
-        nonlocal clock
-        now = time.perf_counter()
-        timing[stage], clock = now - clock, now
-
     try:
-        ctx = resolve(config)
-        lap("resolve_s")
-        traj = evolve(ctx)
-        lap("evolve_s")
-        summary = analyze(ctx, traj)
-        lap("analyze_s")
+        row["predicted_t_rev"], row["predicted_t_sr"] = _predicted_columns(config, axis)
+        _, _, summary = _solve(config, timing)
         row["classification"] = summary.report.classification.value
         row["n_revivals"] = int(len(summary.report.revival_times))
         if summary.first_revival is not None:
             row["first_revival_t"] = summary.first_revival.t
             row["first_revival_amp"] = summary.first_revival.amplitude
-    except Exception as exc:  # per-point failures land in the row
+    except RevivalsError as exc:
         row["classification"] = f"ERROR:{type(exc).__name__}"
         row["error"] = str(exc)  # manifest only; the CSV keeps the type
     return row, timing
@@ -343,9 +341,12 @@ def run_sweep(base: ExperimentConfig, axis: str, values, name: str = "sweep",
 
     The points run in slices (``fanout.run_slices``): one per usable CPU
     and point at most, or half as many CPUs' worth when a point is damped
-    (gamma > 0), since every damped run forks a band child. The rows do not depend on the slice count. A
-    point's failure lands in its row; one outside its run (its predicted
-    columns) is raised and leaves no CSV. The manifest's rows add the
+    (gamma > 0), since every damped run forks a band child; all of them
+    run on one BLAS thread (``fanout.one_blas_thread``). The rows do not
+    depend on the slice count. A point's model or config error (a
+    RevivalsError) lands in its row; any other error, such as a failed
+    forked child's OSError, fails the sweep with the error of the smallest
+    failing point, and leaves no CSV. The manifest's rows add the
     seconds of each finished stage of a point (``timing``: resolve_s,
     evolve_s, analyze_s); the CSV does not.
     """
@@ -362,9 +363,10 @@ def run_sweep(base: ExperimentConfig, axis: str, values, name: str = "sweep",
     jobs = [(base, axis, v) for v in values]
     damped = any(v > 0 for v in values) if axis == "gamma" else base.gamma > 0
     # through the module globals, which the benchmark's tracer wraps
-    points = run_slices(lambda i: _sweep_point(jobs[i]), [1.0] * len(jobs),
-                        f"sweep of {axis}",
-                        cap=max(1, fork_slices() // 2) if damped else None)
+    with one_blas_thread():
+        points = run_slices(lambda i: _sweep_point(jobs[i]), [1.0] * len(jobs),
+                            f"sweep of {axis}",
+                            cap=max(1, fork_slices() // 2) if damped else None)
     rows = [row for row, _ in points]
     csv_path = out / f"{name}.csv"
     with open(csv_path, "w", encoding="utf-8", newline="\n") as fh:

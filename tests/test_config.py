@@ -1,12 +1,9 @@
 import json
-from importlib import resources
-from pathlib import Path
 
 import pytest
 
 from revivals import ConfigError, config_from_json
-from revivals.config import (PRESET_PANELS, expand_preset, load_preset,
-                             preset_names)
+from revivals.config import expand_preset, load_preset, preset_names
 
 from conftest import ALPHA, OMEGA0
 
@@ -79,14 +76,11 @@ def test_fig4_documents_damping_conflict():
     assert "caption" in spec.config.comment
 
 
-def test_preset_panel_registry_is_consistent():
-    assert set(PRESET_PANELS) == {f"fig{i}" for i in range(1, 9)}
-    for label, panels in PRESET_PANELS.items():
-        for p in panels:
-            assert p.startswith(label)
+#: each figure's panels, as shipped
+FIGURES = {"fig1": ["fig1"], **{f"fig{i}": [f"fig{i}{p}" for p in "abcd"] for i in range(2, 8)},
+           "fig8": ["fig8"]}
 
 
-def test_preset_table_lists_every_shipped_json():
-    shipped = resources.files("revivals.presets").iterdir()
-    assert set(preset_names()) == {Path(f.name).stem for f in shipped
-                                   if f.name.endswith(".json")}
+@pytest.mark.parametrize("label", FIGURES)
+def test_figure_expands_to_its_panels(label):
+    assert expand_preset(label) == FIGURES[label]

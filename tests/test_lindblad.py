@@ -507,7 +507,8 @@ def test_rk4_output_does_not_depend_on_thread_count(monkeypatch):
     runs = []
     for cpus in AFFINITIES:
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: cpus)
-        runs.append(rk4_evolve(ctx.liouvillian, ctx.rho0, 2.0, dt=ctx.dt))
+        runs.append(rk4_evolve(ctx.liouvillian, ctx.rho0, 2.0,
+                               dt=default_dt(ctx.liouvillian, ctx.rho0)))
     one = runs[0]
     assert len(one) > 4 * BLOCK_STEPS
     for other in runs[1:]:

@@ -20,6 +20,7 @@ import numpy as np
 import pytest
 
 from revivals.config import load_preset
+from revivals.lindblad import default_dt
 from revivals.runner import evolve, resolve
 
 PANELS = ("fig2a", "fig2b", "fig4a", "fig4b")
@@ -38,7 +39,8 @@ def test_doubled_rates_on_halved_time_give_identical_amplitudes(shipped):
                      gamma=2 * config.gamma, t_final=config.t_final / 2,
                      dt=config.dt / 2)
     scaled_ctx = resolve(scaled)
-    assert scaled_ctx.dt == ctx.dt / 2
+    assert (default_dt(scaled_ctx.liouvillian, scaled_ctx.rho0)
+            == default_dt(ctx.liouvillian, ctx.rho0) / 2)
     got = evolve(scaled_ctx)
     np.testing.assert_array_equal(got.times, traj.times / 2)
     np.testing.assert_array_equal(got.a_expect, traj.a_expect)

@@ -197,17 +197,43 @@ def test_sweep_slices_see_every_cpu(tmp_path, monkeypatch, forks):
 @needs_fork
 @pytest.mark.parametrize("cpus", [1, 2, 4])
 def test_sweep_raises_the_first_failing_point(tmp_path, monkeypatch, forks, cpus):
-    # the predicted columns run outside a point's own failure handling. The
-    # sweep is damped, so 1 and 2 CPUs run one slice: the damped run at
-    # b = 0.005 forks a band child where it sees 2 CPUs, then 1e308 fails.
-    # At 4 CPUs two slices run: 1e308 fails in the child, and 1e307 after
-    # the band child of b = 0.005 in the caller.
+    # an error that is not a model error fails the sweep. The sweep is
+    # damped, so 1 and 2 CPUs run one slice: the damped run at b = 0.005
+    # forks a band child where it sees 2 CPUs, then 0.02 fails. At 4 CPUs
+    # two slices run: 0.02 fails in the child, and 0.03 after the band child
+    # of 0.005 in the caller.
+    evolve = runner.evolve
+
+    def broken(ctx):
+        if ctx.config.b > 0.01:
+            raise RuntimeError(f"bug at b={ctx.config.b}")
+        return evolve(ctx)
+
+    monkeypatch.setattr(runner, "evolve", broken)
     set_cpus(monkeypatch, cpus)
-    with pytest.raises(DomainError, match=r"b=1e\+308"):
-        run_sweep(small_config(), "b", [0.005, 1e308, 1e307], name="f", out_dir=tmp_path)
+    with pytest.raises(RuntimeError, match=r"^bug at b=0\.02$"):
+        run_sweep(small_config(), "b", [0.005, 0.02, 0.03], name="f", out_dir=tmp_path)
     assert forks == {1: [], 2: [1], 4: [1, 1]}[cpus]
     no_child_left()
     assert not (tmp_path / "f.csv").exists()
+
+
+@needs_fork
+@pytest.mark.parametrize("cpus", [1, 2, 4])
+def test_sweep_records_a_domain_error_in_its_row(tmp_path, monkeypatch, cpus):
+    # b = 1e308 overflows the energy ladder before the predicted columns are
+    # known: a model error, so it lands in its row, in a slice child at 2
+    # and 4 CPUs
+    set_cpus(monkeypatch, cpus)
+    cfg = small_config(b=0.005, gamma=0.0, t_final=20.0)
+    sweep = run_sweep(cfg, "b", [0.005, 1e308], name="d", out_dir=tmp_path)
+    no_child_left()
+    rows = [r.split(",") for r in sweep.csv_path.read_text().splitlines()[1:]]
+    assert rows[0][1] == "NO_COLLAPSE"
+    assert rows[1][1:] == ["ERROR:DomainError", "0", "nan", "nan", "nan", "nan"]
+    manifest = json.loads(sweep.manifest_path.read_text())
+    assert manifest["rows"][1]["error"].startswith("energy ladder overflows at b=1e+308")
+    assert manifest["rows"][1]["timing"] == {}
 
 
 def test_cli_import_does_not_load_scipy():
@@ -276,17 +302,15 @@ def test_sweep_manifest_rows_time_their_stages(tmp_path):
 
 @needs_fork
 def test_forked_sweep_workers_make_no_blas_set_call(tmp_path, monkeypatch, blas_log):
-    # every run holds one thread; a sweep of more than one slice holds it
-    # around its forks, so that neither a slice nor a band child sets it
+    # a sweep holds one thread across all its points and forks, so that
+    # neither a point after the first, nor a slice, nor a band child sets it
     pid = os.getpid()
     for cpus in (1, 2, 4):
         set_cpus(monkeypatch, cpus)
         for kind in SWEEPS:
             blas_log.write_text("")
-            rows = sweep_of(kind, tmp_path).rows
-            holds = 1 if SLICES[cpus, kind] > 1 else len(rows)
-            assert blas_log.read_text().splitlines() == [f"{pid} set 1",
-                                                         f"{pid} set 2"] * holds
+            sweep_of(kind, tmp_path)
+            assert blas_log.read_text().splitlines() == [f"{pid} set 1", f"{pid} set 2"]
             no_child_left()
 
 
@@ -667,6 +691,31 @@ def test_failing_sweep_slice_exits_with_output_error(tmp_path, monkeypatch, caps
                                            "status [1]\n")
         assert not (out / "s.csv").exists()
         no_child_left()
+
+
+@needs_fork
+@pytest.mark.parametrize("cpus", [1, 2, 4])
+def test_damped_sweep_with_failing_children_exits_with_output_error(tmp_path, monkeypatch,
+                                                                     capsys, cpus):
+    # a failed band child (one slice at 2 CPUs) fails the sweep as a failed
+    # slice child does (two slices at 4 CPUs); at 1 CPU nothing forks
+    set_cpus(monkeypatch, cpus)
+    children_exit_at_once(monkeypatch, 1)
+    path = write_config(tmp_path, b=0.005)
+    code = main(["sweep", str(path), "--axis", "gamma", "--values", "1e-3,2e-3",
+                 "--name", "s", "--out-dir", str(tmp_path / "out")])
+    no_child_left()
+    err = capsys.readouterr().err
+    assert (tmp_path / "out" / "s.csv").exists() == (cpus == 1)
+    if cpus == 1:
+        assert code == 0 and err == ""
+    else:
+        assert code == EXIT_OUTPUT
+        assert err == "error: OSError: " + {
+            2: f"the band child propagating bands 1..{_band_split(30) - 1} sent 0 of "
+               "4096 bytes\n",
+            4: "sweep of gamma: the processes running slices 2..2 exited with status [1]\n",
+        }[cpus]
 
 
 @needs_fork
