@@ -117,16 +117,13 @@ def envelope_from_series(ts: np.ndarray, absa: np.ndarray, window: float) -> Env
     t0, t1 = float(ts[0]), float(ts[-1])
     nwin = max(int(math.floor((t1 - t0) / window)), 1)
     # bin by index; samples are uniformly spaced by construction
-    centers = np.empty(nwin)
-    values = np.empty(nwin)
     edges = t0 + np.arange(nwin + 1) * window
     edges[-1] = max(edges[-1], t1)
     idx = np.searchsorted(ts, edges)
-    idx[-1] = len(ts)
-    for k in range(nwin):
-        lo, hi = idx[k], max(idx[k + 1], idx[k] + 1)
-        centers[k] = 0.5 * (edges[k] + min(edges[k + 1], t1))
-        values[k] = absa[lo:hi].max()
+    centers = 0.5 * (edges[:-1] + np.minimum(edges[1:], t1))
+    # window k is absa[idx[k]:idx[k+1]], the last one runs to the end, and a
+    # window with no sample of its own takes the one at idx[k]
+    values = np.maximum.reduceat(absa, idx[:-1])
     return Envelope(times=centers, values=values, window=window,
                     source_times=ts, source_values=absa)
 
@@ -300,7 +297,8 @@ def _evolve_amplitude(h: DiagonalHamiltonian, d: DampingSpec, alpha: complex,
     space = h.space
     psi = (coherent_state(space, alpha) if state_n == 0
            else displaced_number_state(space, alpha, state_n))
-    return rk4_evolve(build_liouvillian(h, d), density_from_pure(psi), t_final)
+    return rk4_evolve(build_liouvillian(h, d), density_from_pure(psi), t_final,
+                      amplitude_only=True)
 
 
 @dataclass(frozen=True)
@@ -326,9 +324,11 @@ def scan_nonlinearity(b_values, *, k: int, alpha: complex, omega0: float,
     The points are classified in one slice per usable CPU
     (``fanout.run_slices``), dealt largest first by their predicted step
     count: the caller runs the first slice, forked children the others.
-    Each point runs the same single-threaded ``rk4_evolve``, so the result
-    does not depend on the slice count, and neither does the error raised:
-    that of the smallest failing b, as a serial loop would raise it.
+    Each point runs the same single-threaded ``rk4_evolve`` with
+    ``amplitude_only``: band 1 alone where its gates are certified in closed
+    form, else the full run, which raises the error it always raised. So the
+    result does not depend on the slice count, and neither does the error
+    raised: that of the smallest failing b, as a serial loop would raise it.
     """
     space = FockSpace(dim)
     cfg = ClassifierThresholds(linear_classical_period=2 * math.pi / omega0)

@@ -21,6 +21,14 @@ RK4 loop, up to rounding; only the order of the floating-point operations
 differs. The final state's upper triangle is the conjugate of its lower
 bands, so it is Hermitian by construction.
 
+<a> reads band 1 alone. So an amplitude-only run (``amplitude_only=True``,
+the nonlinearity scan's) of an undamped model propagates band 1 only, once
+``_certified`` has shown in closed form that no sample can fail a gate: the
+step factor of band 0 is exactly 1, so the trace and the top level stay
+put, and the purity is convex in time, so it peaks at an end. Band 1 runs
+through the same table, block starts and products as in the full loop, so
+<a> has the same bytes. Any other run takes the full loop.
+
 The damped (dense) path splits the bands between two processes: one
 forked band child propagates the largest complex bands, 1..k-1, and
 sends <a> and its part of the purity sum per block through a pipe; the
@@ -64,6 +72,10 @@ BLOCK_STEPS = 128
 
 #: Full blocks whose observables one pass of the undamped block loop computes.
 CHUNK_BLOCKS = 32
+
+#: Distance inside each gate's bound that ``rk4_evolve(amplitude_only=True)``
+#: requires of the closed-form values before it skips the gates' bands.
+CERTIFICATE_MARGIN = 1e-12
 
 #: Share of the damped band products' cost, (D - q)^2 for band q, that the
 #: band child of ``_dense_blocks`` takes; the bytes do not depend on it.
@@ -173,7 +185,11 @@ def build_liouvillian(h: DiagonalHamiltonian, d: DampingSpec) -> Liouvillian:
 
 @dataclass
 class Trajectory:
-    """Observable time series plus the state at the last sample."""
+    """Observable time series plus the state at the last sample.
+
+    An amplitude-only run (``rk4_evolve(amplitude_only=True)``) that took
+    the band-1 path leaves n_expect, trace, purity and final empty.
+    """
 
     times: np.ndarray
     a_expect: np.ndarray
@@ -364,6 +380,55 @@ def _dense_blocks(gens: list[np.ndarray], x0: list[np.ndarray], dt: float, nsamp
                    pop[-1], last)
 
 
+def _power_table(r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """table[:, j] = r^j for j < BLOCK_STEPS, by the doubling of the dense
+    path, and r^BLOCK_STEPS, the step factor of one block."""
+    nb = BLOCK_STEPS
+    table = np.empty((len(r), nb), dtype=complex)
+    table[:, 0] = 1.0
+    p, width = r, 1
+    while width < nb:
+        np.multiply(p[:, None], table[:, :width], out=table[:, width:2 * width])
+        p = p * p
+        width *= 2
+    return table, p
+
+
+def _block_starts(x: np.ndarray, p: np.ndarray, nsamples: int):
+    """Chunks (starts, count) of the block starts of an elementwise run.
+
+    starts[i] is x at the start of block i of the chunk; x advances in place
+    by ``x *= p`` once per block, so it ends as the last row of the chunk. A
+    chunk holds up to CHUNK_BLOCKS full blocks of ``count`` = BLOCK_STEPS
+    samples; a run's last partial block comes alone, with its own count.
+    """
+    nb = BLOCK_STEPS
+    nfull, rest = divmod(nsamples, nb)
+    chunks = [(b0, min(CHUNK_BLOCKS, nfull - b0), nb)
+              for b0 in range(0, nfull, CHUNK_BLOCKS)]
+    if rest:
+        chunks.append((nfull, 1, rest))
+    for b0, nrows, count in chunks:
+        starts = np.empty((nrows, len(x)), dtype=complex)
+        for i in range(nrows):
+            if b0 + i > 0:
+                x *= p
+            starts[i] = x
+        yield starts, count
+
+
+def _rows(v: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """Row i of v times t, one vector-matrix product per row: the BLAS call
+    of v[i] @ t, so the bytes do not depend on the chunk size."""
+    return np.matmul(v[:, None, :], t)[:, 0, :].reshape(-1)
+
+
+def _stacked(gens: list[np.ndarray], x0: list[np.ndarray], dt: float
+             ) -> tuple[np.ndarray, np.ndarray]:
+    """The bands stacked into one complex vector, and their diagonal step r."""
+    return np.concatenate(x0), _rk4_step(np.concatenate([np.diagonal(m) for m in gens]), dt)
+
+
 def _diagonal_blocks(gens: list[np.ndarray], x0: list[np.ndarray], dt: float,
                      nsamples: int):
     """Blocks as elementwise products of the band states with powers of diag R_q.
@@ -374,54 +439,73 @@ def _diagonal_blocks(gens: list[np.ndarray], x0: list[np.ndarray], dt: float,
     comes alone, against the first ``count`` columns of the table.
     """
     d = len(gens)
-    nb = BLOCK_STEPS
-    x = np.concatenate(x0)
-    p = _rk4_step(np.concatenate([np.diagonal(m) for m in gens]), dt)
-    # table[:, j] = r^j, by the same doubling as the dense path; p ends as r^B
-    table = np.empty((len(x), nb), dtype=complex)
-    table[:, 0] = 1.0
-    width = 1
-    while width < nb:
-        np.multiply(p[:, None], table[:, :width], out=table[:, width:2 * width])
-        p = p * p
-        width *= 2
+    x, r = _stacked(gens, x0, dt)
+    table, p = _power_table(r)
     abs2 = table.real ** 2 + table.imag ** 2
     weight = np.full(len(x), 2.0)  # each band q >= 1 also stands for band -q
     weight[:d] = 1.0
     sqrt_n = np.sqrt(np.arange(1.0, d))
     levels = np.arange(float(d))
 
-    def rows(v: np.ndarray, t: np.ndarray) -> np.ndarray:
-        # row i of v times t, one vector-matrix product per row: the BLAS
-        # call of v[i] @ t, so the bytes do not depend on the chunk size
-        return np.matmul(v[:, None, :], t)[:, 0, :].reshape(-1)
-
     def last() -> tuple[np.ndarray, np.ndarray]:
         v = x * table[:, count - 1]
         return v[:d].real, v[d:]
 
-    nfull, rest = divmod(nsamples, nb)
-    chunks = [(b0, min(CHUNK_BLOCKS, nfull - b0), nb)
-              for b0 in range(0, nfull, CHUNK_BLOCKS)]
-    if rest:
-        chunks.append((nfull, 1, rest))
-    for b0, nrows, count in chunks:
+    for starts, count in _block_starts(x, p, nsamples):
         t = table[:, :count]
-        starts = np.empty((nrows, len(x)), dtype=complex)
-        for i in range(nrows):
-            if b0 + i > 0:
-                x *= p
-            starts[i] = x
         pop = starts[:, :d]
-        yield (rows(sqrt_n * starts[:, d:2 * d - 1], t[d:2 * d - 1]),
-               rows(levels * pop, t[:d]).real,
-               rows(pop, t[:d]).real,
-               rows(weight * (starts.real ** 2 + starts.imag ** 2), abs2[:, :count]),
+        yield (_rows(sqrt_n * starts[:, d:2 * d - 1], t[d:2 * d - 1]),
+               _rows(levels * pop, t[:d]).real,
+               _rows(pop, t[:d]).real,
+               _rows(weight * (starts.real ** 2 + starts.imag ** 2), abs2[:, :count]),
                (pop[:, -1:] * t[d - 1]).real.reshape(-1), last)
 
 
+def _certified(x: np.ndarray, r: np.ndarray, d: int, nsamples: int,
+               top_limit: float) -> bool:
+    """True when no sample of an undamped run can fail a gate, read in closed form.
+
+    x and r are the stacked bands and step factors of ``_diagonal_blocks``.
+    Band 0's factor must be exactly 1.0, so x_0 never changes: the trace
+    stays sum(x_0) and the top level x_0[D-1], and band 0's sum(x_0^2) > 0
+    bounds the purity below. The purity P(j) = sum_i w_i |x_i|^2 |r_i|^(2j)
+    is a positive sum of exponentials in j, so it is convex and its largest
+    value is P(0) or P(N). Each check keeps CERTIFICATE_MARGIN inside its
+    bound; P(0) and P(N) also keep the rounding of the N step products that
+    the block loop makes, 16 (N + 2 BLOCK_STEPS + D^2) eps of P. A check
+    that is not finite fails.
+    """
+    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(r)) and np.all(r[:d] == 1.0)):
+        return False
+    pop = x[:d].real
+    w = np.full(len(x), 2.0)
+    w[:d] = 1.0
+    mass = w * (x.real ** 2 + x.imag ** 2)
+    ends = max(mass.sum(), np.dot(mass, (r.real ** 2 + r.imag ** 2) ** (nsamples - 1)))
+    rounding = 16 * (nsamples + 2 * BLOCK_STEPS + d * d) * np.finfo(float).eps
+    return bool(abs(pop.sum() - 1.0) <= TRACE_TOLERANCE - CERTIFICATE_MARGIN
+                and pop[-1] <= top_limit - CERTIFICATE_MARGIN
+                and np.dot(pop, pop) > 0.0
+                and ends * (1.0 + rounding) <= 1.0 + TRACE_TOLERANCE - CERTIFICATE_MARGIN)
+
+
+def _band1_amplitude(x1: np.ndarray, r1: np.ndarray, out: np.ndarray) -> None:
+    """<a> of an undamped run into out, from band 1 alone.
+
+    The operations on band 1 are those of ``_diagonal_blocks``, so the bytes
+    are too: the bands never mix, and <a> reads band 1 only.
+    """
+    sqrt_n = np.sqrt(np.arange(1.0, len(x1) + 1))
+    table, p = _power_table(r1)
+    k0 = 0
+    for starts, count in _block_starts(x1, p, len(out)):
+        a = _rows(sqrt_n * starts, table[:, :count])
+        out[k0:k0 + len(a)] = a
+        k0 += len(a)
+
+
 def rk4_evolve(L: Liouvillian, rho0: DensityMatrix, t_final: float,
-               dt: float = 0.0) -> Trajectory:
+               dt: float = 0.0, *, amplitude_only: bool = False) -> Trajectory:
     """Propagate rho0 to t_final with classic fixed-step RK4.
 
     Observables are recorded every step, the full state only at the last
@@ -439,6 +523,13 @@ def rk4_evolve(L: Liouvillian, rho0: DensityMatrix, t_final: float,
     TOP_LEVEL_TOLERANCE (possible only with the full equation at
     n_thermal > 0). NaN fails every gate. The error names the first failing
     time. A DomainError names the step count whose records cannot be allocated.
+
+    With ``amplitude_only`` an undamped run whose gates ``_certified`` proves
+    in closed form propagates band 1 alone (``_band1_amplitude``): ``times``
+    and ``a_expect`` are byte-identical to the full run's, and ``n_expect``,
+    ``trace``, ``purity`` and ``final`` are empty. An uncertified or
+    non-finite run, and every damped one, takes the full path, which raises
+    as it would without the flag.
     """
     if rho0.space.dim != L.space.dim:
         raise DimensionMismatch(
@@ -474,7 +565,18 @@ def rk4_evolve(L: Liouvillian, rho0: DensityMatrix, t_final: float,
         gens = L.band_generators()
         x0 = to_bands(np.asarray(rho0.matrix))
         # without jump terms (gamma = 0) every M_q is diagonal
-        if all(np.count_nonzero(m) == np.count_nonzero(np.diagonal(m)) for m in gens):
+        diagonal = all(np.count_nonzero(m) == np.count_nonzero(np.diagonal(m))
+                       for m in gens)
+        if amplitude_only and diagonal:
+            d = L.space.dim
+            x, r = _stacked(gens, x0, dt)
+            if _certified(x, r, d, nsamples, top_limit):
+                _band1_amplitude(x[d:2 * d - 1], r[d:2 * d - 1], a_rec)
+                if np.all(np.isfinite(a_rec)):
+                    return Trajectory(times=times, a_expect=a_rec, n_expect=np.empty(0),
+                                      trace=np.empty(0), purity=np.empty(0),
+                                      final=np.empty((0, 0), dtype=complex))
+        if diagonal:
             blocks = _diagonal_blocks(gens, x0, dt, nsamples)
         else:
             blocks = _dense_blocks(gens, x0, dt, nsamples)

@@ -236,6 +236,30 @@ def test_scan_fork_reraises_the_one_cpu_exception(monkeypatch, cpus):
     assert raised[2:] == raised[:2]
 
 
+#: The purity error of b = 0.005 on the k=2 ladder at dim 60, where the
+#: automatic step leaves the far bands unstable.
+DIM60_FAILURE = "purity 1.000042807942807 outside (0, 1] at t=2.62156; reduce dt"
+
+
+@needs_fork
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_scan_falls_back_to_the_full_runs_error(monkeypatch, cpus):
+    # the closed-form purity of these points fails, so each runs the full
+    # rk4_evolve, and the scan raises what it raises without amplitude_only
+    set_cpus(monkeypatch, cpus)
+    full_run = analysis.rk4_evolve
+    raised = []
+    for strip in (False, True):
+        if strip:
+            monkeypatch.setattr(analysis, "rk4_evolve",
+                                lambda *args, amplitude_only: full_run(*args))
+        with pytest.raises(Exception) as failed:
+            scan_nonlinearity([0.005, 0.01], k=2, alpha=ALPHA, omega0=OMEGA0, dim=60)
+        raised.append((type(failed.value), str(failed.value)))
+        no_child_left()
+    assert raised == [(StabilityError, DIM60_FAILURE)] * 2
+
+
 @needs_fork
 def test_scan_child_that_exits_non_zero_raises_oserror(monkeypatch):
     set_cpus(monkeypatch, 3)

@@ -436,6 +436,69 @@ def test_undamped_dim60_failure_message():
                                  "t=2.62155; reduce dt")
 
 
+# rk4_evolve(amplitude_only=True): an undamped run whose gates hold in closed
+# form propagates band 1 alone
+
+def preset_run(name, **changes):
+    ctx = resolve(replace(load_preset(name).config, **changes))
+    return ctx.liouvillian, ctx.rho0, ctx.config.t_final, ctx.config.dt
+
+
+def steps_run(nsteps, gamma=0.0):
+    # dt a power of two, so that nsteps * dt / dt gives nsteps steps
+    rho0 = density_from_pure(coherent_state(FockSpace(14), -0.8))
+    return make_liouvillian(14, b=B1, gamma=gamma), rho0, nsteps * 0.0625, 0.0625
+
+
+AMPLITUDE_RUNS = {
+    "fig2a": lambda: preset_run("fig2a"),
+    "fig4a": lambda: preset_run("fig4a"),
+    "k3-dim44-n5": lambda: preset_run("fig4a", dim=44, state_n=5),
+    # steps on and either side of a block edge, and one past a chunk
+    **{f"{n}-steps": (lambda n=n: steps_run(n))
+       for n in (1, BLOCK_STEPS - 1, BLOCK_STEPS, BLOCK_STEPS + 1, CHUNK + 1)},
+}
+
+
+@pytest.mark.parametrize("run", list(AMPLITUDE_RUNS))
+def test_amplitude_only_gives_the_full_runs_amplitude_bytes(run):
+    L, rho0, t_final, dt = AMPLITUDE_RUNS[run]()
+    full = rk4_evolve(L, rho0, t_final, dt)
+    band1 = rk4_evolve(L, rho0, t_final, dt, amplitude_only=True)
+    assert band1.times.tobytes() == full.times.tobytes()
+    assert band1.a_expect.tobytes() == full.a_expect.tobytes()
+    for name in ("n_expect", "trace", "purity", "final"):
+        assert getattr(band1, name).size == 0, name
+    # the facts the certificate reads: a trace constant up to the rounding of
+    # its sum, and a purity whose largest value is at an end, up to the
+    # rounding the certificate allows
+    assert np.ptp(full.trace) <= 1e-14
+    assert full.purity.max() <= max(full.purity[0], full.purity[-1]) * (1 + 1e-12)
+
+
+def test_amplitude_only_is_ignored_by_damped_runs():
+    L, rho0, t_final, dt = steps_run(2 * BLOCK_STEPS + 5, gamma=1e-3)
+    full = rk4_evolve(L, rho0, t_final, dt)
+    flagged = rk4_evolve(L, rho0, t_final, dt, amplitude_only=True)
+    for name in ("times", "a_expect", "n_expect", "trace", "purity", "final"):
+        assert getattr(flagged, name).tobytes() == getattr(full, name).tobytes(), name
+    assert flagged.final.shape == (14, 14)
+
+
+@pytest.mark.parametrize("dim", [60, 70])
+def test_amplitude_only_falls_back_to_the_full_runs_error(dim):
+    # the automatic step leaves fig2a's far bands unstable at these dims: the
+    # closed-form purity fails, and the full run names the first failing sample
+    L, rho0, t_final, dt = preset_run("fig2a", dim=dim)
+    raised = []
+    for flag in (False, True):
+        with pytest.raises(Exception) as failed:
+            rk4_evolve(L, rho0, t_final, dt, amplitude_only=flag)
+        raised.append((type(failed.value), str(failed.value)))
+    assert raised[0][0] is StabilityError
+    assert raised[1] == raised[0]
+
+
 def test_rk4_truncation_error_at_reference_time():
     L = make_liouvillian(6, b=0.0, gamma=0.05, n_thermal=3.0, full=True)
     rho0 = density_from_pure(fock_state(FockSpace(6), 0))
