@@ -10,9 +10,10 @@ R_q = I + hM_q + (hM_q)^2/2 + (hM_q)^3/6 + (hM_q)^4/24, so the step is
 evaluated as that matrix, and samples come out in blocks of BLOCK_STEPS
 steps as matrix products with powers of R_q. Without jump terms
 (gamma = 0) every M_q is diagonal, and so is R_q: the step is then the
-vector r = diag R over the stacked bands, sample j of a block is the
-block-start state times r^j elementwise, and the observables are products
-of the block-start state with one table of r^j. One pass of that loop
+vector r = diag R over the stacked bands, read from the diagonals of the
+M_q (``Liouvillian.band_diagonals``) with no M_q built. Sample j of a block
+is the block-start state times r^j elementwise, and the observables are
+products of the block-start state with one table of r^j. One pass of that loop
 reads the observables of up to CHUNK_BLOCKS blocks in one stacked product,
 one vector-matrix product per block, so the Python work per pass is spread
 over many blocks and the bytes are those of one block at a time. The
@@ -154,22 +155,32 @@ class Liouvillian:
             out[1:, 1:] += self._w_up * rho[:-1, :-1]
         return out
 
+    def band_diagonals(self) -> list[np.ndarray]:
+        """The diagonals of the M_q of ``band_generators``, without building them.
+
+        Band q's is band q of the elementwise part; band 0's is real. With
+        gamma = 0 both jump weights are zero, so these are the whole M_q.
+        """
+        return [np.diagonal(self._diag).real] + [np.diagonal(self._diag, -q)
+                                                 for q in range(1, self.space.dim)]
+
     def band_generators(self) -> list[np.ndarray]:
         """M_q with d x_q/dt = M_q x_q for each band of ``to_bands``.
 
         The coefficients are those of ``apply``: the diagonal of M_q is band
-        q of the elementwise part, the downward jump couples x_q[m] to
-        x_q[m+1] and the upward one to x_q[m-1]. M_0 is real.
+        q of the elementwise part (``band_diagonals``), the downward jump
+        couples x_q[m] to x_q[m+1] and the upward one to x_q[m-1]. M_0 is
+        real.
         """
         d = self.space.dim
         gens = []
-        for q in range(d):
-            m = np.diag(np.diagonal(self._diag, -q))
+        for q, diag in enumerate(self.band_diagonals()):
+            m = np.diag(diag)
             if q < d - 1:
                 m += np.diag(np.diagonal(self._w_down, -q), 1)
                 if self._upward:
                     m += np.diag(np.diagonal(self._w_up, -q), -1)
-            gens.append(m.real.copy() if q == 0 else m)
+            gens.append(m)
         return gens
 
     def omega_max(self) -> float:
@@ -397,8 +408,10 @@ def _power_table(r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _block_starts(x: np.ndarray, p: np.ndarray, nsamples: int):
     """Chunks (starts, count) of the block starts of an elementwise run.
 
-    starts[i] is x at the start of block i of the chunk; x advances in place
-    by ``x *= p`` once per block, so it ends as the last row of the chunk. A
+    starts[i] is the state at the start of block i of the chunk: x itself at
+    block 0 of the run, else the row before times p, written into the row
+    by one ``np.multiply``. (``np.multiply.accumulate`` runs another complex
+    loop and moves the bytes.) x is left equal to the chunk's last row. A
     chunk holds up to CHUNK_BLOCKS full blocks of ``count`` = BLOCK_STEPS
     samples; a run's last partial block comes alone, with its own count.
     """
@@ -410,36 +423,43 @@ def _block_starts(x: np.ndarray, p: np.ndarray, nsamples: int):
         chunks.append((nfull, 1, rest))
     for b0, nrows, count in chunks:
         starts = np.empty((nrows, len(x)), dtype=complex)
-        for i in range(nrows):
-            if b0 + i > 0:
-                x *= p
-            starts[i] = x
+        if b0 > 0:
+            np.multiply(x, p, out=starts[0])
+        else:
+            starts[0] = x
+        for i in range(1, nrows):
+            np.multiply(starts[i - 1], p, out=starts[i])
+        x[...] = starts[-1]
         yield starts, count
 
 
-def _rows(v: np.ndarray, t: np.ndarray) -> np.ndarray:
+def _rows(v: np.ndarray, t: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Row i of v times t, one vector-matrix product per row: the BLAS call
-    of v[i] @ t, so the bytes do not depend on the chunk size."""
-    return np.matmul(v[:, None, :], t)[:, 0, :].reshape(-1)
+    of v[i] @ t, so the bytes do not depend on the chunk size. The rows come
+    flat, written into out when given."""
+    if out is not None:
+        out = out.reshape(len(v), 1, t.shape[1])
+    return np.matmul(v[:, None, :], t, out=out)[:, 0, :].reshape(-1)
 
 
-def _stacked(gens: list[np.ndarray], x0: list[np.ndarray], dt: float
+def _stacked(diags: list[np.ndarray], x0: list[np.ndarray], dt: float
              ) -> tuple[np.ndarray, np.ndarray]:
     """The bands stacked into one complex vector, and their diagonal step r."""
-    return np.concatenate(x0), _rk4_step(np.concatenate([np.diagonal(m) for m in gens]), dt)
+    return np.concatenate(x0), _rk4_step(np.concatenate(diags), dt)
 
 
-def _diagonal_blocks(gens: list[np.ndarray], x0: list[np.ndarray], dt: float,
+def _diagonal_blocks(diags: list[np.ndarray], x0: list[np.ndarray], dt: float,
                      nsamples: int):
     """Blocks as elementwise products of the band states with powers of diag R_q.
 
-    Only valid when every M_q is diagonal: then so is R_q, and sample j of a
-    block is x(block start) * r^j with r the stacked diagonals of the R_q.
-    A chunk holds up to CHUNK_BLOCKS full blocks; a run's last partial block
-    comes alone, against the first ``count`` columns of the table.
+    Only valid when every M_q is diagonal, given by its diagonal in diags:
+    then so is R_q, and sample j of a block is x(block start) * r^j with r
+    the stacked diagonals of the R_q. A chunk holds up to CHUNK_BLOCKS full
+    blocks; a run's last partial block comes alone, against the first
+    ``count`` columns of the table.
     """
-    d = len(gens)
-    x, r = _stacked(gens, x0, dt)
+    d = len(diags)
+    x, r = _stacked(diags, x0, dt)
     table, p = _power_table(r)
     abs2 = table.real ** 2 + table.imag ** 2
     weight = np.full(len(x), 2.0)  # each band q >= 1 also stands for band -q
@@ -499,9 +519,9 @@ def _band1_amplitude(x1: np.ndarray, r1: np.ndarray, out: np.ndarray) -> None:
     table, p = _power_table(r1)
     k0 = 0
     for starts, count in _block_starts(x1, p, len(out)):
-        a = _rows(sqrt_n * starts, table[:, :count])
-        out[k0:k0 + len(a)] = a
-        k0 += len(a)
+        k1 = k0 + len(starts) * count
+        _rows(sqrt_n * starts, table[:, :count], out[k0:k1])
+        k0 = k1
 
 
 def rk4_evolve(L: Liouvillian, rho0: DensityMatrix, t_final: float,
@@ -515,7 +535,10 @@ def rk4_evolve(L: Liouvillian, rho0: DensityMatrix, t_final: float,
     in one forked band child where ``fanout.fork_slices()`` allows it (see
     ``_dense_blocks``), which is killed and reaped before this returns or
     raises. The result does not depend on the fork. Undamped runs, and the
-    rest, use the calling process only; no thread is started.
+    rest, use the calling process only; no thread is started. Whether a run
+    is undamped is read from ``L.damping.gamma == 0``, which zeroes both
+    jump weights: such a run reads its step factors from
+    ``L.band_diagonals()`` and builds no dense M_q (``band_generators``).
 
     Raises StabilityError when the trace drifts by more than
     TRACE_TOLERANCE or when the purity leaves (0, 1 + TRACE_TOLERANCE];
@@ -562,24 +585,23 @@ def rk4_evolve(L: Liouvillian, rho0: DensityMatrix, t_final: float,
     # Past a failing sample the values may overflow; the gates report it.
     # Closing the blocks on a gate's raise kills and reaps the band child.
     with np.errstate(over="ignore", invalid="ignore"), one_blas_thread():
-        gens = L.band_generators()
         x0 = to_bands(np.asarray(rho0.matrix))
-        # without jump terms (gamma = 0) every M_q is diagonal
-        diagonal = all(np.count_nonzero(m) == np.count_nonzero(np.diagonal(m))
-                       for m in gens)
-        if amplitude_only and diagonal:
-            d = L.space.dim
-            x, r = _stacked(gens, x0, dt)
-            if _certified(x, r, d, nsamples, top_limit):
-                _band1_amplitude(x[d:2 * d - 1], r[d:2 * d - 1], a_rec)
-                if np.all(np.isfinite(a_rec)):
-                    return Trajectory(times=times, a_expect=a_rec, n_expect=np.empty(0),
-                                      trace=np.empty(0), purity=np.empty(0),
-                                      final=np.empty((0, 0), dtype=complex))
-        if diagonal:
-            blocks = _diagonal_blocks(gens, x0, dt, nsamples)
+        # gamma = 0 zeroes both jump weights, so every M_q is diagonal;
+        # gamma > 0 makes the downward one nonzero
+        if L.damping.gamma == 0:
+            diags = L.band_diagonals()
+            if amplitude_only:
+                d = L.space.dim
+                x, r = _stacked(diags, x0, dt)
+                if _certified(x, r, d, nsamples, top_limit):
+                    _band1_amplitude(x[d:2 * d - 1], r[d:2 * d - 1], a_rec)
+                    if np.all(np.isfinite(a_rec)):
+                        return Trajectory(times=times, a_expect=a_rec, n_expect=np.empty(0),
+                                          trace=np.empty(0), purity=np.empty(0),
+                                          final=np.empty((0, 0), dtype=complex))
+            blocks = _diagonal_blocks(diags, x0, dt, nsamples)
         else:
-            blocks = _dense_blocks(gens, x0, dt, nsamples)
+            blocks = _dense_blocks(L.band_generators(), x0, dt, nsamples)
         k0 = 0
         with contextlib.closing(blocks):
             for a, n, tr, pur, top, last in blocks:

@@ -83,6 +83,22 @@ def test_envelope_requires_dense_sampling():
         envelope_from_series(ts, np.ones_like(ts), 10.0)
 
 
+@pytest.mark.parametrize("window", [math.nan, math.inf, -math.inf, 0.0])
+def test_envelope_rejects_a_window_that_is_not_positive_and_finite(window):
+    ts = np.linspace(0, 100, 3001)
+    with pytest.raises(DomainError, match="window must be positive and finite"):
+        envelope_from_series(ts, np.ones_like(ts), window)
+
+
+@pytest.mark.parametrize("at", [0, -1])
+def test_envelope_rejects_a_nan_end_of_the_time_grid(at):
+    # the sampling step is read from the grid's ends
+    ts = np.linspace(0, 100, 3001)
+    ts[at] = math.nan
+    with pytest.raises(InsufficientSampling, match="sampling interval nan"):
+        envelope_from_series(ts, np.ones_like(ts), 10.0)
+
+
 def test_detect_requires_full_span_by_default():
     ts_obj = kerr_timescales()
     env = oracle_envelope("kerr", 0.5 * ts_obj.t_rev, ts_obj.t_cl)
@@ -203,6 +219,30 @@ def test_scan_forks_one_slice_per_cpu_with_the_same_result(monkeypatch, forks, c
     assert (scan.b_onset, scan.b_offset) == (BRACKET_B[1], 1.0)
     set_cpus(monkeypatch, 1)
     assert scan == bracket_scan()
+
+
+@needs_fork
+def test_scan_builds_one_initial_state(monkeypatch, forks, tmp_path):
+    # the state does not depend on b, so the caller builds it once, before
+    # the slices fork; calls are logged to a file so that a child's show too
+    log = tmp_path / "states.log"
+    build = analysis.coherent_state
+
+    def logged(*args):
+        with open(log, "a", encoding="utf-8") as fh:
+            fh.write(f"{os.getpid()}\n")
+        return build(*args)
+
+    monkeypatch.setattr(analysis, "coherent_state", logged)
+    scans = []
+    for cpus in (1, 2):
+        set_cpus(monkeypatch, cpus)
+        log.write_text("")
+        scans.append(bracket_scan())
+        assert log.read_text().split() == [str(os.getpid())]
+        no_child_left()
+    assert len(forks) == 1
+    assert scans[0] == scans[1]
 
 
 @needs_fork

@@ -242,16 +242,17 @@ def reference_rk4(L, rho0, t_final, dt):
                       purity=pur_rec, final=rho)
 
 
-def per_block_diagonal_blocks(gens, x0, dt, nsamples):
+def per_block_diagonal_blocks(diags, x0, dt, nsamples):
     """The undamped block generator with one block per loop pass.
 
-    The observables of each block are vector-matrix products of its start
-    state with the table of r^j; the chunked generator must give their bytes.
+    diags are the diagonals of the band generators. The observables of each
+    block are vector-matrix products of its start state with the table of
+    r^j; the chunked generator must give their bytes.
     """
-    d = len(gens)
+    d = len(diags)
     nb = BLOCK_STEPS
     x = np.concatenate(x0)
-    p = _rk4_step(np.concatenate([np.diagonal(m) for m in gens]), dt)
+    p = _rk4_step(np.concatenate(diags), dt)
     table = np.empty((len(x), nb), dtype=complex)
     table[:, 0] = 1.0
     width = 1
@@ -298,6 +299,19 @@ def test_band_generators_match_apply(rng, gamma, n_thermal, full):
     for q, (m, x) in enumerate(zip(gens, to_bands(rho))):
         assert m.shape == (9 - q, 9 - q)
         np.testing.assert_allclose(m @ x, drho[q], rtol=0, atol=1e-15)
+
+
+@pytest.mark.parametrize("gamma,n_thermal,full", [
+    (0.0, 0.0, False), (0.0, 0.5, True), (1e-3, 0.0, False), (2e-3, 0.5, True)])
+def test_band_diagonals_are_the_generators_diagonals(gamma, n_thermal, full):
+    # with gamma = 0 both jump weights are zero, so the diagonals are the
+    # whole generators, the upward term of the full equation included
+    L = make_liouvillian(9, k=3, gamma=gamma, n_thermal=n_thermal, full=full)
+    for m, diag in zip(L.band_generators(), L.band_diagonals(), strict=True):
+        assert diag.dtype == m.dtype
+        assert np.array_equal(np.diagonal(m), diag)
+        if gamma == 0:
+            assert np.array_equal(m, np.diag(diag))
 
 
 def _mixed(rng, dim):
@@ -390,9 +404,9 @@ def test_chunked_diagonal_blocks_match_per_block_loop(monkeypatch, nsamples):
                 col.append(np.array(v))
         return [np.concatenate(c) for c in cols] + list(last())
 
-    gens, x0 = L.band_generators(), to_bands(np.asarray(rho0.matrix))
-    got = drain(lindblad._diagonal_blocks(gens, x0, dt, nsamples))
-    want = drain(per_block_diagonal_blocks(gens, x0, dt, nsamples))
+    diags, x0 = L.band_diagonals(), to_bands(np.asarray(rho0.matrix))
+    got = drain(lindblad._diagonal_blocks(diags, x0, dt, nsamples))
+    want = drain(per_block_diagonal_blocks(diags, x0, dt, nsamples))
     assert len(got[0]) == nsamples
     for g, w in zip(got, want):
         assert np.array_equal(g, w)
@@ -483,6 +497,28 @@ def test_amplitude_only_is_ignored_by_damped_runs():
     for name in ("times", "a_expect", "n_expect", "trace", "purity", "final"):
         assert getattr(flagged, name).tobytes() == getattr(full, name).tobytes(), name
     assert flagged.final.shape == (14, 14)
+
+
+def test_undamped_runs_build_no_dense_generators(monkeypatch):
+    # gamma = 0 reads the band diagonals alone, on the full path and the
+    # band-1 one; a damped run, flagged or not, still builds every M_q
+    set_cpus(monkeypatch, 1)
+    L, rho0, t_final, dt = steps_run(CHUNK + 1)
+
+    def dense():
+        raise AssertionError("an undamped run built the band generators")
+
+    monkeypatch.setattr(L, "band_generators", dense)
+    full = rk4_evolve(L, rho0, t_final, dt)
+    band1 = rk4_evolve(L, rho0, t_final, dt, amplitude_only=True)
+    assert len(full.purity) == CHUNK + 2 and len(band1.purity) == 0
+    assert band1.a_expect.tobytes() == full.a_expect.tobytes()
+    L, rho0, t_final, dt = steps_run(BLOCK_STEPS + 1, gamma=1e-3)
+    built, build = [], L.band_generators
+    monkeypatch.setattr(L, "band_generators", lambda: built.append(1) or build())
+    for flag in (False, True):
+        rk4_evolve(L, rho0, t_final, dt, amplitude_only=flag)
+    assert built == [1, 1]
 
 
 @pytest.mark.parametrize("dim", [60, 70])
