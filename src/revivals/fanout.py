@@ -12,17 +12,22 @@ from __future__ import annotations
 import contextlib
 import ctypes
 import functools
-import multiprocessing
 import os
 import pickle
 import signal
+import sys
 import threading
 from typing import BinaryIO, Callable, Iterable
 
 def usable_cpus() -> int:
     """CPUs this process may run on: the size of its affinity mask, but one
-    in a caller's multiprocessing worker."""
-    if multiprocessing.parent_process() is not None:
+    in a caller's multiprocessing worker.
+
+    A process that never imported ``multiprocessing`` is no such worker, so
+    the module is read from ``sys.modules``, not imported here.
+    """
+    mp = sys.modules.get("multiprocessing")
+    if mp is not None and mp.parent_process() is not None:
         return 1
     if not hasattr(os, "sched_getaffinity"):  # not on macOS or Windows
         return os.cpu_count() or 1
@@ -92,22 +97,20 @@ def forked_children(what: str):
         raise OSError(f"{what} exited with status {codes}")
 
 
-def run_slices(run: Callable[[int], object], costs: list[float], what: str,
-               cap: int | None = None) -> list:
+def run_slices(run: Callable[[int], object], costs: list[float], what: str) -> list:
     """[run(i) for i in range(len(costs))], in one slice per ``fork_slices()`` process.
 
-    At most ``cap`` slices when given. Indices go largest cost first, each to
+    Never more slices than indices. Indices go largest cost first, each to
     the least loaded slice, so the first slice, which the caller runs, is
     never empty; slices 2..k run in forked children that pickle their
     results back. Each slice runs its indices in ascending order and stops
     at the first that raises; the exception of the smallest such index is
     then raised, as a serial loop would raise it. Two or more slices run on
     one OpenBLAS thread (``one_blas_thread``), so that no child restarts the
-    BLAS pool the fork shut down. A slice sees the whole affinity mask: a
-    caller whose points fork children of their own passes a ``cap`` that
-    leaves them CPUs.
+    BLAS pool the fork shut down. A slice sees the whole affinity mask, so a
+    run inside it that forks children of its own may fork them there too.
     """
-    n = max(1, min(fork_slices(), len(costs), cap or len(costs)))
+    n = max(1, min(fork_slices(), len(costs)))
     slices: list[list[int]] = [[] for _ in range(n)]
     loads = [0.0] * n
     for i in sorted(range(len(costs)), key=lambda i: -costs[i]):

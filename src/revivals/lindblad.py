@@ -23,12 +23,24 @@ differs. The final state's upper triangle is the conjugate of its lower
 bands, so it is Hermitian by construction.
 
 <a> reads band 1 alone. So an amplitude-only run (``amplitude_only=True``,
-the nonlinearity scan's) of an undamped model propagates band 1 only, once
-``_certified`` has shown in closed form that no sample can fail a gate: the
-step factor of band 0 is exactly 1, so the trace and the top level stay
-put, and the purity is convex in time, so it peaks at an end. Band 1 runs
-through the same table, block starts and products as in the full loop, so
-<a> has the same bytes. Any other run takes the full loop.
+the nonlinearity scan's and every sweep point's) of an undamped model
+propagates band 1 only, once ``_certified`` has shown in closed form that
+no sample can fail a gate: the step factor of band 0 is exactly 1, so the
+trace and the top level stay put, and the purity is convex in time, so it
+peaks at an end. Band 1 runs through the same table, block starts and
+products as in the full loop, so <a> has the same bytes.
+
+A damped amplitude-only run propagates bands 0 and 1 in full, through the
+dense path's own ``_band_states``, so <a>, the trace and the top level have
+the full run's bytes and their gates are checked as the full run checks
+them. Bands 2..D-1 enter only a bound on the purity (``_amplitude_blocks``):
+their exact sum over the first PREFIX_BLOCKS blocks, where the state may
+still be pure, and past them a bound from each band's block starts and the
+norms of R_q's powers. A block whose bound stays CERTIFICATE_MARGIN and
+the rounding allowance (``_rounding``) inside 1 + TRACE_TOLERANCE cannot
+fail the purity gate. Any other run, one with an uncertified block or a
+failing or non-finite value, takes the full loop, which raises what it
+raises without the flag.
 
 The damped (dense) path splits the bands between two processes: one
 forked band child propagates the largest complex bands, 1..k-1, and
@@ -75,8 +87,14 @@ BLOCK_STEPS = 128
 CHUNK_BLOCKS = 32
 
 #: Distance inside each gate's bound that ``rk4_evolve(amplitude_only=True)``
-#: requires of the closed-form values before it skips the gates' bands.
+#: requires of the closed-form values or bounds before it skips the gates' bands.
 CERTIFICATE_MARGIN = 1e-12
+
+#: Leading blocks of a damped amplitude-only run whose purity sums every band
+#: (``_amplitude_blocks``) instead of bounding bands 2..D-1: the state may be
+#: pure at t = 0, where a bound of at least the purity cannot stay below 1 +
+#: TRACE_TOLERANCE by much. A run whose bound fails past them takes the full path.
+PREFIX_BLOCKS = 2
 
 #: Share of the damped band products' cost, (D - q)^2 for band q, that the
 #: band child of ``_dense_blocks`` takes; the bytes do not depend on it.
@@ -285,27 +303,40 @@ def _band_split(d: int) -> int:
     return min(d, 2 + int(np.searchsorted(share, BAND_CHILD_SHARE)))
 
 
-def _band_states(gens: list[np.ndarray], x0: list[np.ndarray], dt: float,
-                 nblocks: int, dtype: type):
+def _squares(p: np.ndarray):
+    """p, p^2, p^4, ..., p^BLOCK_STEPS, each the square of the one before,
+    made as they are drawn."""
+    yield p
+    for _ in range(BLOCK_STEPS.bit_length() - 1):
+        p = p @ p
+        yield p
+
+
+def _powers(gens: list[np.ndarray], dt: float):
+    """``_squares`` of each generator's RK4 step in turn, for ``_band_states``."""
+    return (_squares(_rk4_step(m, dt)) for m in gens)
+
+
+def _band_states(steps, x0: list[np.ndarray], nblocks: int, dtype: type):
     """Blocks of BLOCK_STEPS samples of some bands, stacked row-wise in one array.
 
-    The first block comes by doubling: columns [w, 2w) are R_q^w applied to
-    [0, w). Each later block is R_q^B times the one before. Two arrays take
-    the blocks in turn, so a yielded block is valid until the next but one
-    is drawn.
+    steps gives, per band, its step R_q and the squares of it up to R_q^B
+    (``_squares``). The first block comes by doubling: columns [w, 2w) are
+    R_q^w applied to [0, w). Each later block is R_q^B times the one before.
+    Two arrays take the blocks in turn, so a yielded block is valid until the
+    next but one is drawn.
     """
     nb = BLOCK_STEPS
     rows = np.cumsum([0] + [len(x) for x in x0])
     buffers = [np.empty((rows[-1], nb), dtype=dtype) for _ in range(2)]
     bands = [[b[lo:hi] for lo, hi in zip(rows[:-1], rows[1:])] for b in buffers]
     powers = []
-    for x, xq, m in zip(bands[0], x0, gens):
+    for x, xq, squares in zip(bands[0], x0, steps):
         x[:, 0] = xq
-        p = _rk4_step(m, dt)
         width = 1
-        while width < nb:
-            np.matmul(p, x[:, :width], out=x[:, width:2 * width])
-            p = p @ p
+        for p in squares:
+            if width < nb:
+                np.matmul(p, x[:, :width], out=x[:, width:2 * width])
             width *= 2
         powers.append(p)  # R^B
     yield buffers[0]
@@ -325,7 +356,7 @@ def _band_child(gens: list[np.ndarray], x0: list[np.ndarray], dt: float, nsample
     d = len(x0[0]) + 1  # band 1 has D - 1 entries
     nb = BLOCK_STEPS
     sqrt_n = np.sqrt(np.arange(1.0, d))
-    states = _band_states(gens, x0, dt, -(-nsamples // nb), complex)
+    states = _band_states(_powers(gens, dt), x0, -(-nsamples // nb), complex)
     for k0, off in zip(range(0, nsamples, nb), states):
         count = min(nb, nsamples - k0)
         v = off[:, :count].view(np.float64)
@@ -352,8 +383,8 @@ def _dense_blocks(gens: list[np.ndarray], x0: list[np.ndarray], dt: float, nsamp
     k = _band_split(d)
     split = sum(len(x) for x in x0[1:k])  # rows of bands 1..k-1
     child = _band_child(gens[1:k], x0[1:k], dt, nsamples)
-    pops = _band_states(gens[:1], x0[:1], dt, nblocks, float)
-    owns = _band_states(gens[k:], x0[k:], dt, nblocks, complex)
+    pops = _band_states(_powers(gens[:1], dt), x0[:1], nblocks, float)
+    owns = _band_states(_powers(gens[k:], dt), x0[k:], nblocks, complex)
     levels = np.arange(float(d))
     # row 0 takes the child's sums, the others the squares of own rows
     squares = np.empty((1 + sum(len(x) for x in x0[k:]), 2 * nb))
@@ -481,6 +512,12 @@ def _diagonal_blocks(diags: list[np.ndarray], x0: list[np.ndarray], dt: float,
                (pop[:, -1:] * t[d - 1]).real.reshape(-1), last)
 
 
+def _rounding(nsamples: int, d: int) -> float:
+    """Relative rounding allowed between a certified purity and the one the
+    block loop computes: 16 (N + 2 BLOCK_STEPS + D^2) eps for N samples."""
+    return 16 * (nsamples + 2 * BLOCK_STEPS + d * d) * np.finfo(float).eps
+
+
 def _certified(x: np.ndarray, r: np.ndarray, d: int, nsamples: int,
                top_limit: float) -> bool:
     """True when no sample of an undamped run can fail a gate, read in closed form.
@@ -492,8 +529,7 @@ def _certified(x: np.ndarray, r: np.ndarray, d: int, nsamples: int,
     is a positive sum of exponentials in j, so it is convex and its largest
     value is P(0) or P(N). Each check keeps CERTIFICATE_MARGIN inside its
     bound; P(0) and P(N) also keep the rounding of the N step products that
-    the block loop makes, 16 (N + 2 BLOCK_STEPS + D^2) eps of P. A check
-    that is not finite fails.
+    the block loop makes (``_rounding``). A check that is not finite fails.
     """
     if not (np.all(np.isfinite(x)) and np.all(np.isfinite(r)) and np.all(r[:d] == 1.0)):
         return False
@@ -502,26 +538,120 @@ def _certified(x: np.ndarray, r: np.ndarray, d: int, nsamples: int,
     w[:d] = 1.0
     mass = w * (x.real ** 2 + x.imag ** 2)
     ends = max(mass.sum(), np.dot(mass, (r.real ** 2 + r.imag ** 2) ** (nsamples - 1)))
-    rounding = 16 * (nsamples + 2 * BLOCK_STEPS + d * d) * np.finfo(float).eps
     return bool(abs(pop.sum() - 1.0) <= TRACE_TOLERANCE - CERTIFICATE_MARGIN
                 and pop[-1] <= top_limit - CERTIFICATE_MARGIN
                 and np.dot(pop, pop) > 0.0
-                and ends * (1.0 + rounding) <= 1.0 + TRACE_TOLERANCE - CERTIFICATE_MARGIN)
+                and ends * (1.0 + _rounding(nsamples, d))
+                <= 1.0 + TRACE_TOLERANCE - CERTIFICATE_MARGIN)
 
 
-def _band1_amplitude(x1: np.ndarray, r1: np.ndarray, out: np.ndarray) -> None:
-    """<a> of an undamped run into out, from band 1 alone.
+def _band1_amplitude(diags: list[np.ndarray], x0: list[np.ndarray], dt: float,
+                     top_limit: float, out: np.ndarray) -> bool:
+    """<a> of an undamped run into out, from band 1 alone; False, with out
+    unspecified, where ``_certified`` fails or <a> is not finite.
 
     The operations on band 1 are those of ``_diagonal_blocks``, so the bytes
     are too: the bands never mix, and <a> reads band 1 only.
     """
-    sqrt_n = np.sqrt(np.arange(1.0, len(x1) + 1))
+    d = len(diags)
+    x, r = _stacked(diags, x0, dt)
+    if not _certified(x, r, d, len(out), top_limit):
+        return False
+    x1, r1 = x[d:2 * d - 1], r[d:2 * d - 1]
+    sqrt_n = np.sqrt(np.arange(1.0, d))
     table, p = _power_table(r1)
     k0 = 0
     for starts, count in _block_starts(x1, p, len(out)):
         k1 = k0 + len(starts) * count
         _rows(sqrt_n * starts, table[:, :count], out[k0:k1])
         k0 = k1
+    return bool(np.all(np.isfinite(out)))
+
+
+def _abs2(x: np.ndarray) -> np.ndarray:
+    """sum_i |x[i, j]|^2 for each column j of a complex array, read from its
+    float view as the band child reads its rows."""
+    v = x.view(np.float64)
+    s = np.einsum("ij,ij->j", v, v)
+    return s[0::2] + s[1::2]
+
+
+def _norm_bound(a: np.ndarray) -> float:
+    """sqrt(||a||_1 ||a||_inf), which is at least the spectral norm ||a||_2."""
+    m = np.abs(a)
+    return np.sqrt(m.sum(axis=0).max() * m.sum(axis=1).max())
+
+
+def _amplitude_blocks(gens: list[np.ndarray], x0: list[np.ndarray], dt: float,
+                      nsamples: int):
+    """Blocks of a damped run read from bands 0 and 1, with a bound on its purity.
+
+    Each block is <a>, the trace, sum(x_0^2), a purity bound and the
+    top-level population, per sample. Bands 0 and 1 run in full through
+    ``_band_states``, so all but the bound have the bytes of ``_dense_blocks``.
+    The purity is sum(x_0^2) + 2 sum_{q>=1} |x_q|^2. In the first
+    PREFIX_BLOCKS blocks the bound adds every band's |x_q|^2, propagated one
+    band at a time. Past them, band q >= 2 enters through its block start
+    y_q(i) = (R_q^B)^i x_q alone. Sample s of block i is R_q^s y_q(i), and
+    s < BLOCK_STEPS is a sum of distinct powers of two, so
+    |R_q^s y_q(i)|^2 <= g_q |y_q(i)|^2 with
+    g_q = prod_{2^k < BLOCK_STEPS} max(1, nu(R_q^(2^k)))^2, nu of
+    ``_norm_bound``. The block's bound is then its largest sum(x_0^2) +
+    2 |x_1|^2 plus 2 sum_{q>=2} g_q |y_q(i)|^2, up to rounding; it needs
+    neither a normal R_q nor a purity that only falls.
+    """
+    d = len(gens)
+    nb = BLOCK_STEPS
+    nblocks = -(-nsamples // nb)
+    nexact = min(nblocks, PREFIX_BLOCKS)
+    exact = np.zeros(nexact * nb)  # sum_{q>=2} |x_q|^2 over the prefix
+    starts = np.zeros(nblocks)     # sum_{q>=2} g_q |y_q(i)|^2
+    for m, x in zip(gens[2:], x0[2:]):
+        powers = list(_squares(_rk4_step(m, dt)))
+        for i, block in enumerate(_band_states([powers], [x], nexact, complex)):
+            exact[i * nb:(i + 1) * nb] += _abs2(block)
+        g = np.prod(np.maximum(1.0, [_norm_bound(p) for p in powers[:-1]])) ** 2
+        # the block starts come as the samples of a run whose step is R_q^B
+        ys = _band_states([_squares(powers[-1])], [x], -(-nblocks // nb), complex)
+        for i, y in zip(range(0, nblocks, nb), ys):
+            n = min(nb, nblocks - i)
+            starts[i:i + n] += g * _abs2(y[:, :n])
+    sqrt_n = np.sqrt(np.arange(1.0, d))
+    pops = _band_states(_powers(gens[:1], dt), x0[:1], nblocks, float)
+    ones = _band_states(_powers(gens[1:2], dt), x0[1:2], nblocks, complex)
+    for i, pop, x1 in zip(range(nblocks), pops, ones):
+        k0 = i * nb
+        count = min(nb, nsamples - k0)
+        pop, x1 = pop[:, :count], x1[:, :count]
+        low = np.einsum("ij,ij->j", pop, pop)
+        bound = low + 2.0 * _abs2(x1)
+        if i < nexact:
+            bound += 2.0 * exact[k0:k0 + count]
+        else:
+            bound = np.full(count, bound.max() + 2.0 * starts[i])
+        yield sqrt_n @ x1, pop.sum(axis=0), low, bound, pop[-1]
+
+
+def _damped_amplitude(gens: list[np.ndarray], x0: list[np.ndarray], dt: float,
+                      times: np.ndarray, top_limit: float, out: np.ndarray) -> bool:
+    """<a> of a damped run into out, from ``_amplitude_blocks``; False, with
+    out unspecified, at the first block where a sample may fail a gate.
+
+    The trace and top-level gates read the full run's own values. Its purity
+    is at least sum(x_0^2), which must be positive, and at most the bound,
+    which must keep CERTIFICATE_MARGIN and ``_rounding`` inside 1 +
+    TRACE_TOLERANCE. A value that is not finite fails.
+    """
+    limit = (1.0 + TRACE_TOLERANCE - CERTIFICATE_MARGIN) / (1.0 + _rounding(len(out), len(gens)))
+    k0 = 0
+    for a, trace, low, bound, top in _amplitude_blocks(gens, x0, dt, len(out)):
+        blk = slice(k0, k0 + len(a))
+        if (_first_failure(times[blk], trace, low, top, top_limit) is not None
+                or not np.all(bound <= limit)):
+            return False
+        out[blk] = a
+        k0 += len(a)
+    return True
 
 
 def rk4_evolve(L: Liouvillian, rho0: DensityMatrix, t_final: float,
@@ -548,11 +678,13 @@ def rk4_evolve(L: Liouvillian, rho0: DensityMatrix, t_final: float,
     time. A DomainError names the step count whose records cannot be allocated.
 
     With ``amplitude_only`` an undamped run whose gates ``_certified`` proves
-    in closed form propagates band 1 alone (``_band1_amplitude``): ``times``
-    and ``a_expect`` are byte-identical to the full run's, and ``n_expect``,
-    ``trace``, ``purity`` and ``final`` are empty. An uncertified or
-    non-finite run, and every damped one, takes the full path, which raises
-    as it would without the flag.
+    in closed form propagates band 1 alone (``_band1_amplitude``), and a
+    damped run propagates bands 0 and 1 alone where every block's purity is
+    certified (``_damped_amplitude``), forking no band child. Either way
+    ``times`` and ``a_expect`` are byte-identical to the full run's, and
+    ``n_expect``, ``trace``, ``purity`` and ``final`` are empty. An
+    uncertified or non-finite run takes the full path, band child included,
+    which raises as it would without the flag.
     """
     if rho0.space.dim != L.space.dim:
         raise DimensionMismatch(
@@ -590,18 +722,16 @@ def rk4_evolve(L: Liouvillian, rho0: DensityMatrix, t_final: float,
         # gamma > 0 makes the downward one nonzero
         if L.damping.gamma == 0:
             diags = L.band_diagonals()
-            if amplitude_only:
-                d = L.space.dim
-                x, r = _stacked(diags, x0, dt)
-                if _certified(x, r, d, nsamples, top_limit):
-                    _band1_amplitude(x[d:2 * d - 1], r[d:2 * d - 1], a_rec)
-                    if np.all(np.isfinite(a_rec)):
-                        return Trajectory(times=times, a_expect=a_rec, n_expect=np.empty(0),
-                                          trace=np.empty(0), purity=np.empty(0),
-                                          final=np.empty((0, 0), dtype=complex))
+            done = amplitude_only and _band1_amplitude(diags, x0, dt, top_limit, a_rec)
             blocks = _diagonal_blocks(diags, x0, dt, nsamples)
         else:
-            blocks = _dense_blocks(L.band_generators(), x0, dt, nsamples)
+            gens = L.band_generators()
+            done = amplitude_only and _damped_amplitude(gens, x0, dt, times, top_limit, a_rec)
+            blocks = _dense_blocks(gens, x0, dt, nsamples)
+        if done:
+            return Trajectory(times=times, a_expect=a_rec, n_expect=np.empty(0),
+                              trace=np.empty(0), purity=np.empty(0),
+                              final=np.empty((0, 0), dtype=complex))
         k0 = 0
         with contextlib.closing(blocks):
             for a, n, tr, pur, top, last in blocks:

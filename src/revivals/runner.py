@@ -96,10 +96,12 @@ def resolve(config: ExperimentConfig) -> RunContext:
                       window=window)
 
 
-def evolve(ctx: RunContext) -> Trajectory:
+def evolve(ctx: RunContext, amplitude_only: bool = False) -> Trajectory:
     """RK4 run of the resolved model at the config's dt (0: ``rk4_evolve``'s
-    automatic step); runs record observables, not states."""
-    return rk4_evolve(ctx.liouvillian, ctx.rho0, ctx.config.t_final, dt=ctx.config.dt)
+    automatic step); runs record observables, not states. ``amplitude_only``
+    is ``rk4_evolve``'s: <a> alone where the gates are certified."""
+    return rk4_evolve(ctx.liouvillian, ctx.rho0, ctx.config.t_final, dt=ctx.config.dt,
+                      amplitude_only=amplitude_only)
 
 
 @dataclass(frozen=True)
@@ -120,10 +122,11 @@ def analyze(ctx: RunContext, traj: Trajectory) -> AnalysisSummary:
     return AnalysisSummary(report=report, first_revival=first)
 
 
-def _solve(config: ExperimentConfig,
-           timing: dict) -> tuple[RunContext, Trajectory, AnalysisSummary]:
-    """resolve, evolve and analyze config, through the module globals that
-    the benchmark's tracer wraps; timing gets the seconds of each finished stage."""
+def _solve(config: ExperimentConfig, timing: dict, amplitude_only: bool = False
+           ) -> tuple[RunContext, Trajectory, AnalysisSummary]:
+    """resolve, evolve (passing ``amplitude_only``) and analyze config, through
+    the module globals that the benchmark's tracer wraps; timing gets the
+    seconds of each finished stage."""
     clock = time.perf_counter()
 
     def lap(stage: str, result):
@@ -133,7 +136,7 @@ def _solve(config: ExperimentConfig,
         return result
 
     ctx = lap("resolve_s", resolve(config))
-    traj = lap("evolve_s", evolve(ctx))
+    traj = lap("evolve_s", evolve(ctx, amplitude_only=amplitude_only))
     return ctx, traj, lap("analyze_s", analyze(ctx, traj))
 
 
@@ -304,7 +307,10 @@ def _predicted_columns(config: ExperimentConfig, axis: str) -> tuple[float, floa
 
 def _sweep_point(args: tuple[ExperimentConfig, str, float]) -> tuple[dict, dict]:
     """The point's row, and the seconds of each of its stages that finished;
-    a RevivalsError lands in the row, any other error is raised."""
+    a RevivalsError lands in the row, any other error is raised.
+
+    A row reads <a> alone, so the point runs amplitude-only; its row's
+    ``path`` names the path its run took (see ``run_sweep``)."""
     base, axis, value = args
     config = replace(base, **{axis: int(value) if axis == "state_n" else value})
     row = {"param_value": value, "classification": "", "n_revivals": 0,
@@ -313,7 +319,9 @@ def _sweep_point(args: tuple[ExperimentConfig, str, float]) -> tuple[dict, dict]
     timing = {}
     try:
         row["predicted_t_rev"], row["predicted_t_sr"] = _predicted_columns(config, axis)
-        _, _, summary = _solve(config, timing)
+        _, traj, summary = _solve(config, timing, amplitude_only=True)
+        # manifest only, like the error; an amplitude-only run records no purity
+        row["path"] = "amplitude_only" if traj.purity.size == 0 else "full"
         row["classification"] = summary.report.classification.value
         row["n_revivals"] = int(len(summary.report.revival_times))
         if summary.first_revival is not None:
@@ -339,16 +347,18 @@ def run_sweep(base: ExperimentConfig, axis: str, values, name: str = "sweep",
     ``values`` is any iterable of numbers, read once; an empty one raises
     ConfigError, as do non-integer values on the ``state_n`` axis.
 
-    The points run in slices (``fanout.run_slices``): one per usable CPU
-    and point at most, or half as many CPUs' worth when a point is damped
-    (gamma > 0), since every damped run forks a band child; all of them
-    run on one BLAS thread (``fanout.one_blas_thread``). The rows do not
-    depend on the slice count. A point's model or config error (a
-    RevivalsError) lands in its row; any other error, such as a failed
-    forked child's OSError, fails the sweep with the error of the smallest
-    failing point, and leaves no CSV. The manifest's rows add the
+    The points run in slices (``fanout.run_slices``), one per usable CPU
+    and point at most, all on one BLAS thread (``fanout.one_blas_thread``).
+    Each point runs ``rk4_evolve(amplitude_only=True)``: a row reads <a>
+    alone. A damped point whose gates that path certifies forks nothing; one
+    it cannot certify runs the full path, band child included. The rows do
+    not depend on the slice count or the path. A point's model or config
+    error (a RevivalsError) lands in its row; any other error, such as a
+    failed forked child's OSError, fails the sweep with the error of the
+    smallest failing point, and leaves no CSV. The manifest's rows add the
+    path each point's run took (``path``: amplitude_only or full) and the
     seconds of each finished stage of a point (``timing``: resolve_s,
-    evolve_s, analyze_s); the CSV does not.
+    evolve_s, analyze_s); the CSV adds neither.
     """
     if axis not in SWEEP_AXES:
         raise ConfigError(f"sweep axis must be one of {SWEEP_AXES}, got {axis!r}")
@@ -361,12 +371,10 @@ def run_sweep(base: ExperimentConfig, axis: str, values, name: str = "sweep",
     out = _out_dir(out_dir)
     t_wall = time.perf_counter()
     jobs = [(base, axis, v) for v in values]
-    damped = any(v > 0 for v in values) if axis == "gamma" else base.gamma > 0
     # through the module globals, which the benchmark's tracer wraps
     with one_blas_thread():
         points = run_slices(lambda i: _sweep_point(jobs[i]), [1.0] * len(jobs),
-                            f"sweep of {axis}",
-                            cap=max(1, fork_slices() // 2) if damped else None)
+                            f"sweep of {axis}")
     rows = [row for row, _ in points]
     csv_path = out / f"{name}.csv"
     with open(csv_path, "w", encoding="utf-8", newline="\n") as fh:

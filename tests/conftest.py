@@ -5,7 +5,7 @@ import threading
 import numpy as np
 import pytest
 
-from revivals import FockSpace, PureState, fanout
+from revivals import FockSpace, PureState, fanout, lindblad
 
 OMEGA0 = 0.15 * math.pi / 2  # 0.23561944901923448
 ALPHA = -1.9
@@ -68,6 +68,11 @@ def set_cpus(monkeypatch, n: int) -> None:
 
 
 needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork")
+
+
+def refuse_certificates(monkeypatch) -> None:
+    """Every damped amplitude-only run takes the full path, band child included."""
+    monkeypatch.setattr(lindblad, "_damped_amplitude", lambda *args: False)
 
 
 def children_exit_at_once(monkeypatch, status: int) -> None:

@@ -31,11 +31,23 @@ def test_band_threads_is_one_in_worker_processes():
         assert pool.submit(usable_cpus).result(timeout=60) == 1
 
 
+def test_cli_import_does_not_load_multiprocessing():
+    # usable_cpus reads multiprocessing from sys.modules: a process that
+    # never imported it is no worker of a pool, and start-up need not pay for it
+    src = os.path.dirname(os.path.dirname(revivals.__file__))
+    code = "import sys, revivals.cli; print('multiprocessing' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False"
+
+
 def test_forked_sweep_after_dense_run_does_not_hang(tmp_path):
-    # The dense run forks a band child. At 4 CPUs the damped sweep then runs
-    # two slices, and the run in each forks a band child of its own. No
-    # process may outlive its call: the script ends with no child left, and
-    # the rows are those of one CPU.
+    # The dense run forks a band child. At 4 CPUs the damped sweep of two
+    # points then runs two slices, and the run in each, its certificate
+    # refused, forks a band child of its own. No process may outlive its
+    # call: the script ends with no child left, and the rows are those of
+    # one CPU.
     script = f"""
 import os
 from revivals import (DampingSpec, FockSpace, build_hamiltonian, build_liouvillian,
@@ -43,6 +55,7 @@ from revivals import (DampingSpec, FockSpace, build_hamiltonian, build_liouvilli
 from revivals.config import config_from_dict
 from revivals.runner import run_sweep
 
+lindblad._damped_amplitude = lambda *args: False
 fork = lindblad.fork_slice
 
 def fork_band(produce):
@@ -96,11 +109,15 @@ def seen(i):
 
 
 @needs_fork
-@pytest.mark.parametrize("cap", [None, 1, 2, 3, 64])
-def test_run_slices_caps_its_slice_count(monkeypatch, forks, cap):
-    set_cpus(monkeypatch, 4)
-    done = run_slices(seen, [1.0] * 5, "five points", cap=cap)
-    n = min(4, 5, cap or 5)
+@pytest.mark.parametrize("cpus", [None, 1, 2, 3, 64])
+def test_run_slices_caps_its_slice_count(monkeypatch, forks, cpus):
+    # one slice per usable CPU, but never more than points; None keeps the
+    # host's own affinity mask
+    if cpus is not None:
+        set_cpus(monkeypatch, cpus)
+    mask = usable_cpus()
+    done = run_slices(seen, [1.0] * 5, "five points")
+    n = min(mask, 5)
     assert len(forks) == n - 1
     no_child_left()
     assert [i for i, _, _ in done] == list(range(5))
@@ -108,18 +125,20 @@ def test_run_slices_caps_its_slice_count(monkeypatch, forks, cap):
     assert len({pid for _, pid, _ in done}) == n
     assert done[0][1] == os.getpid()
     # every slice sees the whole affinity mask
-    assert {cpus for _, _, cpus in done} == {4}
+    assert {cpus for _, _, cpus in done} == {mask}
 
 
 @needs_fork
-@pytest.mark.parametrize("cpus,cap", [(1, None), (4, 1)])
+@pytest.mark.parametrize("cpus,points", [(1, None), (4, 1)])
 def test_run_slices_at_one_slice_forks_nothing_and_sets_nothing(monkeypatch, forks,
-                                                                 blas_log, cpus, cap):
+                                                                 blas_log, cpus, points):
+    # one CPU (None: three points on it), or one point at four CPUs
     set_cpus(monkeypatch, cpus)
-    done = run_slices(seen, [1.0] * 3, "three points", cap=cap)
+    n = points or 3
+    done = run_slices(seen, [1.0] * n, f"{n} points")
     assert forks == []
     assert blas_log.read_text() == ""
-    assert done == [(i, os.getpid(), cpus) for i in range(3)]
+    assert done == [(i, os.getpid(), cpus) for i in range(n)]
 
 
 @needs_fork
@@ -141,16 +160,15 @@ def test_run_slices_clears_its_cpu_hold_on_a_raise(monkeypatch, forks, blas_log)
 @needs_fork
 @pytest.mark.parametrize("failing", [{1, 3}, {2, 3}, {1, 4}, {4}])
 def test_run_slices_raises_the_smallest_failing_index(monkeypatch, forks, failing):
-    set_cpus(monkeypatch, 2)
-
     def run(i):
         if i in failing:
             raise ValueError(f"point {i}")
         return i
 
     # with two slices, the caller's holds 0, 2 and 4 and the child's 1 and 3
-    for cap, nforks in ((1, 0), (2, 1)):
+    for cpus, nforks in ((1, 0), (2, 1)):
+        set_cpus(monkeypatch, cpus)
         with pytest.raises(ValueError, match=f"^point {min(failing)}$"):
-            run_slices(run, [1.0] * 5, "five points", cap=cap)
+            run_slices(run, [1.0] * 5, "five points")
         assert len(forks) == nforks
     no_child_left()

@@ -16,14 +16,14 @@ from revivals import (DampingSpec, DensityMatrix, DimensionMismatch, DomainError
                       rk4_evolve, superoperator, superoperator_evolve)
 from revivals.config import load_preset
 from revivals.fanout import run_slices
-from revivals.lindblad import (BLOCK_STEPS, CHUNK_BLOCKS, TOP_LEVEL_TOLERANCE,
-                               TRACE_TOLERANCE, Trajectory, _rk4_step, default_dt,
-                               expect_a_raw, expect_n_raw, to_bands)
+from revivals.lindblad import (BLOCK_STEPS, CERTIFICATE_MARGIN, CHUNK_BLOCKS,
+                               TOP_LEVEL_TOLERANCE, TRACE_TOLERANCE, Trajectory, _rk4_step,
+                               default_dt, expect_a_raw, expect_n_raw, to_bands)
 from revivals.runner import evolve, resolve
 
 from conftest import (ALPHA, B1, B2, OMEGA0, children_exit_at_once, fock_state,
                       needs_fork, no_child_left, random_density, random_hermitian,
-                      set_cpus)
+                      refuse_certificates, set_cpus)
 
 
 def make_liouvillian(dim, b=B1, k=2, gamma=0.0, n_thermal=0.0, full=False):
@@ -490,13 +490,110 @@ def test_amplitude_only_gives_the_full_runs_amplitude_bytes(run):
     assert full.purity.max() <= max(full.purity[0], full.purity[-1]) * (1 + 1e-12)
 
 
-def test_amplitude_only_is_ignored_by_damped_runs():
+def test_amplitude_only_is_ignored_by_damped_runs(monkeypatch):
+    # a damped run the certificate does not cover takes the full path, with
+    # every record: a coherent state stays pure under amplitude damping, so
+    # past the exact prefix no bound of at least the purity keeps the
+    # margin. The same holds where the certificate is refused.
     L, rho0, t_final, dt = steps_run(2 * BLOCK_STEPS + 5, gamma=1e-3)
     full = rk4_evolve(L, rho0, t_final, dt)
+    for refused in (False, True):
+        if refused:
+            refuse_certificates(monkeypatch)
+        flagged = rk4_evolve(L, rho0, t_final, dt, amplitude_only=True)
+        for name in ("times", "a_expect", "n_expect", "trace", "purity", "final"):
+            assert getattr(flagged, name).tobytes() == getattr(full, name).tobytes(), name
+        assert flagged.final.shape == (14, 14)
+
+
+# rk4_evolve(amplitude_only=True) on a damped run: bands 0 and 1 in full, the
+# purity bounded from the other bands' block starts past an exact prefix
+
+DAMPED_AMPLITUDE_RUNS = {
+    "fig2b": dict(name="fig2b"),
+    "fig2d": dict(name="fig2d"),
+    "fig8-n1": dict(name="fig8", state_n=1),
+    "fig8-n10": dict(name="fig8", state_n=10),
+}
+
+
+@pytest.mark.parametrize("run", list(DAMPED_AMPLITUDE_RUNS))
+def test_damped_amplitude_only_gives_the_full_runs_amplitude_bytes(run):
+    L, rho0, t_final, dt = preset_run(**DAMPED_AMPLITUDE_RUNS[run])
+    full = rk4_evolve(L, rho0, t_final, dt)
     flagged = rk4_evolve(L, rho0, t_final, dt, amplitude_only=True)
-    for name in ("times", "a_expect", "n_expect", "trace", "purity", "final"):
-        assert getattr(flagged, name).tobytes() == getattr(full, name).tobytes(), name
-    assert flagged.final.shape == (14, 14)
+    assert flagged.times.tobytes() == full.times.tobytes()
+    assert flagged.a_expect.tobytes() == full.a_expect.tobytes()
+    # certified: the records that read the other bands stay empty
+    for name in ("n_expect", "trace", "purity", "final"):
+        assert getattr(flagged, name).size == 0, name
+
+
+@pytest.mark.parametrize("run", ["fig2b", "fig2d", "fig8-n10"])
+def test_damped_purity_bound_holds_the_full_runs_purity(run):
+    # every block the certificate passes bounds the full run's own purity
+    # record from above, up to the rounding the certificate allows: fig2d's
+    # far bands decay toward the vacuum until the bound meets the purity. The
+    # exact prefix sums the purity in another order, so there the bound is
+    # the purity up to that rounding. The trace and <a> are the full run's.
+    # fig2d is the tight case: its purity returns toward 1, and it ends about
+    # 1e-6 inside the gate
+    from revivals.lindblad import PREFIX_BLOCKS, _amplitude_blocks, _rounding
+
+    L, rho0, t_final, dt = preset_run(**DAMPED_AMPLITUDE_RUNS[run])
+    full = rk4_evolve(L, rho0, t_final, dt)
+    nsamples, d = len(full), L.space.dim
+    rounding = _rounding(nsamples, d)
+    limit = (1.0 + TRACE_TOLERANCE - CERTIFICATE_MARGIN) / (1.0 + rounding)
+    blocks = _amplitude_blocks(L.band_generators(), to_bands(rho0.matrix), full.times[1],
+                               nsamples)
+    k0, headroom = 0, []
+    for i, (a, trace, low, bound, top) in enumerate(blocks):
+        blk = slice(k0, k0 + len(a))
+        purity = full.purity[blk]
+        assert np.all(bound <= limit), i
+        if i < PREFIX_BLOCKS:
+            assert np.all(np.abs(bound - purity) <= rounding * purity), i
+        else:
+            assert np.all(bound * (1.0 + rounding) >= purity), i
+        assert np.all(low <= purity), i
+        assert trace.tobytes() == full.trace[blk].tobytes()
+        assert a.tobytes() == full.a_expect[blk].tobytes()
+        headroom.append(1.0 + TRACE_TOLERANCE - bound.max())
+        k0 += len(a)
+    assert k0 == nsamples
+    if run == "fig2d":
+        assert 0.5e-6 < headroom[-1] < 1.5e-6
+
+
+@pytest.mark.parametrize("dim", [56, 60])
+def test_damped_amplitude_only_falls_back_to_the_full_runs_error(dim):
+    # the automatic step leaves fig2b's far bands unstable at these dims: the
+    # exact prefix's purity fails, and the full run names the first failing sample
+    L, rho0, t_final, dt = preset_run("fig2b", dim=dim)
+    raised = []
+    for flag in (False, True):
+        with pytest.raises(Exception) as failed:
+            rk4_evolve(L, rho0, t_final, dt, amplitude_only=flag)
+        raised.append((type(failed.value), str(failed.value)))
+    assert raised[0][0] is StabilityError
+    assert raised[1] == raised[0]
+
+
+@needs_fork
+def test_certified_damped_run_forks_nothing(monkeypatch, forks):
+    set_cpus(monkeypatch, 2)
+    L, rho0, t_final, dt = preset_run("fig8", state_n=1)
+    flagged = rk4_evolve(L, rho0, t_final, dt, amplitude_only=True)
+    assert flagged.purity.size == 0
+    assert forks == []
+    # refused, the same run forks its band child
+    refuse_certificates(monkeypatch)
+    full = rk4_evolve(L, rho0, t_final, dt, amplitude_only=True)
+    assert full.purity.size == len(full)
+    assert forks == [1]
+    no_child_left()
+    assert full.a_expect.tobytes() == flagged.a_expect.tobytes()
 
 
 def test_undamped_runs_build_no_dense_generators(monkeypatch):

@@ -16,7 +16,7 @@ from revivals.runner import (CSV_CHUNK_ROWS, CSV_HEADER, SWEEP_HEADER, run_exper
                              run_sweep, write_csv)
 
 from conftest import (ALPHA, OMEGA0, children_exit_at_once, needs_fork,
-                      no_child_left, set_cpus)
+                      no_child_left, refuse_certificates, set_cpus)
 
 
 def small_config(**over):
@@ -81,14 +81,12 @@ def test_sweep_degenerate_matches_run(tmp_path):
     assert float(row[5]) == pytest.approx(2 * math.pi / 0.005, rel=1e-12)
 
 
-#: (config overrides, axis, values) of a damped sweep, whose points at
-#: gamma > 0 each fork a band child, and of an undamped one
+#: (config overrides, axis, values) of a damped sweep and of an undamped one
 SWEEPS = {"damped": (dict(b=0.005, t_final=20.0), "gamma", [0.0, 1e-3, 2e-3]),
           "undamped": (dict(b=0.005, gamma=0.0, t_final=20.0), "b", [0.005, 0.01, 0.02])}
 
-#: slices of each sweep per usable CPU count: one per CPU and point, but
-#: two CPUs per slice when a point is damped
-SLICES = {(1, "damped"): 1, (2, "damped"): 1, (4, "damped"): 2,
+#: slices of each sweep per usable CPU count: one per CPU and point, damped or not
+SLICES = {(1, "damped"): 1, (2, "damped"): 2, (4, "damped"): 3,
           (1, "undamped"): 1, (2, "undamped"): 2, (4, "undamped"): 3}
 
 
@@ -149,6 +147,11 @@ def test_sweep_forks_at_most_one_slice_per_point_and_cpu(tmp_path, monkeypatch, 
 @pytest.mark.parametrize("kind", ["damped", "undamped"])
 @pytest.mark.parametrize("cpus", [1, 2, 4])
 def test_sweep_gives_each_slice_two_cpus_when_damped(tmp_path, monkeypatch, forks, cpus, kind):
+    # A damped sweep no longer leaves a second CPU per slice for band
+    # children: it runs one slice per CPU and point, as an undamped one does.
+    # With the certificate refused, a damped point still forks its band
+    # child inside its slice.
+    refuse_certificates(monkeypatch)
     set_cpus(monkeypatch, 1)
     serial = sweep_of(kind, tmp_path, name="s")
     assert forks == []
@@ -156,11 +159,11 @@ def test_sweep_gives_each_slice_two_cpus_when_damped(tmp_path, monkeypatch, fork
     bands = band_forks(monkeypatch)
     sweep = sweep_of(kind, tmp_path)
     # the caller runs slice 1 and forks the others. Each damped point it
-    # runs forks a band child where it sees more than one CPU: both of the
-    # damped sweep at 2 CPUs; at 4 CPUs only point 2, since two slices deal
-    # equal costs round and give the caller points 0 and 2
+    # runs forks a band child where it sees more than one CPU: at 2 CPUs
+    # two slices deal equal costs round and give the caller points 0 and 2,
+    # so point 2's; at 4 CPUs the caller runs point 0 alone, undamped
     n = SLICES[cpus, kind]
-    assert len(bands) == {(2, "damped"): 2, (4, "damped"): 1}.get((cpus, kind), 0)
+    assert len(bands) == {(2, "damped"): 1}.get((cpus, kind), 0)
     assert len(forks) - len(bands) == n - 1
     assert set(forks) <= {1}
     no_child_left()
@@ -169,8 +172,10 @@ def test_sweep_gives_each_slice_two_cpus_when_damped(tmp_path, monkeypatch, fork
 
 @needs_fork
 def test_sweep_slices_see_every_cpu(tmp_path, monkeypatch, forks):
-    # at 4 CPUs a damped sweep runs two slices, and each slice's damped run
-    # still sees all 4 CPUs, so it forks a band child of its own
+    # at 4 CPUs a damped sweep of two points runs two slices, and each
+    # slice's damped run, its certificate refused, still sees all 4 CPUs, so
+    # it forks a band child of its own
+    refuse_certificates(monkeypatch)
     set_cpus(monkeypatch, 4)
     point = runner._sweep_point
 
@@ -198,22 +203,25 @@ def test_sweep_slices_see_every_cpu(tmp_path, monkeypatch, forks):
 @pytest.mark.parametrize("cpus", [1, 2, 4])
 def test_sweep_raises_the_first_failing_point(tmp_path, monkeypatch, forks, cpus):
     # an error that is not a model error fails the sweep. The sweep is
-    # damped, so 1 and 2 CPUs run one slice: the damped run at b = 0.005
-    # forks a band child where it sees 2 CPUs, then 0.02 fails. At 4 CPUs
-    # two slices run: 0.02 fails in the child, and 0.03 after the band child
-    # of 0.005 in the caller.
+    # damped and its certificate refused, so the run at b = 0.005 forks a
+    # band child where it sees 2 or more CPUs. At 1 CPU nothing forks, and
+    # 0.02 fails after 0.005. At 2 CPUs two slices run: 0.02 fails in the
+    # child, and 0.03 after the band child of 0.005 in the caller. At 4 CPUs
+    # three slices run, and the caller runs 0.005 alone.
     evolve = runner.evolve
 
-    def broken(ctx):
+    def broken(ctx, amplitude_only=False):
         if ctx.config.b > 0.01:
             raise RuntimeError(f"bug at b={ctx.config.b}")
-        return evolve(ctx)
+        return evolve(ctx, amplitude_only=amplitude_only)
 
     monkeypatch.setattr(runner, "evolve", broken)
+    refuse_certificates(monkeypatch)
     set_cpus(monkeypatch, cpus)
     with pytest.raises(RuntimeError, match=r"^bug at b=0\.02$"):
         run_sweep(small_config(), "b", [0.005, 0.02, 0.03], name="f", out_dir=tmp_path)
-    assert forks == {1: [], 2: [1], 4: [1, 1]}[cpus]
+    # slice children first, then the caller's band child
+    assert forks == {1: [], 2: [1, 1], 4: [1, 1, 1]}[cpus]
     no_child_left()
     assert not (tmp_path / "f.csv").exists()
 
@@ -298,6 +306,27 @@ def test_sweep_manifest_rows_time_their_stages(tmp_path):
     # the timings are no result: the rows returned and the CSV leave them out
     assert "timing" not in sweep.rows[0]
     assert sweep.csv_path.read_text().splitlines()[0] == SWEEP_HEADER
+
+
+@needs_fork
+def test_sweep_manifest_names_each_points_path(tmp_path, monkeypatch, forks):
+    # a fig8 point is certified: it runs amplitude-only and forks nothing.
+    # Its certificate refused, it runs the full path, band child included,
+    # and writes the same CSV. A point that fails to resolve ran no path.
+    set_cpus(monkeypatch, 2)
+    cfg = load_preset("fig8").config
+    amp = run_sweep(cfg, "state_n", [1, 44], name="amp", out_dir=tmp_path)
+    assert forks == [1]  # the second slice's
+    refuse_certificates(monkeypatch)
+    full = run_sweep(cfg, "state_n", [1], name="full", out_dir=tmp_path)
+    assert forks == [1, 1]  # and now the band child
+    no_child_left()
+    rows = [json.loads(s.manifest_path.read_text())["rows"] for s in (amp, full)]
+    assert rows[0][0]["path"] == "amplitude_only"
+    assert "path" not in rows[0][1] and rows[0][1]["classification"] == "ERROR:ConfigError"
+    assert rows[1][0]["path"] == "full"
+    body = [s.csv_path.read_text().splitlines() for s in (amp, full)]
+    assert body[0][1] == body[1][1]
 
 
 @needs_fork
@@ -523,7 +552,9 @@ def test_sweep_rows_are_permutation_invariant(tmp_path):
     fwd = run_sweep(cfg, "gamma", [0.0, 1e-3], name="f", out_dir=tmp_path)
     rev = run_sweep(cfg, "gamma", [1e-3, 0.0], name="r", out_dir=tmp_path)
     key = lambda r: r["param_value"]
-    assert sorted(fwd.rows, key=key) == sorted(rev.rows, key=key)
+    # repr, since a row's nan is not equal to itself, nor to another nan
+    # once a slice child has pickled the row back
+    assert repr(sorted(fwd.rows, key=key)) == repr(sorted(rev.rows, key=key))
 
 
 def _fig2b_dim60():
@@ -679,7 +710,7 @@ def test_failing_band_child_exits_with_output_error(tmp_path, monkeypatch, capsy
 def test_failing_sweep_slice_exits_with_output_error(tmp_path, monkeypatch, capsys):
     children_exit_at_once(monkeypatch, 1)
     out = tmp_path / "out"
-    # an undamped sweep runs two slices at 2 CPUs, a damped one at 4
+    # two points run two slices at 2 or more CPUs, undamped or damped
     for cpus, gamma, axis, values in ((2, 0.0, "b", "0.005,0.01"),
                                       (4, 1e-3, "gamma", "0,1e-3")):
         set_cpus(monkeypatch, cpus)
@@ -697,12 +728,17 @@ def test_failing_sweep_slice_exits_with_output_error(tmp_path, monkeypatch, caps
 @pytest.mark.parametrize("cpus", [1, 2, 4])
 def test_damped_sweep_with_failing_children_exits_with_output_error(tmp_path, monkeypatch,
                                                                      capsys, cpus):
-    # a failed band child (one slice at 2 CPUs) fails the sweep as a failed
-    # slice child does (two slices at 4 CPUs); at 1 CPU nothing forks
+    # a failed band child fails the sweep as a failed slice child does. The
+    # certificate is refused, so every damped point runs the full path. At
+    # 2 CPUs one point runs in the caller's slice alone, and its band child
+    # fails; at 4 CPUs two points run two slices, and the slice child fails.
+    # At 1 CPU nothing forks.
+    refuse_certificates(monkeypatch)
     set_cpus(monkeypatch, cpus)
     children_exit_at_once(monkeypatch, 1)
     path = write_config(tmp_path, b=0.005)
-    code = main(["sweep", str(path), "--axis", "gamma", "--values", "1e-3,2e-3",
+    values = "1e-3" if cpus == 2 else "1e-3,2e-3"
+    code = main(["sweep", str(path), "--axis", "gamma", "--values", values,
                  "--name", "s", "--out-dir", str(tmp_path / "out")])
     no_child_left()
     err = capsys.readouterr().err
