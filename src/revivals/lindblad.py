@@ -30,13 +30,19 @@ trace and the top level stay put, and the purity is convex in time, so it
 peaks at an end. Band 1 runs through the same table, block starts and
 products as in the full loop, so <a> has the same bytes.
 
-A damped amplitude-only run propagates bands 0 and 1 in full, through the
-dense path's own ``_band_states``, so <a>, the trace and the top level have
-the full run's bytes and their gates are checked as the full run checks
-them. Bands 2..D-1 enter only a bound on the purity (``_amplitude_blocks``):
-their exact sum over the first PREFIX_BLOCKS blocks, where the state may
-still be pure, and past them a bound from each band's block starts and the
-norms of R_q's powers. A block whose bound stays CERTIFICATE_MARGIN and
+A damped amplitude-only run propagates bands 0 and 1 in full, block by
+block with the dense path's own ``_band_states``, into stacks of
+AMPLITUDE_CHUNK_BLOCKS blocks. Each record of such a chunk is read in one
+call that runs the dense path's operation on each block, and a run's last
+partial block is read alone on its own samples, so <a>, the trace and the
+top level have the full run's bytes; their gates are checked once a chunk,
+as the full run checks them. Bands 2..D-1 enter only a bound on the purity
+(``_amplitude_blocks``): their exact sum over the first PREFIX_BLOCKS
+blocks, where the state may still be pure, and past them a bound from each
+band's block starts and the norms of R_q's powers. They run in groups of
+consecutive bands of up to GROUP_ROWS stacked rows, each M_q zero-padded to
+its group's largest, so one stacked product steps a whole group
+(``_group_bound``). A block whose bound stays CERTIFICATE_MARGIN and
 the rounding allowance (``_rounding``) inside 1 + TRACE_TOLERANCE cannot
 fail the purity gate. Any other run, one with an uncertified block or a
 failing or non-finite value, takes the full loop, which raises what it
@@ -89,6 +95,14 @@ CHUNK_BLOCKS = 32
 #: Distance inside each gate's bound that ``rk4_evolve(amplitude_only=True)``
 #: requires of the closed-form values or bounds before it skips the gates' bands.
 CERTIFICATE_MARGIN = 1e-12
+
+#: Full blocks of bands 0 and 1 whose records one pass of a damped
+#: amplitude-only run reads in one stacked product (``_amplitude_blocks``).
+AMPLITUDE_CHUNK_BLOCKS = 4
+
+#: Rows up to which ``_amplitude_blocks`` stacks bands 2..D-1, each zero-padded
+#: to its group's largest, into one product (``_band_groups``).
+GROUP_ROWS = 64
 
 #: Leading blocks of a damped amplitude-only run whose purity sums every band
 #: (``_amplitude_blocks``) instead of bounding bands 2..D-1: the state may be
@@ -247,10 +261,11 @@ def _rk4_step(m: np.ndarray, dt: float) -> np.ndarray:
     """I + hM + (hM)^2/2 + (hM)^3/6 + (hM)^4/24: one RK4 step of dx/dt = M x.
 
     A 1-d m stands for the diagonal matrix diag(m) and gives the diagonal of
-    the step, with the same operations as the 2-d form on that diagonal.
+    the step, with the same operations as the 2-d form on that diagonal. A 3-d
+    m is a stack of matrices and gives the stack of their steps.
     """
     hm = dt * m
-    eye, mul = ((np.eye(len(m), dtype=m.dtype), np.matmul) if m.ndim == 2
+    eye, mul = ((np.eye(m.shape[-1], dtype=m.dtype), np.matmul) if m.ndim > 1
                 else (1.0, np.multiply))
     r = eye + hm / 4.0
     for k in (3.0, 2.0, 1.0):
@@ -317,18 +332,23 @@ def _powers(gens: list[np.ndarray], dt: float):
     return (_squares(_rk4_step(m, dt)) for m in gens)
 
 
-def _band_states(steps, x0: list[np.ndarray], nblocks: int, dtype: type):
-    """Blocks of BLOCK_STEPS samples of some bands, stacked row-wise in one array.
+def _ring(x0: list[np.ndarray], dtype: type, n: int = 2) -> np.ndarray:
+    """n blocks of BLOCK_STEPS samples of the bands x0 stacked row-wise, for
+    ``_band_states``."""
+    return np.empty((n, sum(len(x) for x in x0), BLOCK_STEPS), dtype=dtype)
+
+
+def _band_states(steps, x0: list[np.ndarray], nblocks: int, buffers: np.ndarray):
+    """Blocks of BLOCK_STEPS samples of some bands, stacked row-wise, block i
+    written into buffers[i % len(buffers)] (``_ring``).
 
     steps gives, per band, its step R_q and the squares of it up to R_q^B
     (``_squares``). The first block comes by doubling: columns [w, 2w) are
-    R_q^w applied to [0, w). Each later block is R_q^B times the one before.
-    Two arrays take the blocks in turn, so a yielded block is valid until the
-    next but one is drawn.
+    R_q^w applied to [0, w). Each later block is R_q^B times the one before,
+    so a yielded block is valid until len(buffers) - 1 more are drawn.
     """
     nb = BLOCK_STEPS
     rows = np.cumsum([0] + [len(x) for x in x0])
-    buffers = [np.empty((rows[-1], nb), dtype=dtype) for _ in range(2)]
     bands = [[b[lo:hi] for lo, hi in zip(rows[:-1], rows[1:])] for b in buffers]
     powers = []
     for x, xq, squares in zip(bands[0], x0, steps):
@@ -340,10 +360,11 @@ def _band_states(steps, x0: list[np.ndarray], nblocks: int, dtype: type):
             width *= 2
         powers.append(p)  # R^B
     yield buffers[0]
+    ring = len(buffers)
     for i in range(1, nblocks):
-        for p, x, y in zip(powers, bands[(i - 1) % 2], bands[i % 2]):
+        for p, x, y in zip(powers, bands[(i - 1) % ring], bands[i % ring]):
             np.matmul(p, x, out=y)
-        yield buffers[i % 2]
+        yield buffers[i % ring]
 
 
 def _band_child(gens: list[np.ndarray], x0: list[np.ndarray], dt: float, nsamples: int):
@@ -356,7 +377,7 @@ def _band_child(gens: list[np.ndarray], x0: list[np.ndarray], dt: float, nsample
     d = len(x0[0]) + 1  # band 1 has D - 1 entries
     nb = BLOCK_STEPS
     sqrt_n = np.sqrt(np.arange(1.0, d))
-    states = _band_states(_powers(gens, dt), x0, -(-nsamples // nb), complex)
+    states = _band_states(_powers(gens, dt), x0, -(-nsamples // nb), _ring(x0, complex))
     for k0, off in zip(range(0, nsamples, nb), states):
         count = min(nb, nsamples - k0)
         v = off[:, :count].view(np.float64)
@@ -383,8 +404,8 @@ def _dense_blocks(gens: list[np.ndarray], x0: list[np.ndarray], dt: float, nsamp
     k = _band_split(d)
     split = sum(len(x) for x in x0[1:k])  # rows of bands 1..k-1
     child = _band_child(gens[1:k], x0[1:k], dt, nsamples)
-    pops = _band_states(_powers(gens[:1], dt), x0[:1], nblocks, float)
-    owns = _band_states(_powers(gens[k:], dt), x0[k:], nblocks, complex)
+    pops = _band_states(_powers(gens[:1], dt), x0[:1], nblocks, _ring(x0[:1], float))
+    owns = _band_states(_powers(gens[k:], dt), x0[k:], nblocks, _ring(x0[k:], complex))
     levels = np.arange(float(d))
     # row 0 takes the child's sums, the others the squares of own rows
     squares = np.empty((1 + sum(len(x) for x in x0[k:]), 2 * nb))
@@ -436,23 +457,28 @@ def _power_table(r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return table, p
 
 
+def _chunks(nsamples: int, size: int) -> list[tuple[int, int, int]]:
+    """(first block, blocks, count) per chunk of a run's blocks: up to size
+    full blocks of ``count`` = BLOCK_STEPS samples, and a run's last partial
+    block alone, with its own count."""
+    nb = BLOCK_STEPS
+    nfull, rest = divmod(nsamples, nb)
+    chunks = [(b0, min(size, nfull - b0), nb) for b0 in range(0, nfull, size)]
+    if rest:
+        chunks.append((nfull, 1, rest))
+    return chunks
+
+
 def _block_starts(x: np.ndarray, p: np.ndarray, nsamples: int):
     """Chunks (starts, count) of the block starts of an elementwise run.
 
     starts[i] is the state at the start of block i of the chunk: x itself at
     block 0 of the run, else the row before times p, written into the row
     by one ``np.multiply``. (``np.multiply.accumulate`` runs another complex
-    loop and moves the bytes.) x is left equal to the chunk's last row. A
-    chunk holds up to CHUNK_BLOCKS full blocks of ``count`` = BLOCK_STEPS
-    samples; a run's last partial block comes alone, with its own count.
+    loop and moves the bytes.) x is left equal to the chunk's last row. The
+    chunks are those of ``_chunks`` with CHUNK_BLOCKS blocks.
     """
-    nb = BLOCK_STEPS
-    nfull, rest = divmod(nsamples, nb)
-    chunks = [(b0, min(CHUNK_BLOCKS, nfull - b0), nb)
-              for b0 in range(0, nfull, CHUNK_BLOCKS)]
-    if rest:
-        chunks.append((nfull, 1, rest))
-    for b0, nrows, count in chunks:
+    for b0, nrows, count in _chunks(nsamples, CHUNK_BLOCKS):
         starts = np.empty((nrows, len(x)), dtype=complex)
         if b0 > 0:
             np.multiply(x, p, out=starts[0])
@@ -569,67 +595,132 @@ def _band1_amplitude(diags: list[np.ndarray], x0: list[np.ndarray], dt: float,
 
 
 def _abs2(x: np.ndarray) -> np.ndarray:
-    """sum_i |x[i, j]|^2 for each column j of a complex array, read from its
-    float view as the band child reads its rows."""
+    """sum_i |x[..., i, j]|^2 for each column j of a complex array or stack of
+    arrays, read from its float view as the band child reads its rows."""
     v = x.view(np.float64)
-    s = np.einsum("ij,ij->j", v, v)
-    return s[0::2] + s[1::2]
+    s = np.einsum("...ij,...ij->...j", v, v)
+    return s[..., 0::2] + s[..., 1::2]
 
 
-def _norm_bound(a: np.ndarray) -> float:
-    """sqrt(||a||_1 ||a||_inf), which is at least the spectral norm ||a||_2."""
-    m = np.abs(a)
-    return np.sqrt(m.sum(axis=0).max() * m.sum(axis=1).max())
+def _band_groups(d: int) -> list[slice]:
+    """Bands 2..D-1 in groups of consecutive bands, max(1, GROUP_ROWS // size)
+    to a group, size = D - q of its first band q, the group's largest."""
+    groups, q = [], 2
+    while q < d:
+        n = max(1, GROUP_ROWS // (d - q))
+        groups.append(slice(q, min(d, q + n)))
+        q += n
+    return groups
+
+
+def _group_bound(gens: list[np.ndarray], x0: list[np.ndarray], dt: float,
+                 exact: np.ndarray, starts: np.ndarray) -> None:
+    """Add one group's part of ``_amplitude_blocks``' purity bound: sum
+    |x_q|^2 over the exact prefix's samples to exact, (prefix blocks,
+    BLOCK_STEPS), and sum g_q |y_q(i)|^2 to starts, per block i.
+
+    Each band's M_q is zero-padded to the group's first, largest, band in one
+    stack, so its step is blockdiag(R_q, I) and the padded entries of x_q stay
+    exactly zero. One pass over R, R^2, ..., R^B doubles the prefix, takes
+    g_q from each power but R^B with the padding's rows and columns masked
+    out, and leaves R^B; its squares then double the block starts in the
+    same buffers, and (R^B)^B steps them on by BLOCK_STEPS blocks.
+    """
+    nb = BLOCK_STEPS
+    nexact, nblocks = len(exact), len(starts)
+    sizes = np.array([len(x) for x in x0])
+    real = np.arange(sizes[0]) < sizes[:, None]  # (bands, rows): not padding
+    m = np.zeros((len(x0), sizes[0], sizes[0]), dtype=complex)
+    # the prefix's samples; later two halves that take the block starts in turn
+    x = np.zeros((len(x0), sizes[0], max(nexact, 2) * nb), dtype=complex)
+    for b, (mq, xq) in enumerate(zip(gens, x0)):
+        m[b, :len(xq), :len(xq)] = mq
+        x[b, :len(xq), 0] = xq
+    g = np.ones(len(x0))
+
+    def double(y, p, spare, g=None):
+        """Columns [w, 2w) of y become p^w times [0, w); with g, g_q takes
+        max(1, nu(p^w))^2 = max(1, ||p^w||_1 ||p^w||_inf). Returns p^B and
+        the spare buffer."""
+        width = 1
+        while width < nb:
+            np.matmul(p, y[..., :width], out=y[..., width:2 * width])
+            if g is not None:
+                a = np.abs(p)
+                g *= np.maximum(1.0, np.max(a.sum(axis=1) * real, axis=1)
+                                * np.max(a.sum(axis=2) * real, axis=1))
+            np.matmul(p, p, out=spare)
+            p, spare = spare, p
+            width *= 2
+        return p, spare
+
+    p, spare = double(x, _rk4_step(m, dt), m, g)  # m's memory takes the squares
+    for i in range(1, nexact):
+        np.matmul(p, x[..., (i - 1) * nb:i * nb], out=x[..., i * nb:(i + 1) * nb])
+    exact += _abs2(x[..., :nexact * nb]).sum(axis=0).reshape(nexact, nb)
+    if nblocks <= nexact:
+        return
+    # the block starts are the samples of a run whose step is R^B
+    y, z = x[..., :nb], x[..., nb:2 * nb]  # y[..., 0] is still x_q
+    p, spare = double(y, p, spare)
+    for i in range(0, nblocks, nb):
+        if i > 0:
+            np.matmul(p, y, out=z)
+            y, z = z, y
+        n = min(nb, nblocks - i)
+        starts[i:i + n] += g @ _abs2(y[..., :n])
 
 
 def _amplitude_blocks(gens: list[np.ndarray], x0: list[np.ndarray], dt: float,
                       nsamples: int):
-    """Blocks of a damped run read from bands 0 and 1, with a bound on its purity.
+    """Chunks of a damped run read from bands 0 and 1, with a bound on its purity.
 
-    Each block is <a>, the trace, sum(x_0^2), a purity bound and the
-    top-level population, per sample. Bands 0 and 1 run in full through
-    ``_band_states``, so all but the bound have the bytes of ``_dense_blocks``.
+    Each chunk is <a>, the trace, sum(x_0^2), a purity bound and the
+    top-level population, per sample, of up to AMPLITUDE_CHUNK_BLOCKS full
+    blocks (``_chunks``); a run's last partial block comes alone and is read
+    on its own samples. The top level is valid until the next chunk is drawn.
+    Bands 0 and 1 run block by block through ``_band_states`` into stacks of
+    a chunk's blocks, and each record is read from the stack in one call
+    that runs the operation of ``_dense_blocks`` on each block, so all but
+    the bound have its bytes.
+
     The purity is sum(x_0^2) + 2 sum_{q>=1} |x_q|^2. In the first
-    PREFIX_BLOCKS blocks the bound adds every band's |x_q|^2, propagated one
-    band at a time. Past them, band q >= 2 enters through its block start
-    y_q(i) = (R_q^B)^i x_q alone. Sample s of block i is R_q^s y_q(i), and
-    s < BLOCK_STEPS is a sum of distinct powers of two, so
-    |R_q^s y_q(i)|^2 <= g_q |y_q(i)|^2 with
-    g_q = prod_{2^k < BLOCK_STEPS} max(1, nu(R_q^(2^k)))^2, nu of
-    ``_norm_bound``. The block's bound is then its largest sum(x_0^2) +
-    2 |x_1|^2 plus 2 sum_{q>=2} g_q |y_q(i)|^2, up to rounding; it needs
-    neither a normal R_q nor a purity that only falls.
+    PREFIX_BLOCKS blocks the bound adds every band's |x_q|^2. Past them,
+    band q >= 2 enters through its block start y_q(i) = (R_q^B)^i x_q alone.
+    Sample s of block i is R_q^s y_q(i), and s < BLOCK_STEPS is a sum of
+    distinct powers of two, so |R_q^s y_q(i)|^2 <= g_q |y_q(i)|^2 with
+    g_q = prod_{2^k < BLOCK_STEPS} max(1, nu(R_q^(2^k)))^2 and
+    nu(A) = sqrt(||A||_1 ||A||_inf), which is at least the spectral norm of
+    A. The block's bound is then its largest sum(x_0^2) + 2 |x_1|^2 plus
+    2 sum_{q>=2} g_q |y_q(i)|^2, up to rounding; it needs neither a normal
+    R_q nor a purity that only falls. Bands 2..D-1 are propagated in padded
+    groups (``_band_groups``, ``_group_bound``).
     """
     d = len(gens)
     nb = BLOCK_STEPS
     nblocks = -(-nsamples // nb)
     nexact = min(nblocks, PREFIX_BLOCKS)
-    exact = np.zeros(nexact * nb)  # sum_{q>=2} |x_q|^2 over the prefix
-    starts = np.zeros(nblocks)     # sum_{q>=2} g_q |y_q(i)|^2
-    for m, x in zip(gens[2:], x0[2:]):
-        powers = list(_squares(_rk4_step(m, dt)))
-        for i, block in enumerate(_band_states([powers], [x], nexact, complex)):
-            exact[i * nb:(i + 1) * nb] += _abs2(block)
-        g = np.prod(np.maximum(1.0, [_norm_bound(p) for p in powers[:-1]])) ** 2
-        # the block starts come as the samples of a run whose step is R_q^B
-        ys = _band_states([_squares(powers[-1])], [x], -(-nblocks // nb), complex)
-        for i, y in zip(range(0, nblocks, nb), ys):
-            n = min(nb, nblocks - i)
-            starts[i:i + n] += g * _abs2(y[:, :n])
+    exact = np.zeros((nexact, nb))  # sum_{q>=2} |x_q|^2 over the prefix
+    starts = np.zeros(nblocks)      # sum_{q>=2} g_q |y_q(i)|^2
+    for group in _band_groups(d):
+        _group_bound(gens[group], x0[group], dt, exact, starts)
     sqrt_n = np.sqrt(np.arange(1.0, d))
-    pops = _band_states(_powers(gens[:1], dt), x0[:1], nblocks, float)
-    ones = _band_states(_powers(gens[1:2], dt), x0[1:2], nblocks, complex)
-    for i, pop, x1 in zip(range(nblocks), pops, ones):
-        k0 = i * nb
-        count = min(nb, nsamples - k0)
-        pop, x1 = pop[:, :count], x1[:, :count]
-        low = np.einsum("ij,ij->j", pop, pop)
+    ch = AMPLITUDE_CHUNK_BLOCKS
+    pops, ones = _ring(x0[:1], float, ch), _ring(x0[1:2], complex, ch)
+    states = zip(_band_states(_powers(gens[:1], dt), x0[:1], nblocks, pops),
+                 _band_states(_powers(gens[1:2], dt), x0[1:2], nblocks, ones))
+    for b0, n, count in _chunks(nsamples, ch):
+        for _ in range(n):
+            next(states)
+        stack = slice(b0 % ch, b0 % ch + n)
+        pop, x1 = pops[stack, :, :count], ones[stack, :, :count]
+        low = np.einsum("bij,bij->bj", pop, pop)
         bound = low + 2.0 * _abs2(x1)
-        if i < nexact:
-            bound += 2.0 * exact[k0:k0 + count]
-        else:
-            bound = np.full(count, bound.max() + 2.0 * starts[i])
-        yield sqrt_n @ x1, pop.sum(axis=0), low, bound, pop[-1]
+        k = min(n, max(0, nexact - b0))  # the chunk's blocks in the prefix
+        bound[:k] += 2.0 * exact[b0:b0 + k, :count]
+        bound[k:] = bound[k:].max(axis=1, keepdims=True) + 2.0 * starts[b0 + k:b0 + n, None]
+        yield (np.matmul(sqrt_n, x1).reshape(-1), pop.sum(axis=1).reshape(-1),
+               low.reshape(-1), bound.reshape(-1), pop[:, -1].reshape(-1))
 
 
 def _damped_amplitude(gens: list[np.ndarray], x0: list[np.ndarray], dt: float,

@@ -15,10 +15,11 @@ from revivals import (DampingSpec, DensityMatrix, DimensionMismatch, DomainError
                       displaced_number_state, kerr_expect_a_closed_form,
                       rk4_evolve, superoperator, superoperator_evolve)
 from revivals.config import load_preset
-from revivals.fanout import run_slices
-from revivals.lindblad import (BLOCK_STEPS, CERTIFICATE_MARGIN, CHUNK_BLOCKS,
-                               TOP_LEVEL_TOLERANCE, TRACE_TOLERANCE, Trajectory, _rk4_step,
-                               default_dt, expect_a_raw, expect_n_raw, to_bands)
+from revivals.fanout import one_blas_thread, run_slices
+from revivals.lindblad import (AMPLITUDE_CHUNK_BLOCKS, BLOCK_STEPS, CERTIFICATE_MARGIN,
+                               CHUNK_BLOCKS, TOP_LEVEL_TOLERANCE, TRACE_TOLERANCE,
+                               Trajectory, _rk4_step, default_dt, expect_a_raw,
+                               expect_n_raw, to_bands)
 from revivals.runner import evolve, resolve
 
 from conftest import (ALPHA, B1, B2, OMEGA0, children_exit_at_once, fock_state,
@@ -281,6 +282,52 @@ def per_block_diagonal_blocks(diags, x0, dt, nsamples):
                (pop @ pop_t[:, :count]).real,
                (weight * (x.real ** 2 + x.imag ** 2)) @ abs2[:, :count],
                (pop[-1] * pop_t[-1, :count]).real, last)
+
+
+def per_block_amplitude_blocks(gens, x0, dt, nsamples):
+    """The damped amplitude-only block generator with one block per loop pass
+    and one band at a time for bands 2..D-1.
+
+    Bands 0 and 1 run through the same block products, and each block is
+    read on its own samples; the chunked generator must give the bytes of
+    <a>, the trace, sum(x_0^2) and the top level, and the bound up to
+    ``_rounding``. Band q >= 2 runs unpadded, its g_q from
+    nu(A) = sqrt(||A||_1 ||A||_inf) of R_q, R_q^2, ..., R_q^(B/2).
+    """
+    from revivals.lindblad import (PREFIX_BLOCKS, _abs2, _band_states, _powers, _ring,
+                                   _squares)
+
+    d = len(gens)
+    nb = BLOCK_STEPS
+    nblocks = -(-nsamples // nb)
+    nexact = min(nblocks, PREFIX_BLOCKS)
+    exact = np.zeros(nexact * nb)
+    starts = np.zeros(nblocks)
+    for m, x in zip(gens[2:], x0[2:]):
+        powers = list(_squares(_rk4_step(m, dt)))
+        for i, block in enumerate(_band_states([powers], [x], nexact, _ring([x], complex))):
+            exact[i * nb:(i + 1) * nb] += _abs2(block)
+        nu = [np.sqrt(np.abs(p).sum(axis=0).max() * np.abs(p).sum(axis=1).max())
+              for p in powers[:-1]]
+        g = np.prod(np.maximum(1.0, nu)) ** 2
+        ys = _band_states([_squares(powers[-1])], [x], -(-nblocks // nb), _ring([x], complex))
+        for i, y in zip(range(0, nblocks, nb), ys):
+            n = min(nb, nblocks - i)
+            starts[i:i + n] += g * _abs2(y[:, :n])
+    sqrt_n = np.sqrt(np.arange(1.0, d))
+    pops = _band_states(_powers(gens[:1], dt), x0[:1], nblocks, _ring(x0[:1], float))
+    ones = _band_states(_powers(gens[1:2], dt), x0[1:2], nblocks, _ring(x0[1:2], complex))
+    for i, pop, x1 in zip(range(nblocks), pops, ones):
+        k0 = i * nb
+        count = min(nb, nsamples - k0)
+        pop, x1 = pop[:, :count], x1[:, :count]
+        low = np.einsum("ij,ij->j", pop, pop)
+        bound = low + 2.0 * _abs2(x1)
+        if i < nexact:
+            bound += 2.0 * exact[k0:k0 + count]
+        else:
+            bound = np.full(count, bound.max() + 2.0 * starts[i])
+        yield sqrt_n @ x1, pop.sum(axis=0), low, bound, pop[-1]
 
 
 def failure_time(failed):
@@ -548,15 +595,14 @@ def test_damped_purity_bound_holds_the_full_runs_purity(run):
     blocks = _amplitude_blocks(L.band_generators(), to_bands(rho0.matrix), full.times[1],
                                nsamples)
     k0, headroom = 0, []
-    for i, (a, trace, low, bound, top) in enumerate(blocks):
+    for a, trace, low, bound, top in blocks:
         blk = slice(k0, k0 + len(a))
         purity = full.purity[blk]
-        assert np.all(bound <= limit), i
-        if i < PREFIX_BLOCKS:
-            assert np.all(np.abs(bound - purity) <= rounding * purity), i
-        else:
-            assert np.all(bound * (1.0 + rounding) >= purity), i
-        assert np.all(low <= purity), i
+        prefix = np.arange(k0, k0 + len(a)) // BLOCK_STEPS < PREFIX_BLOCKS
+        assert np.all(bound <= limit), k0
+        assert np.all((np.abs(bound - purity) <= rounding * purity)[prefix]), k0
+        assert np.all((bound * (1.0 + rounding) >= purity)[~prefix]), k0
+        assert np.all(low <= purity), k0
         assert trace.tobytes() == full.trace[blk].tobytes()
         assert a.tobytes() == full.a_expect[blk].tobytes()
         headroom.append(1.0 + TRACE_TOLERANCE - bound.max())
@@ -564,6 +610,50 @@ def test_damped_purity_bound_holds_the_full_runs_purity(run):
     assert k0 == nsamples
     if run == "fig2d":
         assert 0.5e-6 < headroom[-1] < 1.5e-6
+
+
+AMPLITUDE_CHUNK = AMPLITUDE_CHUNK_BLOCKS * BLOCK_STEPS
+
+
+@pytest.mark.parametrize("nsamples", [
+    1, BLOCK_STEPS - 1, BLOCK_STEPS, BLOCK_STEPS + 1, AMPLITUDE_CHUNK - 1, AMPLITUDE_CHUNK,
+    AMPLITUDE_CHUNK + 1, 2 * AMPLITUDE_CHUNK + 77])
+@pytest.mark.parametrize("d", [2, 3, 14, 40])
+def test_chunked_amplitude_blocks_match_per_block_loop(d, nsamples):
+    # dim 2 has no band past 1, dim 3 one group of band 2 alone; at dim 14
+    # the groups stack 5 and 7 padded bands, and at dim 40 bands 2..7 fill
+    # a group each
+    from revivals.lindblad import _amplitude_blocks, _band_groups, _rounding
+
+    L, rho0, _ = damped_case(d)
+    dt = 2.0 ** math.floor(math.log2(0.1 / L.omega_max()))  # t_final / dt is exact
+    gens, x0 = L.band_generators(), to_bands(rho0.matrix)
+    assert [g.stop - g.start for g in _band_groups(d)][:6] == {
+        2: [], 3: [1], 14: [5, 7], 40: [1] * 6}[d]
+
+    def drain(blocks):
+        # <a>, trace, sum(x_0^2), purity bound, top level
+        cols = [[] for _ in range(5)]
+        for values in blocks:
+            for col, v in zip(cols, values):
+                col.append(np.array(v))
+        return [np.concatenate(c) for c in cols]
+
+    with one_blas_thread():
+        got = drain(_amplitude_blocks(gens, x0, dt, nsamples))
+        want = drain(per_block_amplitude_blocks(gens, x0, dt, nsamples))
+    assert len(got[0]) == nsamples
+    for name, g, w in zip(("a", "trace", "low", "bound", "top"), got, want):
+        if name == "bound":
+            assert np.all(np.abs(g - w) <= _rounding(nsamples, d) * w), name
+        else:
+            assert g.tobytes() == w.tobytes(), name
+    if nsamples == 1:
+        return  # rk4_evolve takes at least one step
+    full = rk4_evolve(L, rho0, (nsamples - 1) * dt, dt=dt)
+    flagged = rk4_evolve(L, rho0, (nsamples - 1) * dt, dt=dt, amplitude_only=True)
+    assert flagged.purity.size == 0  # certified
+    assert flagged.a_expect.tobytes() == full.a_expect.tobytes() == got[0].tobytes()
 
 
 @pytest.mark.parametrize("dim", [56, 60])
@@ -936,3 +1026,28 @@ def test_rk4_matches_stage_loop_on_seeded_configs(monkeypatch, seed):
     for name in TRAJECTORY_FIELDS[1:]:
         err = np.abs(getattr(forked, name) - getattr(want, name)).max()
         assert err <= 1e-11, (name, err)
+
+
+@needs_fork
+@pytest.mark.parametrize("seed", range(40))
+def test_amplitude_only_matches_the_full_run_on_seeded_configs(monkeypatch, seed):
+    # both certificates decide against the full run: a run the full path fails
+    # fails the same way with the flag, and a run it finishes gives the same
+    # times and <a>, with the other records empty where the flagged run was
+    # certified and equal to the full run's where it fell back
+    L, rho0, t_final, dt = seeded_case(seed)
+    full = outcome(lambda: rk4_evolve(L, rho0, t_final, dt=dt))
+    for cpus in (1, 2):
+        set_cpus(monkeypatch, cpus)
+        flagged = outcome(lambda: rk4_evolve(L, rho0, t_final, dt=dt, amplitude_only=True))
+        if isinstance(full, Exception):
+            assert (type(flagged), str(flagged)) == (type(full), str(full))
+            continue
+        assert isinstance(flagged, Trajectory), flagged
+        assert flagged.times.tobytes() == full.times.tobytes()
+        assert flagged.a_expect.tobytes() == full.a_expect.tobytes()
+        if flagged.purity.size:
+            assert_same_trajectory(flagged, full)
+        else:
+            for name in ("n_expect", "trace", "final"):
+                assert getattr(flagged, name).size == 0, name
