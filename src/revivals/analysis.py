@@ -23,7 +23,6 @@ from .fock import (DensityMatrix, FockSpace, coherent_state, density_from_pure,
                    displaced_number_state)
 from .hamiltonian import (DiagonalHamiltonian, Timescales, build_hamiltonian,
                           default_n0, timescales_closed_form)
-from .fanout import run_slices
 from .lindblad import DampingSpec, Trajectory, build_liouvillian, rk4_evolve
 
 
@@ -328,64 +327,46 @@ def scan_nonlinearity(b_values, *, k: int, alpha: complex, omega0: float,
     b_onset is the smallest b classified REGULAR_REVIVALS with a genuine
     (sustained) collapse; b_offset the smallest b classified IRREGULAR.
 
-    The points are classified in one slice per usable CPU
-    (``fanout.run_slices``), dealt largest first by their predicted step
-    count: the caller runs the first slice, forked children the others.
-    Each point runs the same single-threaded ``rk4_evolve`` with
-    ``amplitude_only``: band 1 alone where its gates are certified in closed
-    form, else the full run, which raises the error it always raised. So the
-    result does not depend on the slice count, and neither does the error
-    raised: that of the smallest failing b, as a serial loop would raise it.
-    The coherent initial state does not depend on b: it is built once,
-    before the slices fork, and every point starts from it.
+    The points run in ascending b, each through the single-threaded
+    ``rk4_evolve`` with ``amplitude_only``: band 1 alone where its gates are
+    certified in closed form, else the full run, which raises the error it
+    always raised. The first error met is raised, so it is that of the
+    smallest failing b, and no larger b runs. The coherent initial state
+    does not depend on b: it is built once, after the smallest b's plan,
+    and every point starts from it.
     """
     space = FockSpace(dim)
     cfg = ClassifierThresholds(linear_classical_period=2 * math.pi / omega0)
     n0 = default_n0(alpha)
-    bs = sorted(float(x) for x in b_values)
-    plans, failure = [], None
-    for b in bs:
-        try:
-            h = build_hamiltonian(space, omega0, b, k)
-            pred = timescales_closed_form(h, n0)
-        except Exception as exc:
-            failure = exc  # raised below, so no larger b needs to run
-            break
-        if k == 2:
-            horizon = min(SCAN_HORIZON_QUADRATIC, SCAN_SPAN_FACTOR_QUADRATIC * pred.t_rev)
-        else:
-            horizon = min(SCAN_HORIZON_CUBIC, SCAN_SPAN_FACTOR_CUBIC * pred.t_sr)
-        plans.append((h, pred, horizon))
-    # built only when a point runs, so that a failing smallest b raises first
-    rho0 = density_from_pure(coherent_state(space, alpha)) if plans else None
+    rho0 = None
 
-    def classify(i: int) -> tuple[Classification, bool]:
-        # through the module globals, which the benchmark's tracer wraps
-        h, pred, horizon = plans[i]
+    def classify(h: DiagonalHamiltonian, pred: Timescales,
+                 horizon: float) -> tuple[Classification, bool]:
+        # a function, so that a point's trajectory is freed before the next
+        # runs; through the module globals, which the benchmark's tracer wraps
         traj = _evolve_amplitude(h, DampingSpec(), rho0, horizon)
         env = extract_envelope(traj, pred.t_cl)
         report = detect_revivals(env, pred, cfg, damped=False, require_full_span=False)
         return report.classification, bool(report.collapse_intervals)
 
-    verdicts = run_slices(classify, [_predicted_steps(*p) for p in plans],
-                          f"scan of b on the k={k} ladder")
-    if failure is not None:
-        raise failure
     points: list[ScanPoint] = []
     b_onset = b_offset = None
-    for b, (cls, collapses) in zip(bs, verdicts):
+    for b in sorted(float(x) for x in b_values):
+        h = build_hamiltonian(space, omega0, b, k)
+        pred = timescales_closed_form(h, n0)
+        if k == 2:
+            horizon = min(SCAN_HORIZON_QUADRATIC, SCAN_SPAN_FACTOR_QUADRATIC * pred.t_rev)
+        else:
+            horizon = min(SCAN_HORIZON_CUBIC, SCAN_SPAN_FACTOR_CUBIC * pred.t_sr)
+        if rho0 is None:
+            rho0 = density_from_pure(coherent_state(space, alpha))
+        cls, collapses = classify(h, pred, horizon)
         points.append(ScanPoint(b, cls))
         if b_onset is None and collapses and cls is Classification.REGULAR_REVIVALS:
             b_onset = b
         if b_offset is None and cls is Classification.IRREGULAR:
             b_offset = b
     return NonlinearityScan(points, b_onset, b_offset)
-
-
-def _predicted_steps(h: DiagonalHamiltonian, pred: Timescales, horizon: float) -> float:
-    """About the steps ``rk4_evolve`` takes to horizon on an undamped ladder:
-    the step of ``default_dt`` is min(0.1 / Omega_max, t_cl / 200)."""
-    return horizon / min(0.1 / (h.energies[-1] - h.energies[-2]), pred.t_cl / 200.0)
 
 
 def log_grid(lo: float, hi: float, per_decade: int = 5) -> np.ndarray:

@@ -1,10 +1,10 @@
 """Work spread over forked processes, and the BLAS thread count it runs on.
 
-Four users: ``runner.write_csv`` formats a CSV's rows in slices of forked
+Three users: ``runner.write_csv`` formats a CSV's rows in slices of forked
 children, and a damped ``lindblad.rk4_evolve`` propagates its largest
 bands in one forked band child, both through ``fork_slices``,
 ``fork_slice`` and ``forked_children``; ``run_slices`` runs the points of
-the nonlinearity scan and of a sweep that way.
+a sweep that way.
 """
 
 from __future__ import annotations
@@ -97,30 +97,25 @@ def forked_children(what: str):
         raise OSError(f"{what} exited with status {codes}")
 
 
-def run_slices(run: Callable[[int], object], costs: list[float], what: str) -> list:
-    """[run(i) for i in range(len(costs))], in one slice per ``fork_slices()`` process.
+def run_slices(run: Callable[[int], object], count: int, what: str) -> list:
+    """[run(i) for i in range(count)], in one slice per ``fork_slices()`` process.
 
-    Never more slices than indices. Indices go largest cost first, each to
-    the least loaded slice, so the first slice, which the caller runs, is
-    never empty; slices 2..k run in forked children that pickle their
-    results back. Each slice runs its indices in ascending order and stops
-    at the first that raises; the exception of the smallest such index is
-    then raised, as a serial loop would raise it. Two or more slices run on
-    one OpenBLAS thread (``one_blas_thread``), so that no child restarts the
-    BLAS pool the fork shut down. A slice sees the whole affinity mask, so a
-    run inside it that forks children of its own may fork them there too.
+    Never more slices than indices. Index i goes to slice i mod n, so the
+    first slice, which the caller runs, is never empty; slices 2..n run in
+    forked children that pickle their results back. Each slice runs its
+    indices in ascending order and stops at the first that raises; the
+    exception of the smallest such index is then raised, as a serial loop
+    would raise it. Two or more slices run on one OpenBLAS thread
+    (``one_blas_thread``), so that no child restarts the BLAS pool the fork
+    shut down. A slice sees the whole affinity mask, so a run inside it that
+    forks children of its own may fork them there too.
     """
-    n = max(1, min(fork_slices(), len(costs)))
-    slices: list[list[int]] = [[] for _ in range(n)]
-    loads = [0.0] * n
-    for i in sorted(range(len(costs)), key=lambda i: -costs[i]):
-        j = loads.index(min(loads))
-        slices[j].append(i)
-        loads[j] += costs[i]
+    n = max(1, min(fork_slices(), count))
+    slices = [range(j, count, n) for j in range(n)]
 
-    def outcomes(todo: list[int]) -> dict:
+    def outcomes(todo: range) -> dict:
         done = {}
-        for i in sorted(todo):
+        for i in todo:
             try:
                 done[i] = run(i)
             except Exception as exc:
@@ -143,7 +138,7 @@ def run_slices(run: Callable[[int], object], costs: list[float], what: str) -> l
     failed = [i for i, value in done.items() if isinstance(value, Exception)]
     if failed:
         raise done[min(failed)]
-    return [done[i] for i in range(len(costs))]
+    return [done[i] for i in range(count)]
 
 
 @functools.cache

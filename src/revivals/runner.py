@@ -373,8 +373,7 @@ def run_sweep(base: ExperimentConfig, axis: str, values, name: str = "sweep",
     jobs = [(base, axis, v) for v in values]
     # through the module globals, which the benchmark's tracer wraps
     with one_blas_thread():
-        points = run_slices(lambda i: _sweep_point(jobs[i]), [1.0] * len(jobs),
-                            f"sweep of {axis}")
+        points = run_slices(lambda i: _sweep_point(jobs[i]), len(jobs), f"sweep of {axis}")
     rows = [row for row, _ in points]
     csv_path = out / f"{name}.csv"
     with open(csv_path, "w", encoding="utf-8", newline="\n") as fh:

@@ -42,7 +42,7 @@ def random_hermitian(rng, dim):
 
 
 # forked children: shared by the tests of the fork helper, the CSV write, the
-# scan and the sweep
+# band child and the sweep, and by the scan's, which check that it forks none
 
 @pytest.fixture
 def forks(monkeypatch):

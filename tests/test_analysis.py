@@ -1,7 +1,4 @@
 import math
-import os
-import threading
-import time
 
 import numpy as np
 import pytest
@@ -15,8 +12,7 @@ from revivals import (Classification, DomainError, StabilityError, analysis, Cla
                       scan_nonlinearity, timescales_closed_form)
 from revivals.analysis import envelope_from_series
 
-from conftest import (ALPHA, B1, B2, OMEGA0, children_exit_at_once, needs_fork,
-                      no_child_left, set_cpus)
+from conftest import ALPHA, B1, B2, OMEGA0, needs_fork, set_cpus
 
 LINEAR_PERIOD = 2 * math.pi / OMEGA0
 THRESHOLDS = ClassifierThresholds(linear_classical_period=LINEAR_PERIOD)
@@ -198,8 +194,7 @@ def test_scan_transitions_quadratic_edges():
 
 
 #: The grid points of log_grid(1e-5, 10, 5) that bracket the Kerr ladder's
-#: onset and offset; their predicted step counts are about 136k, 136k, 9.4k
-#: and 9.4k, so one to four slices all hold points.
+#: onset and offset.
 BRACKET_B = [1.5848931924611134e-4, 2.5118864315095795e-4, 0.630957344480193, 1.0]
 
 
@@ -208,13 +203,10 @@ def bracket_scan():
 
 
 @needs_fork
-@pytest.mark.parametrize("cpus", [1, 2, 3, 8])
-def test_scan_forks_one_slice_per_cpu_with_the_same_result(monkeypatch, forks, cpus):
-    set_cpus(monkeypatch, cpus)
+def test_scan_forks_nothing_at_eight_cpus(monkeypatch, forks):
+    set_cpus(monkeypatch, 8)
     scan = bracket_scan()
-    # the caller runs slice 1; every other slice is a child
-    assert len(forks) == min(cpus, len(BRACKET_B)) - 1
-    no_child_left()
+    assert forks == []
     assert [p.b for p in scan.points] == BRACKET_B
     assert (scan.b_onset, scan.b_offset) == (BRACKET_B[1], 1.0)
     set_cpus(monkeypatch, 1)
@@ -222,34 +214,20 @@ def test_scan_forks_one_slice_per_cpu_with_the_same_result(monkeypatch, forks, c
 
 
 @needs_fork
-def test_scan_builds_one_initial_state(monkeypatch, forks, tmp_path):
-    # the state does not depend on b, so the caller builds it once, before
-    # the slices fork; calls are logged to a file so that a child's show too
-    log = tmp_path / "states.log"
+def test_scan_builds_one_initial_state(monkeypatch, forks):
+    # the state does not depend on b, so the scan builds it once
+    built = []
     build = analysis.coherent_state
-
-    def logged(*args):
-        with open(log, "a", encoding="utf-8") as fh:
-            fh.write(f"{os.getpid()}\n")
-        return build(*args)
-
-    monkeypatch.setattr(analysis, "coherent_state", logged)
-    scans = []
-    for cpus in (1, 2):
-        set_cpus(monkeypatch, cpus)
-        log.write_text("")
-        scans.append(bracket_scan())
-        assert log.read_text().split() == [str(os.getpid())]
-        no_child_left()
-    assert len(forks) == 1
-    assert scans[0] == scans[1]
+    monkeypatch.setattr(analysis, "coherent_state", lambda *args: built.append(1) or build(*args))
+    set_cpus(monkeypatch, 2)
+    bracket_scan()
+    assert built == [1]
+    assert forks == []
 
 
-@needs_fork
-@pytest.mark.parametrize("cpus", [2, 3, 8])
-def test_scan_fork_reraises_the_one_cpu_exception(monkeypatch, cpus):
-    # on any of these CPU counts b = 1.58e-4 runs in a child and b = 2.51e-4,
-    # the largest point, in the caller's slice; the smallest failing b is raised
+def test_scan_raises_the_smallest_failing_b(monkeypatch):
+    # the points run in ascending b and the first error stops the scan; b = 0
+    # fails its plan, before any point runs
     evolve = analysis._evolve_amplitude
     ran = []
 
@@ -260,20 +238,12 @@ def test_scan_fork_reraises_the_one_cpu_exception(monkeypatch, cpus):
         return evolve(h, *args)
 
     monkeypatch.setattr(analysis, "_evolve_amplitude", failing)
-    raised = []
-    for n in (1, cpus):
-        set_cpus(monkeypatch, n)
-        for bs in (BRACKET_B, [0.0, 1.0]):
-            with pytest.raises(Exception) as exc:
-                scan_nonlinearity(bs, k=2, alpha=ALPHA, omega0=OMEGA0)
-            raised.append((type(exc.value), str(exc.value)))
-        no_child_left()
-        if n == 1:
-            # like a serial loop, one slice stops at its first failure
-            assert ran == [BRACKET_B[0]]
-    assert raised[:2] == [(StabilityError, f"failed at b = {BRACKET_B[0]}"),
-                          (DomainError, "no finite revival time for b = 0")]
-    assert raised[2:] == raised[:2]
+    with pytest.raises(StabilityError, match=f"^failed at b = {BRACKET_B[0]}$"):
+        bracket_scan()
+    assert ran == [BRACKET_B[0]]
+    with pytest.raises(DomainError, match="^no finite revival time for b = 0$"):
+        scan_nonlinearity([0.0, 1.0], k=2, alpha=ALPHA, omega0=OMEGA0)
+    assert ran == [BRACKET_B[0]]
 
 
 #: The purity error of b = 0.005 on the k=2 ladder at dim 60, where the
@@ -281,12 +251,9 @@ def test_scan_fork_reraises_the_one_cpu_exception(monkeypatch, cpus):
 DIM60_FAILURE = "purity 1.000042807942807 outside (0, 1] at t=2.62156; reduce dt"
 
 
-@needs_fork
-@pytest.mark.parametrize("cpus", [1, 2])
-def test_scan_falls_back_to_the_full_runs_error(monkeypatch, cpus):
+def test_scan_falls_back_to_the_full_runs_error(monkeypatch):
     # the closed-form purity of these points fails, so each runs the full
     # rk4_evolve, and the scan raises what it raises without amplitude_only
-    set_cpus(monkeypatch, cpus)
     full_run = analysis.rk4_evolve
     raised = []
     for strip in (False, True):
@@ -296,48 +263,4 @@ def test_scan_falls_back_to_the_full_runs_error(monkeypatch, cpus):
         with pytest.raises(Exception) as failed:
             scan_nonlinearity([0.005, 0.01], k=2, alpha=ALPHA, omega0=OMEGA0, dim=60)
         raised.append((type(failed.value), str(failed.value)))
-        no_child_left()
     assert raised == [(StabilityError, DIM60_FAILURE)] * 2
-
-
-@needs_fork
-def test_scan_child_that_exits_non_zero_raises_oserror(monkeypatch):
-    set_cpus(monkeypatch, 3)
-    children_exit_at_once(monkeypatch, 7)
-    with pytest.raises(OSError, match=r"k=2 ladder: the processes running slices 2\.\.3 "
-                                      r"exited with status \[7, 7\]"):
-        bracket_scan()
-    no_child_left()
-
-
-@needs_fork
-def test_scan_ctrl_c_kills_and_reaps_its_children(monkeypatch):
-    parent = os.getpid()
-
-    def interrupted(*args):
-        if os.getpid() == parent:
-            raise KeyboardInterrupt
-        time.sleep(60)
-
-    monkeypatch.setattr(analysis, "_evolve_amplitude", interrupted)
-    set_cpus(monkeypatch, 4)
-    t0 = time.perf_counter()
-    with pytest.raises(KeyboardInterrupt):
-        bracket_scan()
-    assert time.perf_counter() - t0 < 30
-    no_child_left()
-
-
-@needs_fork
-def test_scan_does_not_fork_beside_another_thread(monkeypatch, forks):
-    set_cpus(monkeypatch, 4)
-    stop = threading.Event()
-    other = threading.Thread(target=stop.wait)
-    other.start()
-    try:
-        scan = bracket_scan()
-    finally:
-        stop.set()
-        other.join(timeout=60)
-    assert forks == []
-    assert (scan.b_onset, scan.b_offset) == (BRACKET_B[1], 1.0)

@@ -116,13 +116,14 @@ def test_run_slices_caps_its_slice_count(monkeypatch, forks, cpus):
     if cpus is not None:
         set_cpus(monkeypatch, cpus)
     mask = usable_cpus()
-    done = run_slices(seen, [1.0] * 5, "five points")
+    done = run_slices(seen, 5, "five points")
     n = min(mask, 5)
     assert len(forks) == n - 1
     no_child_left()
     assert [i for i, _, _ in done] == list(range(5))
-    # equal costs go round the slices; the caller runs the first
+    # point i runs in slice i mod n; the caller runs the first
     assert len({pid for _, pid, _ in done}) == n
+    assert [pid for _, pid, _ in done] == [done[i % n][1] for i in range(5)]
     assert done[0][1] == os.getpid()
     # every slice sees the whole affinity mask
     assert {cpus for _, _, cpus in done} == {mask}
@@ -135,7 +136,7 @@ def test_run_slices_at_one_slice_forks_nothing_and_sets_nothing(monkeypatch, for
     # one CPU (None: three points on it), or one point at four CPUs
     set_cpus(monkeypatch, cpus)
     n = points or 3
-    done = run_slices(seen, [1.0] * n, f"{n} points")
+    done = run_slices(seen, n, f"{n} points")
     assert forks == []
     assert blas_log.read_text() == ""
     assert done == [(i, os.getpid(), cpus) for i in range(n)]
@@ -149,7 +150,7 @@ def test_run_slices_clears_its_cpu_hold_on_a_raise(monkeypatch, forks, blas_log)
         raise KeyboardInterrupt  # no Exception, so it leaves the slice
 
     with pytest.raises(KeyboardInterrupt):
-        run_slices(interrupted, [1.0] * 2, "two points")
+        run_slices(interrupted, 2, "two points")
     assert len(forks) == 1
     no_child_left()
     # the hold of one BLAS thread ends with the raise
@@ -169,6 +170,6 @@ def test_run_slices_raises_the_smallest_failing_index(monkeypatch, forks, failin
     for cpus, nforks in ((1, 0), (2, 1)):
         set_cpus(monkeypatch, cpus)
         with pytest.raises(ValueError, match=f"^point {min(failing)}$"):
-            run_slices(run, [1.0] * 5, "five points")
+            run_slices(run, 5, "five points")
         assert len(forks) == nforks
     no_child_left()

@@ -722,6 +722,57 @@ def test_amplitude_only_falls_back_to_the_full_runs_error(dim):
     assert raised[1] == raised[0]
 
 
+#: How far inside its gate each near-gate value sits: half the certificate's
+#: margin, where a certificate must refuse, then twice it, where it passes.
+NEAR_GATE = (CERTIFICATE_MARGIN / 2, 2 * CERTIFICATE_MARGIN)
+
+
+@pytest.mark.parametrize("gate", ["trace", "top", "first_purity", "last_purity"])
+def test_certified_keeps_the_margin_inside_each_gate(gate):
+    # a dim-2 state, band 0 (p0, p1) and band 1 (c) stacked, with band 1's
+    # step factor r; one value at a time sits near its gate, the rest far
+    # inside theirs. The purity's ends are P(0) = 1 + 2|c|^2 and
+    # P(N-1) = 1 + 2|c|^2 |r|^(2(N-1)), checked with their rounding allowance
+    from revivals.lindblad import _certified, _rounding
+
+    nsamples, top_limit = 3, 0.5
+    verdicts = []
+    for inside in NEAR_GATE:
+        purity = (1.0 + TRACE_TOLERANCE - inside) / (1.0 + _rounding(nsamples, 2))
+        c, r = math.sqrt((purity - 1.0) / 2.0), 0.5
+        p0, p1 = 1.0, 0.0
+        if gate == "trace":
+            p0, c = 1.0 - TRACE_TOLERANCE + inside, 0.0
+        elif gate == "top":
+            p1, c = top_limit - inside, 0.0
+            p0 = 1.0 - p1
+        elif gate == "last_purity":  # band 1 grows to the last sample
+            r = 1.5
+            c /= r ** (nsamples - 1)
+        x = np.array([p0, p1, c], dtype=complex)
+        verdicts.append(_certified(x, np.array([1.0, 1.0, r], dtype=complex), 2, nsamples,
+                                   top_limit))
+    assert verdicts == [False, True]
+
+
+def test_damped_amplitude_keeps_the_margin_inside_the_purity_gate(monkeypatch):
+    # one block of stand-in records whose purity bound sits near the gate,
+    # with its rounding allowance; the trace, sum(x_0^2) and top level pass
+    from revivals import lindblad
+
+    nsamples, d = 3, 2
+    verdicts = []
+    for inside in NEAR_GATE:
+        bound = (1.0 + TRACE_TOLERANCE - inside) / (1.0 + lindblad._rounding(nsamples, d))
+        block = (np.ones(nsamples, dtype=complex), np.ones(nsamples), np.full(nsamples, 0.5),
+                 np.full(nsamples, bound), np.zeros(nsamples))
+        monkeypatch.setattr(lindblad, "_amplitude_blocks", lambda *args: iter([block]))
+        verdicts.append(lindblad._damped_amplitude(
+            [None] * d, None, 0.1, 0.1 * np.arange(nsamples), 0.5,
+            np.empty(nsamples, dtype=complex)))
+    assert verdicts == [False, True]
+
+
 def test_rk4_truncation_error_at_reference_time():
     L = make_liouvillian(6, b=0.0, gamma=0.05, n_thermal=3.0, full=True)
     rho0 = density_from_pure(fock_state(FockSpace(6), 0))
@@ -956,7 +1007,7 @@ def test_band_child_inside_a_slice_but_not_beside_a_thread(monkeypatch, forks):
         return len(forks) - before, traj
 
     # a slice sees the affinity mask, so the run in each forks a band child
-    done = run_slices(run, [1.0, 1.0], "two runs")
+    done = run_slices(run, 2, "two runs")
     assert len(forks) == 3  # the second slice's child, the first's band child
     assert [n for n, _ in done] == [1, 1]
     no_child_left()
