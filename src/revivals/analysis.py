@@ -53,6 +53,14 @@ IRREGULAR_PERIOD_FRACTION = 1.0 / 3.0
 DECLINE_RTOL = 0.01
 DOMINANT_FRACTION = 0.8
 
+#: Relative distance from (t1 - t0) / (N - 1) that ``envelope_from_series``
+#: allows each step of its time grid: arange(N) * dt moves a step by a few
+#: ulp of the grid's end, about N eps of the step.
+GRID_RTOL = 1e-6
+
+#: Steps of the time grid that ``envelope_from_series`` checks per slice.
+GRID_SLICE = 4096
+
 
 @dataclass(frozen=True)
 class ClassifierThresholds:
@@ -99,11 +107,13 @@ class RevivalReport:
 def extract_envelope(traj: Trajectory, window: float) -> Envelope:
     """Per-window maximum of |<a>(t)| interpolated between window centers.
 
-    Requires at least 20 samples per window.
+    Requires at least 20 samples per window. The grid is ``rk4_evolve``'s,
+    arange(N) * dt, uniform and finite by construction, so it is not read
+    a second time to check that.
     """
     ts = np.asarray(traj.times, dtype=float)
     absa = np.abs(np.asarray(traj.a_expect))
-    return envelope_from_series(ts, absa, window)
+    return _envelope(ts, absa, window)
 
 
 def envelope_from_series(ts: np.ndarray, absa: np.ndarray, window: float) -> Envelope:
@@ -113,8 +123,24 @@ def envelope_from_series(ts: np.ndarray, absa: np.ndarray, window: float) -> Env
     step is read from the grid, (t1 - t0) / (N - 1), and must be at most
     window / 20. A window that is not positive and finite raises
     DomainError; a step that is too large or not finite raises
-    InsufficientSampling.
+    InsufficientSampling; a grid one of whose steps is not finite or differs
+    from that one by more than GRID_RTOL of it raises DomainError.
     """
+    envelope = _envelope(ts, absa, window)
+    step = (ts[-1] - ts[0]) / (len(ts) - 1)
+    # in slices, so that a long grid's check holds no temporary of its length
+    for lo in range(0, len(ts) - 1, GRID_SLICE):
+        uniform = np.abs(np.diff(ts[lo:lo + GRID_SLICE + 1]) - step) <= GRID_RTOL * step
+        if not uniform.all():
+            i = lo + int(np.argmin(uniform)) + 1
+            raise DomainError(f"time grid is not uniform and finite: t[{i}] = "
+                              f"{float(ts[i])!r} after t[{i - 1}] = {float(ts[i - 1])!r}, "
+                              f"step {step:.6g}")
+    return envelope
+
+
+def _envelope(ts: np.ndarray, absa: np.ndarray, window: float) -> Envelope:
+    """``envelope_from_series`` on a grid known to be uniform and finite."""
     # written as not (in range) so that NaN fails too
     if not 0 < window < math.inf:
         raise DomainError(f"window must be positive and finite, got {window}")

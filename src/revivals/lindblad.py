@@ -30,23 +30,29 @@ trace and the top level stay put, and the purity is convex in time, so it
 peaks at an end. Band 1 runs through the same table, block starts and
 products as in the full loop, so <a> has the same bytes.
 
-A damped amplitude-only run propagates bands 0 and 1 in full, block by
-block with the dense path's own ``_band_states``, into stacks of
-AMPLITUDE_CHUNK_BLOCKS blocks. Each record of such a chunk is read in one
-call that runs the dense path's operation on each block, and a run's last
-partial block is read alone on its own samples, so <a>, the trace and the
-top level have the full run's bytes; their gates are checked once a chunk,
-as the full run checks them. Bands 2..D-1 enter only a bound on the purity
-(``_amplitude_blocks``): their exact sum over the first PREFIX_BLOCKS
-blocks, where the state may still be pure, and past them a bound from each
-band's block starts and the norms of R_q's powers. They run in groups of
-consecutive bands of up to GROUP_ROWS stacked rows, each M_q zero-padded to
-its group's largest, so one stacked product steps a whole group
-(``_group_bound``). A block whose bound stays CERTIFICATE_MARGIN and
-the rounding allowance (``_rounding``) inside 1 + TRACE_TOLERANCE cannot
-fail the purity gate. Any other run, one with an uncertified block or a
-failing or non-finite value, takes the full loop, which raises what it
-raises without the flag.
+A damped amplitude-only run first bounds its purity from block starts
+(``_purity_parts``): each band q other than 1 enters through its exact sum
+over the first PREFIX_BLOCKS blocks, where the state may still be pure, and
+past them through a bound from its block starts and the norms of R_q's
+powers. Band 0 runs as one group and bands 2..D-1 in groups of consecutive
+bands of up to GROUP_ROWS stacked rows, each M_q zero-padded to its group's
+largest, so one stacked product steps a whole group (``_group_bound``). The
+run then takes the first of three tiers that certifies every block. The
+first proves the trace, top-level and purity-low gates in closed form from
+band 0's start and the column sums and norms of the powers of R_0
+(``_closed_form_gates``), then steps band 1 alone with the dense path's own
+``_band_states`` into stacks of AMPLITUDE_CHUNK_BLOCKS blocks and reads <a>
+per stack, with band 1's block starts, its column 0, added to the bound
+(``_band1_blocks``). The second steps bands 0 and 1 alike and reads <a>,
+the trace and the top level with the full run's bytes, checking their gates
+as the full run does, and bounds the purity with their exact sum per sample
+(``_amplitude_blocks``). Each record of a stack is read in one call that
+runs the dense path's operation on each block, and a run's last partial
+block is read alone on its own samples. A block whose bound stays
+CERTIFICATE_MARGIN and the rounding allowance (``_rounding``) inside 1 +
+TRACE_TOLERANCE cannot fail the purity gate. The third tier is the full
+loop, for any other run (an uncertified block, a failing or non-finite
+value): it raises what it raises without the flag.
 
 The damped (dense) path splits the bands between two processes: one
 forked band child propagates the largest complex bands, 1..k-1, and
@@ -96,18 +102,20 @@ CHUNK_BLOCKS = 32
 #: requires of the closed-form values or bounds before it skips the gates' bands.
 CERTIFICATE_MARGIN = 1e-12
 
-#: Full blocks of bands 0 and 1 whose records one pass of a damped
-#: amplitude-only run reads in one stacked product (``_amplitude_blocks``).
+#: Full blocks of band 1, or of bands 0 and 1, whose records one pass of a
+#: damped amplitude-only run reads in one stacked product (``_band1_blocks``,
+#: ``_amplitude_blocks``).
 AMPLITUDE_CHUNK_BLOCKS = 4
 
-#: Rows up to which ``_amplitude_blocks`` stacks bands 2..D-1, each zero-padded
+#: Rows up to which ``_purity_parts`` stacks bands 2..D-1, each zero-padded
 #: to its group's largest, into one product (``_band_groups``).
-GROUP_ROWS = 64
+GROUP_ROWS = 128
 
-#: Leading blocks of a damped amplitude-only run whose purity sums every band
-#: (``_amplitude_blocks``) instead of bounding bands 2..D-1: the state may be
-#: pure at t = 0, where a bound of at least the purity cannot stay below 1 +
-#: TRACE_TOLERANCE by much. A run whose bound fails past them takes the full path.
+#: Leading blocks of a damped amplitude-only run whose purity bound sums every
+#: band exactly (``_purity_parts``) instead of bounding it from block starts: the
+#: state may be pure at t = 0, where a bound of at least the purity cannot stay
+#: below 1 + TRACE_TOLERANCE by much. A run whose bound fails past them takes
+#: the second tier or the full path.
 PREFIX_BLOCKS = 2
 
 #: Share of the damped band products' cost, (D - q)^2 for band q, that the
@@ -595,17 +603,20 @@ def _band1_amplitude(diags: list[np.ndarray], x0: list[np.ndarray], dt: float,
 
 
 def _abs2(x: np.ndarray) -> np.ndarray:
-    """sum_i |x[..., i, j]|^2 for each column j of a complex array or stack of
-    arrays, read from its float view as the band child reads its rows."""
+    """sum_i |x[..., i, j]|^2 for each column j of an array or stack of arrays;
+    a complex one is read from its float view, as the band child reads its rows."""
+    if not np.iscomplexobj(x):
+        return np.einsum("...ij,...ij->...j", x, x)
     v = x.view(np.float64)
     s = np.einsum("...ij,...ij->...j", v, v)
     return s[..., 0::2] + s[..., 1::2]
 
 
 def _band_groups(d: int) -> list[slice]:
-    """Bands 2..D-1 in groups of consecutive bands, max(1, GROUP_ROWS // size)
-    to a group, size = D - q of its first band q, the group's largest."""
-    groups, q = [], 2
+    """Band 0 alone, then bands 2..D-1 in groups of consecutive bands,
+    max(1, GROUP_ROWS // size) to a group, size = D - q of its first band q,
+    the group's largest."""
+    groups, q = [slice(0, 1)], 2
     while q < d:
         n = max(1, GROUP_ROWS // (d - q))
         groups.append(slice(q, min(d, q + n)))
@@ -614,25 +625,27 @@ def _band_groups(d: int) -> list[slice]:
 
 
 def _group_bound(gens: list[np.ndarray], x0: list[np.ndarray], dt: float,
-                 exact: np.ndarray, starts: np.ndarray) -> None:
-    """Add one group's part of ``_amplitude_blocks``' purity bound: sum
-    |x_q|^2 over the exact prefix's samples to exact, (prefix blocks,
-    BLOCK_STEPS), and sum g_q |y_q(i)|^2 to starts, per block i.
+                 exact: np.ndarray, starts: np.ndarray, weight: float) -> None:
+    """Add one group's part of the purity bound (``_purity_parts``): weight
+    sum |x_q|^2 over the exact prefix's samples to exact, (prefix blocks,
+    BLOCK_STEPS), and weight sum g_q |y_q(i)|^2 to starts, per block i.
 
     Each band's M_q is zero-padded to the group's first, largest, band in one
     stack, so its step is blockdiag(R_q, I) and the padded entries of x_q stay
     exactly zero. One pass over R, R^2, ..., R^B doubles the prefix, takes
     g_q from each power but R^B with the padding's rows and columns masked
     out, and leaves R^B; its squares then double the block starts in the
-    same buffers, and (R^B)^B steps them on by BLOCK_STEPS blocks.
+    same buffers, and (R^B)^B steps them on by BLOCK_STEPS blocks. A group
+    of real bands (band 0's) runs in real arithmetic.
     """
     nb = BLOCK_STEPS
     nexact, nblocks = len(exact), len(starts)
     sizes = np.array([len(x) for x in x0])
-    real = np.arange(sizes[0]) < sizes[:, None]  # (bands, rows): not padding
-    m = np.zeros((len(x0), sizes[0], sizes[0]), dtype=complex)
+    inside = np.arange(sizes[0]) < sizes[:, None]  # (bands, rows): not padding
+    dtype = np.result_type(*gens, *x0)
+    m = np.zeros((len(x0), sizes[0], sizes[0]), dtype=dtype)
     # the prefix's samples; later two halves that take the block starts in turn
-    x = np.zeros((len(x0), sizes[0], max(nexact, 2) * nb), dtype=complex)
+    x = np.zeros((len(x0), sizes[0], max(nexact, 2) * nb), dtype=dtype)
     for b, (mq, xq) in enumerate(zip(gens, x0)):
         m[b, :len(xq), :len(xq)] = mq
         x[b, :len(xq), 0] = xq
@@ -647,8 +660,8 @@ def _group_bound(gens: list[np.ndarray], x0: list[np.ndarray], dt: float,
             np.matmul(p, y[..., :width], out=y[..., width:2 * width])
             if g is not None:
                 a = np.abs(p)
-                g *= np.maximum(1.0, np.max(a.sum(axis=1) * real, axis=1)
-                                * np.max(a.sum(axis=2) * real, axis=1))
+                g *= np.maximum(1.0, np.max(a.sum(axis=1) * inside, axis=1)
+                                * np.max(a.sum(axis=2) * inside, axis=1))
             np.matmul(p, p, out=spare)
             p, spare = spare, p
             width *= 2
@@ -657,7 +670,7 @@ def _group_bound(gens: list[np.ndarray], x0: list[np.ndarray], dt: float,
     p, spare = double(x, _rk4_step(m, dt), m, g)  # m's memory takes the squares
     for i in range(1, nexact):
         np.matmul(p, x[..., (i - 1) * nb:i * nb], out=x[..., i * nb:(i + 1) * nb])
-    exact += _abs2(x[..., :nexact * nb]).sum(axis=0).reshape(nexact, nb)
+    exact += weight * _abs2(x[..., :nexact * nb]).sum(axis=0).reshape(nexact, nb)
     if nblocks <= nexact:
         return
     # the block starts are the samples of a run whose step is R^B
@@ -668,11 +681,31 @@ def _group_bound(gens: list[np.ndarray], x0: list[np.ndarray], dt: float,
             np.matmul(p, y, out=z)
             y, z = z, y
         n = min(nb, nblocks - i)
-        starts[i:i + n] += g @ _abs2(y[..., :n])
+        starts[i:i + n] += weight * (g @ _abs2(y[..., :n]))
+
+
+def _purity_parts(gens: list[np.ndarray], x0: list[np.ndarray], dt: float,
+                  nsamples: int) -> tuple[np.ndarray, np.ndarray]:
+    """The parts of a damped run's purity bound that band 0 (index 0) and
+    bands 2..D-1 (index 1) give, each from block starts past an exact prefix.
+
+    exact[p] is the part's exact sum over the first PREFIX_BLOCKS blocks,
+    (prefix blocks, BLOCK_STEPS), and starts[p][i] its bound over block i,
+    sum w_q g_q |y_q(i)|^2 with w_0 = 1 and w_q = 2 for q >= 2 (band q also
+    stands for band -q). Band 0 and the groups of ``_band_groups`` run
+    through ``_group_bound``; g_q is explained in ``_amplitude_blocks``.
+    """
+    nblocks = -(-nsamples // BLOCK_STEPS)
+    exact = np.zeros((2, min(nblocks, PREFIX_BLOCKS), BLOCK_STEPS))
+    starts = np.zeros((2, nblocks))
+    for i, group in enumerate(_band_groups(len(gens))):
+        part = min(i, 1)
+        _group_bound(gens[group], x0[group], dt, exact[part], starts[part], 1.0 + part)
+    return exact, starts
 
 
 def _amplitude_blocks(gens: list[np.ndarray], x0: list[np.ndarray], dt: float,
-                      nsamples: int):
+                      nsamples: int, exact: np.ndarray, starts: np.ndarray):
     """Chunks of a damped run read from bands 0 and 1, with a bound on its purity.
 
     Each chunk is <a>, the trace, sum(x_0^2), a purity bound and the
@@ -682,7 +715,8 @@ def _amplitude_blocks(gens: list[np.ndarray], x0: list[np.ndarray], dt: float,
     Bands 0 and 1 run block by block through ``_band_states`` into stacks of
     a chunk's blocks, and each record is read from the stack in one call
     that runs the operation of ``_dense_blocks`` on each block, so all but
-    the bound have its bytes.
+    the bound have its bytes. exact and starts are the part of the bound
+    that bands 2..D-1 give (``_purity_parts``, index 1).
 
     The purity is sum(x_0^2) + 2 sum_{q>=1} |x_q|^2. In the first
     PREFIX_BLOCKS blocks the bound adds every band's |x_q|^2. Past them,
@@ -693,17 +727,11 @@ def _amplitude_blocks(gens: list[np.ndarray], x0: list[np.ndarray], dt: float,
     nu(A) = sqrt(||A||_1 ||A||_inf), which is at least the spectral norm of
     A. The block's bound is then its largest sum(x_0^2) + 2 |x_1|^2 plus
     2 sum_{q>=2} g_q |y_q(i)|^2, up to rounding; it needs neither a normal
-    R_q nor a purity that only falls. Bands 2..D-1 are propagated in padded
-    groups (``_band_groups``, ``_group_bound``).
+    R_q nor a purity that only falls.
     """
     d = len(gens)
-    nb = BLOCK_STEPS
-    nblocks = -(-nsamples // nb)
-    nexact = min(nblocks, PREFIX_BLOCKS)
-    exact = np.zeros((nexact, nb))  # sum_{q>=2} |x_q|^2 over the prefix
-    starts = np.zeros(nblocks)      # sum_{q>=2} g_q |y_q(i)|^2
-    for group in _band_groups(d):
-        _group_bound(gens[group], x0[group], dt, exact, starts)
+    nblocks = len(starts)
+    nexact = len(exact)
     sqrt_n = np.sqrt(np.arange(1.0, d))
     ch = AMPLITUDE_CHUNK_BLOCKS
     pops, ones = _ring(x0[:1], float, ch), _ring(x0[1:2], complex, ch)
@@ -717,25 +745,117 @@ def _amplitude_blocks(gens: list[np.ndarray], x0: list[np.ndarray], dt: float,
         low = np.einsum("bij,bij->bj", pop, pop)
         bound = low + 2.0 * _abs2(x1)
         k = min(n, max(0, nexact - b0))  # the chunk's blocks in the prefix
-        bound[:k] += 2.0 * exact[b0:b0 + k, :count]
-        bound[k:] = bound[k:].max(axis=1, keepdims=True) + 2.0 * starts[b0 + k:b0 + n, None]
+        bound[:k] += exact[b0:b0 + k, :count]
+        bound[k:] = bound[k:].max(axis=1, keepdims=True) + starts[b0 + k:b0 + n, None]
         yield (np.matmul(sqrt_n, x1).reshape(-1), pop.sum(axis=1).reshape(-1),
                low.reshape(-1), bound.reshape(-1), pop[:, -1].reshape(-1))
 
 
+def _closed_form_gates(squares: list[np.ndarray], x: np.ndarray, nsamples: int,
+                       top_limit: float) -> bool:
+    """True when no sample of a damped run can fail the trace, top-level or
+    purity-low gate, read from band 0's start x and the squares R_0, R_0^2,
+    ..., R_0^B that its block loop multiplies by (``_squares``).
+
+    Sample s of band 0 is x times at most BLOCK_STEPS.bit_length() - 1 of
+    the powers below R_0^B and nblocks - 1 of R_0^B. Each product moves the
+    sum of a vector v by at most e ||v||_1, e the largest defect of the
+    power's column sums from 1, and multiplies ||v||_1 by at most the
+    power's ||.||_1; the rounding of the products and sums is inside
+    ``_rounding`` times the largest such norm. So the trace drifts from
+    sum(x) by at most the sum of those e times the largest ||v||_1. With
+    a last row of every power zero off the diagonal, exactly, and a diagonal
+    entry of at most 1 there, the top level is x[D-1] times those entries,
+    rounded, so it never grows in size; a thermal (upward) term breaks this.
+    The trace's drift keeps CERTIFICATE_MARGIN inside TRACE_TOLERANCE, and
+    the top level inside top_limit. The purity is then at least
+    sum(x_0^2) >= trace^2 / D >= (1 - TRACE_TOLERANCE)^2 / D > 0, so its
+    lower gate holds too. A check that is not finite fails.
+    """
+    d, nb = len(x), BLOCK_STEPS
+    nblocks = -(-nsamples // nb)
+    if not (np.all(np.isfinite(x)) and all(np.all(np.isfinite(p)) for p in squares)
+            and all(np.all(p[-1, :-1] == 0.0) and abs(p[-1, -1]) <= 1.0 for p in squares)):
+        return False
+    defects = [float(np.abs(p.sum(axis=0) - 1.0).max()) for p in squares]
+    norms = [max(1.0, float(np.abs(p).sum(axis=0).max())) for p in squares]
+    rounding = _rounding(nsamples, d)
+    size = (float(np.abs(x).sum()) * math.prod(norms[:-1]) * norms[-1] ** (nblocks - 1)
+            * (1.0 + rounding))  # the largest ||v||_1
+    drift = abs(float(x.sum()) - 1.0) + size * (
+        sum(defects[:-1]) + (nblocks - 1) * defects[-1] + rounding * max(norms))
+    return bool(drift <= TRACE_TOLERANCE - CERTIFICATE_MARGIN
+                and abs(x[-1]) <= top_limit - CERTIFICATE_MARGIN)
+
+
+def _band1_blocks(m: np.ndarray, x: np.ndarray, dt: float, nsamples: int,
+                  exact: np.ndarray, starts: np.ndarray):
+    """Chunks of a damped run read from band 1 alone: <a> and a bound on the
+    purity, per sample, of the chunks of ``_amplitude_blocks``.
+
+    m and x are band 1's generator and start; band 1 runs as it does there,
+    so <a> has the full run's bytes. exact and starts are the other bands'
+    parts of the bound (``_purity_parts``), summed. Over the prefix the bound
+    adds 2 |x_1|^2 of each sample; past it, block i's bound adds
+    2 g_1 |y_1(i)|^2, y_1(i) the block's column 0 and g_1 that of
+    ``_amplitude_blocks`` from R_1's squares, so no sample of band 1 past
+    the prefix is read but for <a>.
+    """
+    d, ch = len(x) + 1, AMPLITUDE_CHUNK_BLOCKS
+    nblocks, nexact = len(starts), len(exact)
+    squares = list(_squares(_rk4_step(m, dt)))
+    g1 = math.prod(max(1.0, np.abs(p).sum(axis=0).max() * np.abs(p).sum(axis=1).max())
+                   for p in squares[:-1])
+    sqrt_n = np.sqrt(np.arange(1.0, d))
+    ones = _ring([x], complex, ch)
+    # drawn to their end in the first block, so that only R_1^B is kept
+    states = _band_states([iter(squares)], [x], nblocks, ones)
+    del squares
+    for b0, n, count in _chunks(nsamples, ch):
+        for _ in range(n):
+            next(states)
+        x1 = ones[b0 % ch:b0 % ch + n, :, :count]
+        y = x1[:, :, 0]
+        bound = np.repeat(starts[b0:b0 + n] + 2.0 * g1 * (y.real ** 2 + y.imag ** 2).sum(axis=1),
+                          count)
+        if b0 < nexact:  # the prefix's blocks take every band's sum per sample
+            k = min(n, nexact - b0)
+            bound[:k * count] = (exact[b0:b0 + k, :count] + 2.0 * _abs2(x1[:k])).reshape(-1)
+        yield np.matmul(sqrt_n, x1).reshape(-1), bound
+
+
 def _damped_amplitude(gens: list[np.ndarray], x0: list[np.ndarray], dt: float,
                       times: np.ndarray, top_limit: float, out: np.ndarray) -> bool:
-    """<a> of a damped run into out, from ``_amplitude_blocks``; False, with
-    out unspecified, at the first block where a sample may fail a gate.
+    """<a> of a damped run into out, from band 1 alone or from bands 0 and 1;
+    False, with out unspecified, where neither certifies every block.
 
-    The trace and top-level gates read the full run's own values. Its purity
-    is at least sum(x_0^2), which must be positive, and at most the bound,
+    Both tiers read one purity bound from block starts (``_purity_parts``),
     which must keep CERTIFICATE_MARGIN and ``_rounding`` inside 1 +
-    TRACE_TOLERANCE. A value that is not finite fails.
+    TRACE_TOLERANCE at every sample. The first tier proves the trace,
+    top-level and purity-low gates in closed form (``_closed_form_gates``)
+    before it steps band 1 alone (``_band1_blocks``). Where either fails, the
+    second reads the full run's own trace and top level from bands 0 and 1
+    (``_amplitude_blocks``) and checks them as the full run does; its purity
+    is at least sum(x_0^2), which must be positive. A value that is not
+    finite fails either tier.
     """
-    limit = (1.0 + TRACE_TOLERANCE - CERTIFICATE_MARGIN) / (1.0 + _rounding(len(out), len(gens)))
+    nsamples = len(out)
+    limit = (1.0 + TRACE_TOLERANCE - CERTIFICATE_MARGIN) / (1.0 + _rounding(nsamples, len(gens)))
+    exact, starts = _purity_parts(gens, x0, dt, nsamples)
+    if _closed_form_gates(list(_squares(_rk4_step(gens[0], dt))), x0[0], nsamples, top_limit):
+        k0 = 0
+        for a, bound in _band1_blocks(gens[1], x0[1], dt, nsamples, exact.sum(axis=0),
+                                      starts.sum(axis=0)):
+            # a sum is finite only where every term is
+            if not (np.all(bound <= limit) and np.isfinite(a.sum())):
+                break
+            out[k0:k0 + len(a)] = a
+            k0 += len(a)
+        else:
+            return True
     k0 = 0
-    for a, trace, low, bound, top in _amplitude_blocks(gens, x0, dt, len(out)):
+    for a, trace, low, bound, top in _amplitude_blocks(gens, x0, dt, nsamples, exact[1],
+                                                       starts[1]):
         blk = slice(k0, k0 + len(a))
         if (_first_failure(times[blk], trace, low, top, top_limit) is not None
                 or not np.all(bound <= limit)):
@@ -769,13 +889,15 @@ def rk4_evolve(L: Liouvillian, rho0: DensityMatrix, t_final: float,
     time. A DomainError names the step count whose records cannot be allocated.
 
     With ``amplitude_only`` an undamped run whose gates ``_certified`` proves
-    in closed form propagates band 1 alone (``_band1_amplitude``), and a
-    damped run propagates bands 0 and 1 alone where every block's purity is
-    certified (``_damped_amplitude``), forking no band child. Either way
-    ``times`` and ``a_expect`` are byte-identical to the full run's, and
-    ``n_expect``, ``trace``, ``purity`` and ``final`` are empty. An
-    uncertified or non-finite run takes the full path, band child included,
-    which raises as it would without the flag.
+    in closed form propagates band 1 alone (``_band1_amplitude``). A damped
+    run propagates band 1 alone where the closed-form gates of band 0 and
+    a purity bound from block starts certify every block, else bands 0 and
+    1 where their records and that bound do (``_damped_amplitude``), forking
+    no band child either way. Then ``times`` and ``a_expect`` are
+    byte-identical to the full run's, and ``n_expect``, ``trace``,
+    ``purity`` and ``final`` are empty. An uncertified or non-finite run
+    takes the full path, band child included, which raises as it would
+    without the flag.
     """
     if rho0.space.dim != L.space.dim:
         raise DimensionMismatch(
@@ -790,16 +912,16 @@ def rk4_evolve(L: Liouvillian, rho0: DensityMatrix, t_final: float,
         raise DomainError(
             f"dt={dt:g} too large: dt*Omega_max = {dt * L.omega_max():.3f} > 0.1")
     steps = t_final / dt
+    cannot = (f"{steps:.6g} steps to t_final={t_final:g}: cannot allocate the records "
+              "of their samples")
     try:  # an infinite step count cannot be rounded, a huge one not allocated
         nsteps = max(1, math.ceil(steps - 1e-12))
         dt = t_final / nsteps
         nsamples = nsteps + 1
         times = np.arange(nsamples) * dt
-        a_rec, n_rec = np.empty(nsamples, dtype=complex), np.empty(nsamples)
-        tr_rec, pur_rec = np.empty(nsamples), np.empty(nsamples)
+        a_rec = np.empty(nsamples, dtype=complex)
     except (MemoryError, OverflowError, ValueError) as exc:
-        raise DomainError(f"{steps:.6g} steps to t_final={t_final:g}: cannot "
-                          f"allocate the records of their samples ({exc})") from exc
+        raise DomainError(f"{cannot} ({exc})") from exc
 
     # downward-only dissipation cannot grow the top-level population, so
     # only growth beyond the initial value signals truncation overflow
@@ -823,6 +945,10 @@ def rk4_evolve(L: Liouvillian, rho0: DensityMatrix, t_final: float,
             return Trajectory(times=times, a_expect=a_rec, n_expect=np.empty(0),
                               trace=np.empty(0), purity=np.empty(0),
                               final=np.empty((0, 0), dtype=complex))
+        try:  # the full loop's other records, which a certified run never holds
+            n_rec, tr_rec, pur_rec = (np.empty(nsamples) for _ in range(3))
+        except MemoryError as exc:
+            raise DomainError(f"{cannot} ({exc})") from exc
         k0 = 0
         with contextlib.closing(blocks):
             for a, n, tr, pur, top, last in blocks:

@@ -95,6 +95,30 @@ def test_envelope_rejects_a_nan_end_of_the_time_grid(at):
         envelope_from_series(ts, np.ones_like(ts), 10.0)
 
 
+@pytest.mark.parametrize("at", [1500, 4096, 4097, 5000])
+def test_envelope_rejects_a_nan_inside_the_time_grid(at):
+    # on either side of the check's first slice edge (GRID_SLICE steps)
+    ts = np.linspace(0, 100, 6001)
+    ts[at] = math.nan
+    with pytest.raises(DomainError, match=rf"not uniform and finite: t\[{at}\] = nan"):
+        envelope_from_series(ts, np.ones_like(ts), 10.0)
+
+
+def test_envelope_rejects_a_time_grid_that_is_not_uniform():
+    # the ends and the sample count of a uniform grid, and so its step
+    ts = np.linspace(0, 100, 3001) ** 2 / 100
+    with pytest.raises(DomainError, match=r"not uniform and finite: t\[1\]"):
+        envelope_from_series(ts, np.ones_like(ts), 10.0)
+
+
+def test_envelope_accepts_the_grids_of_runs_and_oracles():
+    # arange(N) * dt, as rk4_evolve and the oracles make it, over a long
+    # run, and arange with a float step, as these tests make it
+    for ts in (np.arange(700_001) * (18000.0 / 700_000), np.arange(0.0, 3000.0, 0.37)):
+        env = envelope_from_series(ts, np.ones_like(ts), 100.0)
+        assert np.all(env.values == 1.0)
+
+
 def test_detect_requires_full_span_by_default():
     ts_obj = kerr_timescales()
     env = oracle_envelope("kerr", 0.5 * ts_obj.t_rev, ts_obj.t_cl)

@@ -17,9 +17,9 @@ from revivals import (DampingSpec, DensityMatrix, DimensionMismatch, DomainError
 from revivals.config import load_preset
 from revivals.fanout import one_blas_thread, run_slices
 from revivals.lindblad import (AMPLITUDE_CHUNK_BLOCKS, BLOCK_STEPS, CERTIFICATE_MARGIN,
-                               CHUNK_BLOCKS, TOP_LEVEL_TOLERANCE, TRACE_TOLERANCE,
-                               Trajectory, _rk4_step, default_dt, expect_a_raw,
-                               expect_n_raw, to_bands)
+                               CHUNK_BLOCKS, PREFIX_BLOCKS, TOP_LEVEL_TOLERANCE,
+                               TRACE_TOLERANCE, Trajectory, _rk4_step, default_dt,
+                               expect_a_raw, expect_n_raw, to_bands)
 from revivals.runner import evolve, resolve
 
 from conftest import (ALPHA, B1, B2, OMEGA0, children_exit_at_once, fock_state,
@@ -330,6 +330,14 @@ def per_block_amplitude_blocks(gens, x0, dt, nsamples):
         yield sqrt_n @ x1, pop.sum(axis=0), low, bound, pop[-1]
 
 
+def second_tier_blocks(gens, x0, dt, nsamples):
+    """``_amplitude_blocks`` with the part of the bound that bands 2..D-1 give."""
+    from revivals.lindblad import _amplitude_blocks, _purity_parts
+
+    exact, starts = _purity_parts(gens, x0, dt, nsamples)
+    return _amplitude_blocks(gens, x0, dt, nsamples, exact[1], starts[1])
+
+
 def failure_time(failed):
     """The time a gate's error names; failed is the error or pytest's ExceptionInfo."""
     return re.search(r"t=(\S+?);?\s", str(getattr(failed, "value", failed)) + " ").group(1)
@@ -553,8 +561,9 @@ def test_amplitude_only_is_ignored_by_damped_runs(monkeypatch):
         assert flagged.final.shape == (14, 14)
 
 
-# rk4_evolve(amplitude_only=True) on a damped run: bands 0 and 1 in full, the
-# purity bounded from the other bands' block starts past an exact prefix
+# rk4_evolve(amplitude_only=True) on a damped run: band 1 alone where band 0's
+# gates hold in closed form, else bands 0 and 1 in full; the purity bounded
+# from block starts past an exact prefix
 
 DAMPED_AMPLITUDE_RUNS = {
     "fig2b": dict(name="fig2b"),
@@ -585,15 +594,15 @@ def test_damped_purity_bound_holds_the_full_runs_purity(run):
     # the purity up to that rounding. The trace and <a> are the full run's.
     # fig2d is the tight case: its purity returns toward 1, and it ends about
     # 1e-6 inside the gate
-    from revivals.lindblad import PREFIX_BLOCKS, _amplitude_blocks, _rounding
+    from revivals.lindblad import _rounding
 
     L, rho0, t_final, dt = preset_run(**DAMPED_AMPLITUDE_RUNS[run])
     full = rk4_evolve(L, rho0, t_final, dt)
     nsamples, d = len(full), L.space.dim
     rounding = _rounding(nsamples, d)
     limit = (1.0 + TRACE_TOLERANCE - CERTIFICATE_MARGIN) / (1.0 + rounding)
-    blocks = _amplitude_blocks(L.band_generators(), to_bands(rho0.matrix), full.times[1],
-                               nsamples)
+    blocks = second_tier_blocks(L.band_generators(), to_bands(rho0.matrix), full.times[1],
+                                nsamples)
     k0, headroom = 0, []
     for a, trace, low, bound, top in blocks:
         blk = slice(k0, k0 + len(a))
@@ -620,16 +629,16 @@ AMPLITUDE_CHUNK = AMPLITUDE_CHUNK_BLOCKS * BLOCK_STEPS
     AMPLITUDE_CHUNK + 1, 2 * AMPLITUDE_CHUNK + 77])
 @pytest.mark.parametrize("d", [2, 3, 14, 40])
 def test_chunked_amplitude_blocks_match_per_block_loop(d, nsamples):
-    # dim 2 has no band past 1, dim 3 one group of band 2 alone; at dim 14
-    # the groups stack 5 and 7 padded bands, and at dim 40 bands 2..7 fill
-    # a group each
-    from revivals.lindblad import _amplitude_blocks, _band_groups, _rounding
+    # band 0 is a group of its own; dim 2 has no band past 1, dim 3 one
+    # group of band 2 alone; at dim 14 the groups stack 10 and 2 padded
+    # bands, and at dim 40 bands 2..20 fill groups of 3, 3, 4, 4 and 5
+    from revivals.lindblad import _band_groups, _rounding
 
     L, rho0, _ = damped_case(d)
     dt = 2.0 ** math.floor(math.log2(0.1 / L.omega_max()))  # t_final / dt is exact
     gens, x0 = L.band_generators(), to_bands(rho0.matrix)
     assert [g.stop - g.start for g in _band_groups(d)][:6] == {
-        2: [], 3: [1], 14: [5, 7], 40: [1] * 6}[d]
+        2: [1], 3: [1, 1], 14: [1, 10, 2], 40: [1, 3, 3, 4, 4, 5]}[d]
 
     def drain(blocks):
         # <a>, trace, sum(x_0^2), purity bound, top level
@@ -640,7 +649,7 @@ def test_chunked_amplitude_blocks_match_per_block_loop(d, nsamples):
         return [np.concatenate(c) for c in cols]
 
     with one_blas_thread():
-        got = drain(_amplitude_blocks(gens, x0, dt, nsamples))
+        got = drain(second_tier_blocks(gens, x0, dt, nsamples))
         want = drain(per_block_amplitude_blocks(gens, x0, dt, nsamples))
     assert len(got[0]) == nsamples
     for name, g, w in zip(("a", "trace", "low", "bound", "top"), got, want):
@@ -756,11 +765,17 @@ def test_certified_keeps_the_margin_inside_each_gate(gate):
 
 
 def test_damped_amplitude_keeps_the_margin_inside_the_purity_gate(monkeypatch):
-    # one block of stand-in records whose purity bound sits near the gate,
-    # with its rounding allowance; the trace, sum(x_0^2) and top level pass
+    # one block of stand-in second-tier records whose purity bound sits near
+    # the gate, with its rounding allowance; the trace, sum(x_0^2) and top
+    # level pass, and the first tier is refused
     from revivals import lindblad
 
     nsamples, d = 3, 2
+    gens = [np.zeros((2, 2)), np.zeros((1, 1), dtype=complex)]
+    x0 = [np.array([1.0, 0.0]), np.zeros(1, dtype=complex)]
+    monkeypatch.setattr(lindblad, "_purity_parts", lambda *args: (
+        np.zeros((2, 1, BLOCK_STEPS)), np.zeros((2, 1))))
+    monkeypatch.setattr(lindblad, "_closed_form_gates", lambda *args: False)
     verdicts = []
     for inside in NEAR_GATE:
         bound = (1.0 + TRACE_TOLERANCE - inside) / (1.0 + lindblad._rounding(nsamples, d))
@@ -768,9 +783,135 @@ def test_damped_amplitude_keeps_the_margin_inside_the_purity_gate(monkeypatch):
                  np.full(nsamples, bound), np.zeros(nsamples))
         monkeypatch.setattr(lindblad, "_amplitude_blocks", lambda *args: iter([block]))
         verdicts.append(lindblad._damped_amplitude(
-            [None] * d, None, 0.1, 0.1 * np.arange(nsamples), 0.5,
+            gens, x0, 0.1, 0.1 * np.arange(nsamples), 0.5,
             np.empty(nsamples, dtype=complex)))
     assert verdicts == [False, True]
+
+
+def test_first_tier_keeps_the_margin_inside_the_purity_gate(monkeypatch):
+    # a dim-3 run whose first block past the prefix has a stand-in purity
+    # bound near the gate, with its rounding allowance; band 1 is zero, the
+    # closed-form gates pass and the second tier is refused
+    from revivals import lindblad
+
+    nsamples, d = PREFIX_BLOCKS * BLOCK_STEPS + 3, 3
+    gens = make_liouvillian(d, gamma=1e-3).band_generators()
+    x0 = [np.array([1.0, 0.0, 0.0]), np.zeros(2, dtype=complex), np.zeros(1, dtype=complex)]
+    failing = (np.ones(1, dtype=complex),) + (np.full(1, np.nan),) * 4
+    monkeypatch.setattr(lindblad, "_amplitude_blocks", lambda *args: iter([failing]))
+    verdicts = []
+    for inside in NEAR_GATE:
+        starts = np.zeros((2, PREFIX_BLOCKS + 1))
+        starts[0, -1] = (1.0 + TRACE_TOLERANCE - inside) / (1.0 + lindblad._rounding(nsamples, d))
+        monkeypatch.setattr(lindblad, "_purity_parts", lambda *args, starts=starts: (
+            np.zeros((2, PREFIX_BLOCKS, BLOCK_STEPS)), starts))
+        verdicts.append(lindblad._damped_amplitude(
+            gens, x0, 0.1, 0.1 * np.arange(nsamples), 0.5, np.empty(nsamples, dtype=complex)))
+    assert verdicts == [False, True]
+
+
+@pytest.mark.parametrize("defect", [None, "column_sums", "last_row"])
+def test_closed_form_gates_refuse_a_stand_in_step(defect):
+    # a dim-3 band 0 whose stand-in step R_0 moves population down: its
+    # columns sum to 1, and its last row is zero off the diagonal. Column
+    # sums off by 1e-9 would drift the trace by ~1e-5 over the run's 99
+    # block products; a last row nonzero off the diagonal feeds the top level
+    from revivals.lindblad import _closed_form_gates, _squares
+
+    r = np.array([[1.0, 0.01, 0.0], [0.0, 0.99, 0.01], [0.0, 0.0, 0.99]])
+    if defect == "column_sums":
+        r[0, 0] += 1e-9
+    elif defect == "last_row":
+        r[1, 1], r[2, 1] = 0.98, 0.01
+    x = np.array([0.5, 0.3, 0.2])
+    got = _closed_form_gates(list(_squares(r)), x, 100 * BLOCK_STEPS,
+                             top_limit=x[-1] + TOP_LEVEL_TOLERANCE)
+    assert got is (defect is None)
+
+
+def test_closed_form_gates_keep_the_margin_inside_the_trace_gate():
+    # R_0 = I keeps band 0 as it is; its trace sits near the gate, where the
+    # drift bound is the start's distance plus the rounding allowance
+    from revivals.lindblad import _closed_form_gates, _rounding, _squares
+
+    nsamples, r = 3, _rounding(3, 3)
+    verdicts = []
+    for inside in NEAR_GATE:
+        x0 = (1.0 - TRACE_TOLERANCE + inside) / (1.0 - (1.0 + r) * r)
+        verdicts.append(_closed_form_gates(list(_squares(np.eye(3))), np.array([x0, 0.0, 0.0]),
+                                           nsamples, top_limit=1.0))
+    assert verdicts == [False, True]
+
+
+def first_tier_case(run):
+    """A preset's damped run, or a damped dim-6 run from the maximally mixed
+    state, whose sum(x_0^2) rises in every block as the vacuum fills."""
+    if run != "mixed-d6":
+        return preset_run(**DAMPED_AMPLITUDE_RUNS[run])
+    L = make_liouvillian(6, gamma=0.02)
+    dt = 2.0 ** math.floor(math.log2(0.1 / L.omega_max()))
+    return L, DensityMatrix(L.space, np.eye(6) / 6), 4 * BLOCK_STEPS * dt, dt
+
+
+@pytest.mark.parametrize("run", ["fig8-n1", "fig8-n10", "fig2b", "fig2d", "mixed-d6"])
+def test_first_tier_bound_holds_the_full_runs_purity(run):
+    # the first tier's bound, read from band 1 and the other bands' block
+    # starts, sits at or above the full run's purity record past the prefix,
+    # up to the rounding it allows, and on it within that rounding in the
+    # prefix; its <a> is the full run's. fig2d's purity returns toward 1,
+    # and the mixed state's band 0 gains purity inside every block
+    from revivals.lindblad import _band1_blocks, _purity_parts, _rounding
+
+    L, rho0, t_final, dt = first_tier_case(run)
+    full = rk4_evolve(L, rho0, t_final, dt)
+    nsamples, dt = len(full), full.times[1]
+    rounding = _rounding(nsamples, L.space.dim)
+    gens, x0 = L.band_generators(), to_bands(rho0.matrix)
+    with one_blas_thread():
+        exact, starts = _purity_parts(gens, x0, dt, nsamples)
+        chunks = list(_band1_blocks(gens[1], x0[1], dt, nsamples, exact.sum(axis=0),
+                                    starts.sum(axis=0)))
+    a, bound = (np.concatenate(c) for c in zip(*chunks))
+    assert a.tobytes() == full.a_expect.tobytes()
+    prefix = np.arange(nsamples) // BLOCK_STEPS < PREFIX_BLOCKS
+    assert np.all((np.abs(bound - full.purity) <= rounding * full.purity)[prefix])
+    assert np.all((bound * (1.0 + rounding) >= full.purity)[~prefix])
+    if run == "mixed-d6":
+        assert np.all(np.diff(full.purity[BLOCK_STEPS * PREFIX_BLOCKS:]) > 0)
+
+
+@pytest.mark.parametrize("run,tier", [
+    ("fig8-n1", 1), ("fig8-n5", 1), ("fig8-n10", 1), ("fig2b", 1), ("fig2d", 2),
+    ("fig1", None)])
+def test_damped_amplitude_only_takes_the_first_tier_that_certifies(monkeypatch, run, tier):
+    # the first tier steps band 1 alone, so no band-0 stack of D rows is
+    # ever stepped per sample; the second steps bands 0 and 1
+    # (``_amplitude_blocks``). fig2d's purity returns toward 1 and needs the
+    # second tier's exact band 0; fig1 takes the full path
+    from revivals import lindblad
+
+    name, _, n = run.partition("-n")
+    L, rho0, t_final, dt = preset_run(name, **({"state_n": int(n)} if n else {}))
+    d = L.space.dim
+    rows, second = [], []
+    band_states, amplitude_blocks = lindblad._band_states, lindblad._amplitude_blocks
+
+    def spy(steps, x0, nblocks, buffers):
+        rows.append(buffers.shape[1])
+        return band_states(steps, x0, nblocks, buffers)
+
+    monkeypatch.setattr(lindblad, "_band_states", spy)
+    monkeypatch.setattr(lindblad, "_amplitude_blocks",
+                        lambda *args: second.append(1) or amplitude_blocks(*args))
+    set_cpus(monkeypatch, 1)
+    flagged = rk4_evolve(L, rho0, t_final, dt, amplitude_only=True)
+    if tier is None:
+        assert flagged.purity.size == len(flagged) and second == [1]
+        return
+    assert flagged.purity.size == 0
+    assert second == ([1] if tier == 2 else [])
+    assert (d in rows) is (tier == 2)
+    assert set(rows) <= {d, d - 1}
 
 
 def test_rk4_truncation_error_at_reference_time():
@@ -1048,6 +1189,27 @@ def seeded_case(seed):
     return L, rho0, nsteps * dt, dt
 
 
+def near_gate_case(seed):
+    """A coherent state at dim 40-60, on a Kerr or cubic ladder, under
+    damping over 1e-4..1e-2 with no bath, a thermal bath, or a thermal bath
+    under the full equation, in turn. The step puts the fastest band's
+    phase per step at 2.6-3.1, which brackets RK4's stability edge on the
+    imaginary axis (2 sqrt 2), unless dt * Omega_max = 0.1 caps it first;
+    the run lasts two to six blocks."""
+    rng = np.random.default_rng(seed)
+    kind, k = seed % 3, int(rng.integers(2, 4))
+    b = float(10 ** (rng.uniform(-4, -2.5) if k == 2 else rng.uniform(-5, -3.5)))
+    L = make_liouvillian(int(rng.integers(40, 61)), b=b, k=k,
+                         gamma=float(10 ** rng.uniform(-4, -2)),
+                         n_thermal=float(rng.uniform(0.05, 0.5)) if kind else 0.0,
+                         full=kind == 2)
+    rho0 = density_from_pure(coherent_state(L.space, complex(*rng.uniform(-2.5, 2.5, 2))))
+    fastest = max(np.abs(diag.imag).max() for diag in L.band_diagonals()[1:])
+    dt = min(float(rng.uniform(2.6, 3.1)) / fastest, 0.1 / L.omega_max())
+    nsteps = int(rng.choice([2 * BLOCK_STEPS + 1, 4 * BLOCK_STEPS, 6 * BLOCK_STEPS - 1]))
+    return L, rho0, nsteps * dt, dt
+
+
 def outcome(run):
     try:
         return run()
@@ -1080,13 +1242,14 @@ def test_rk4_matches_stage_loop_on_seeded_configs(monkeypatch, seed):
 
 
 @needs_fork
-@pytest.mark.parametrize("seed", range(40))
+@pytest.mark.parametrize("seed", range(60))
 def test_amplitude_only_matches_the_full_run_on_seeded_configs(monkeypatch, seed):
     # both certificates decide against the full run: a run the full path fails
     # fails the same way with the flag, and a run it finishes gives the same
     # times and <a>, with the other records empty where the flagged run was
-    # certified and equal to the full run's where it fell back
-    L, rho0, t_final, dt = seeded_case(seed)
+    # certified and equal to the full run's where it fell back. Seeds 40-59
+    # are near-gate cases: some raise, some certify and some fall back
+    L, rho0, t_final, dt = seeded_case(seed) if seed < 40 else near_gate_case(seed)
     full = outcome(lambda: rk4_evolve(L, rho0, t_final, dt=dt))
     for cpus in (1, 2):
         set_cpus(monkeypatch, cpus)

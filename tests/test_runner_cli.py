@@ -329,6 +329,15 @@ def test_sweep_manifest_names_each_points_path(tmp_path, monkeypatch, forks):
     assert body[0][1] == body[1][1]
 
 
+def test_readme_gamma_sweep_keeps_the_amplitude_only_path(tmp_path):
+    # the README's `sweep --axis gamma --values 0,1e-4,1e-3`, on fig8's config:
+    # the undamped point and both damped ones are certified
+    sweep = run_sweep(load_preset("fig8").config, "gamma", [0.0, 1e-4, 1e-3], name="g",
+                      out_dir=tmp_path)
+    rows = json.loads(sweep.manifest_path.read_text())["rows"]
+    assert [row["path"] for row in rows] == ["amplitude_only"] * 3
+
+
 @needs_fork
 def test_forked_sweep_workers_make_no_blas_set_call(tmp_path, monkeypatch, blas_log):
     # a sweep holds one thread across all its points and forks, so that
