@@ -303,8 +303,12 @@ def detect_super_revival(env: Envelope, predicted: Timescales) -> FirstRevival |
     resolve to the latest peak.
 
     For an undamped cubic ladder every full revival has the same amplitude,
-    so the latest of the tied peaks marks the super-revival time.
+    so the latest of the tied peaks marks the super-revival time. An
+    envelope whose span ends before the predicted t_sr cannot hold it, and
+    gives None.
     """
+    if predicted.t_sr is not None and env.source_times[-1] < predicted.t_sr:
+        return None
     min_sep = MIN_SEPARATION_FRACTION * (predicted.t_rev or env.window)
     pk_t, pk_a = _detect_peaks(env, REVIVAL_FRACTION * env.initial,
                                min_sep, after=predicted.t_cl)

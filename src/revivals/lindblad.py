@@ -30,29 +30,25 @@ trace and the top level stay put, and the purity is convex in time, so it
 peaks at an end. Band 1 runs through the same table, block starts and
 products as in the full loop, so <a> has the same bytes.
 
-A damped amplitude-only run first bounds its purity from block starts
-(``_purity_parts``): each band q other than 1 enters through its exact sum
-over the first PREFIX_BLOCKS blocks, where the state may still be pure, and
-past them through a bound from its block starts and the norms of R_q's
-powers. Band 0 runs as one group and bands 2..D-1 in groups of consecutive
-bands of up to GROUP_ROWS stacked rows, each M_q zero-padded to its group's
-largest, so one stacked product steps a whole group (``_group_bound``). The
-run then takes the first of three tiers that certifies every block. The
-first proves the trace, top-level and purity-low gates in closed form from
-band 0's start and the column sums and norms of the powers of R_0
-(``_closed_form_gates``), then steps band 1 alone with the dense path's own
-``_band_states`` into stacks of AMPLITUDE_CHUNK_BLOCKS blocks and reads <a>
-per stack, with band 1's block starts, its column 0, added to the bound
-(``_band1_blocks``). The second steps bands 0 and 1 alike and reads <a>,
-the trace and the top level with the full run's bytes, checking their gates
-as the full run does, and bounds the purity with their exact sum per sample
-(``_amplitude_blocks``). Each record of a stack is read in one call that
-runs the dense path's operation on each block, and a run's last partial
-block is read alone on its own samples. A block whose bound stays
-CERTIFICATE_MARGIN and the rounding allowance (``_rounding``) inside 1 +
-TRACE_TOLERANCE cannot fail the purity gate. The third tier is the full
-loop, for any other run (an uncertified block, a failing or non-finite
-value): it raises what it raises without the flag.
+A damped amplitude-only run is certified before band 1 is stepped, with one
+purity bound from block starts (``_purity_parts``): each band enters
+through its exact sum over the first PREFIX_BLOCKS blocks, where the state
+may still be pure, and past them through a bound from its block starts and
+the norms of R_q's powers. Band 0 runs as one group and bands 1..D-1 in
+groups of consecutive bands of up to GROUP_ROWS stacked rows, each M_q
+zero-padded to its group's largest, so one stacked product steps a whole
+group (``_group_bound``). Where the trace, top-level and purity-low gates
+hold in closed form, read from band 0's start and the column sums and norms
+of the powers of R_0 (``_closed_form_gates``), and the bound holds, no
+other band is stepped. Otherwise band 0 is stepped alone with the dense
+path's own ``_band_states``, its gates are checked as the full run checks
+them, and its exact sum(x_0^2) takes the place of its block-start part
+(``_stepped_band0``). A sample whose bound stays CERTIFICATE_MARGIN and the
+rounding allowance (``_rounding``) inside 1 + TRACE_TOLERANCE cannot fail
+the purity gate. A certified run then steps band 1 through the same
+products and reads <a> block by block with the full run's bytes. Any other
+run (a failing gate or bound, a value that is not finite) takes the full
+loop, which raises what it raises without the flag.
 
 The damped (dense) path splits the bands between two processes: one
 forked band child propagates the largest complex bands, 1..k-1, and
@@ -102,20 +98,15 @@ CHUNK_BLOCKS = 32
 #: requires of the closed-form values or bounds before it skips the gates' bands.
 CERTIFICATE_MARGIN = 1e-12
 
-#: Full blocks of band 1, or of bands 0 and 1, whose records one pass of a
-#: damped amplitude-only run reads in one stacked product (``_band1_blocks``,
-#: ``_amplitude_blocks``).
-AMPLITUDE_CHUNK_BLOCKS = 4
-
-#: Rows up to which ``_purity_parts`` stacks bands 2..D-1, each zero-padded
+#: Rows up to which ``_purity_parts`` stacks bands 1..D-1, each zero-padded
 #: to its group's largest, into one product (``_band_groups``).
 GROUP_ROWS = 128
 
 #: Leading blocks of a damped amplitude-only run whose purity bound sums every
 #: band exactly (``_purity_parts``) instead of bounding it from block starts: the
 #: state may be pure at t = 0, where a bound of at least the purity cannot stay
-#: below 1 + TRACE_TOLERANCE by much. A run whose bound fails past them takes
-#: the second tier or the full path.
+#: below 1 + TRACE_TOLERANCE by much. A run whose bound fails past them steps
+#: band 0 (``_stepped_band0``) or takes the full path.
 PREFIX_BLOCKS = 2
 
 #: Share of the damped band products' cost, (D - q)^2 for band q, that the
@@ -340,10 +331,10 @@ def _powers(gens: list[np.ndarray], dt: float):
     return (_squares(_rk4_step(m, dt)) for m in gens)
 
 
-def _ring(x0: list[np.ndarray], dtype: type, n: int = 2) -> np.ndarray:
-    """n blocks of BLOCK_STEPS samples of the bands x0 stacked row-wise, for
-    ``_band_states``."""
-    return np.empty((n, sum(len(x) for x in x0), BLOCK_STEPS), dtype=dtype)
+def _ring(x0: list[np.ndarray], dtype: type) -> np.ndarray:
+    """Two blocks of BLOCK_STEPS samples of the bands x0 stacked row-wise,
+    for ``_band_states``."""
+    return np.empty((2, sum(len(x) for x in x0), BLOCK_STEPS), dtype=dtype)
 
 
 def _band_states(steps, x0: list[np.ndarray], nblocks: int, buffers: np.ndarray):
@@ -613,10 +604,10 @@ def _abs2(x: np.ndarray) -> np.ndarray:
 
 
 def _band_groups(d: int) -> list[slice]:
-    """Band 0 alone, then bands 2..D-1 in groups of consecutive bands,
+    """Band 0 alone, then bands 1..D-1 in groups of consecutive bands,
     max(1, GROUP_ROWS // size) to a group, size = D - q of its first band q,
     the group's largest."""
-    groups, q = [slice(0, 1)], 2
+    groups, q = [slice(0, 1)], 1
     while q < d:
         n = max(1, GROUP_ROWS // (d - q))
         groups.append(slice(q, min(d, q + n)))
@@ -687,13 +678,21 @@ def _group_bound(gens: list[np.ndarray], x0: list[np.ndarray], dt: float,
 def _purity_parts(gens: list[np.ndarray], x0: list[np.ndarray], dt: float,
                   nsamples: int) -> tuple[np.ndarray, np.ndarray]:
     """The parts of a damped run's purity bound that band 0 (index 0) and
-    bands 2..D-1 (index 1) give, each from block starts past an exact prefix.
+    bands 1..D-1 (index 1) give, each from block starts past an exact prefix.
 
     exact[p] is the part's exact sum over the first PREFIX_BLOCKS blocks,
     (prefix blocks, BLOCK_STEPS), and starts[p][i] its bound over block i,
-    sum w_q g_q |y_q(i)|^2 with w_0 = 1 and w_q = 2 for q >= 2 (band q also
+    sum w_q g_q |y_q(i)|^2 with w_0 = 1 and w_q = 2 for q >= 1 (band q also
     stands for band -q). Band 0 and the groups of ``_band_groups`` run
-    through ``_group_bound``; g_q is explained in ``_amplitude_blocks``.
+    through ``_group_bound``.
+
+    The purity is sum_q w_q |x_q|^2. Past the prefix, band q enters through
+    its block start y_q(i) = (R_q^B)^i x_q alone. Sample s of block i is
+    R_q^s y_q(i), and s < BLOCK_STEPS is a sum of distinct powers of two,
+    so |R_q^s y_q(i)|^2 <= g_q |y_q(i)|^2 with
+    g_q = prod_{2^k < BLOCK_STEPS} max(1, nu(R_q^(2^k)))^2 and
+    nu(A) = sqrt(||A||_1 ||A||_inf), which is at least the spectral norm of
+    A. The bound needs neither a normal R_q nor a purity that only falls.
     """
     nblocks = -(-nsamples // BLOCK_STEPS)
     exact = np.zeros((2, min(nblocks, PREFIX_BLOCKS), BLOCK_STEPS))
@@ -704,51 +703,13 @@ def _purity_parts(gens: list[np.ndarray], x0: list[np.ndarray], dt: float,
     return exact, starts
 
 
-def _amplitude_blocks(gens: list[np.ndarray], x0: list[np.ndarray], dt: float,
-                      nsamples: int, exact: np.ndarray, starts: np.ndarray):
-    """Chunks of a damped run read from bands 0 and 1, with a bound on its purity.
-
-    Each chunk is <a>, the trace, sum(x_0^2), a purity bound and the
-    top-level population, per sample, of up to AMPLITUDE_CHUNK_BLOCKS full
-    blocks (``_chunks``); a run's last partial block comes alone and is read
-    on its own samples. The top level is valid until the next chunk is drawn.
-    Bands 0 and 1 run block by block through ``_band_states`` into stacks of
-    a chunk's blocks, and each record is read from the stack in one call
-    that runs the operation of ``_dense_blocks`` on each block, so all but
-    the bound have its bytes. exact and starts are the part of the bound
-    that bands 2..D-1 give (``_purity_parts``, index 1).
-
-    The purity is sum(x_0^2) + 2 sum_{q>=1} |x_q|^2. In the first
-    PREFIX_BLOCKS blocks the bound adds every band's |x_q|^2. Past them,
-    band q >= 2 enters through its block start y_q(i) = (R_q^B)^i x_q alone.
-    Sample s of block i is R_q^s y_q(i), and s < BLOCK_STEPS is a sum of
-    distinct powers of two, so |R_q^s y_q(i)|^2 <= g_q |y_q(i)|^2 with
-    g_q = prod_{2^k < BLOCK_STEPS} max(1, nu(R_q^(2^k)))^2 and
-    nu(A) = sqrt(||A||_1 ||A||_inf), which is at least the spectral norm of
-    A. The block's bound is then its largest sum(x_0^2) + 2 |x_1|^2 plus
-    2 sum_{q>=2} g_q |y_q(i)|^2, up to rounding; it needs neither a normal
-    R_q nor a purity that only falls.
-    """
-    d = len(gens)
-    nblocks = len(starts)
-    nexact = len(exact)
-    sqrt_n = np.sqrt(np.arange(1.0, d))
-    ch = AMPLITUDE_CHUNK_BLOCKS
-    pops, ones = _ring(x0[:1], float, ch), _ring(x0[1:2], complex, ch)
-    states = zip(_band_states(_powers(gens[:1], dt), x0[:1], nblocks, pops),
-                 _band_states(_powers(gens[1:2], dt), x0[1:2], nblocks, ones))
-    for b0, n, count in _chunks(nsamples, ch):
-        for _ in range(n):
-            next(states)
-        stack = slice(b0 % ch, b0 % ch + n)
-        pop, x1 = pops[stack, :, :count], ones[stack, :, :count]
-        low = np.einsum("bij,bij->bj", pop, pop)
-        bound = low + 2.0 * _abs2(x1)
-        k = min(n, max(0, nexact - b0))  # the chunk's blocks in the prefix
-        bound[:k] += exact[b0:b0 + k, :count]
-        bound[k:] = bound[k:].max(axis=1, keepdims=True) + starts[b0 + k:b0 + n, None]
-        yield (np.matmul(sqrt_n, x1).reshape(-1), pop.sum(axis=1).reshape(-1),
-               low.reshape(-1), bound.reshape(-1), pop[:, -1].reshape(-1))
+def _bound_holds(exact: np.ndarray, starts: np.ndarray, nsamples: int,
+                 limit: float) -> bool:
+    """True when the purity bound of ``_purity_parts``, its parts summed, is
+    at most limit at each of nsamples samples: per sample over the prefix,
+    per block past it. A bound that is not finite fails."""
+    return bool(np.all(exact.sum(axis=0).reshape(-1)[:nsamples] <= limit)
+                and np.all(starts.sum(axis=0)[exact.shape[1]:] <= limit))
 
 
 def _closed_form_gates(squares: list[np.ndarray], x: np.ndarray, nsamples: int,
@@ -788,81 +749,68 @@ def _closed_form_gates(squares: list[np.ndarray], x: np.ndarray, nsamples: int,
                 and abs(x[-1]) <= top_limit - CERTIFICATE_MARGIN)
 
 
-def _band1_blocks(m: np.ndarray, x: np.ndarray, dt: float, nsamples: int,
-                  exact: np.ndarray, starts: np.ndarray):
-    """Chunks of a damped run read from band 1 alone: <a> and a bound on the
-    purity, per sample, of the chunks of ``_amplitude_blocks``.
+def _band_blocks(m: np.ndarray, x: np.ndarray, dt: float, nsamples: int):
+    """(first sample, samples) per block of one band, stepped through the
+    products of ``_dense_blocks``, so that what is read from a block as
+    the full run reads it has its bytes. A block is valid until the next
+    but one is drawn."""
+    nb = BLOCK_STEPS
+    buffers = _ring([x], np.result_type(m, x))
+    states = _band_states(_powers([m], dt), [x], -(-nsamples // nb), buffers)
+    for k0, y in zip(range(0, nsamples, nb), states):
+        yield k0, y[:, :min(nb, nsamples - k0)]
 
-    m and x are band 1's generator and start; band 1 runs as it does there,
-    so <a> has the full run's bytes. exact and starts are the other bands'
-    parts of the bound (``_purity_parts``), summed. Over the prefix the bound
-    adds 2 |x_1|^2 of each sample; past it, block i's bound adds
-    2 g_1 |y_1(i)|^2, y_1(i) the block's column 0 and g_1 that of
-    ``_amplitude_blocks`` from R_1's squares, so no sample of band 1 past
-    the prefix is read but for <a>.
+
+def _stepped_band0(m: np.ndarray, x: np.ndarray, dt: float, times: np.ndarray,
+                   top_limit: float, starts: np.ndarray) -> bool:
+    """Step band 0 alone as the full run does and check its trace, top level
+    and sum(x_0^2) with ``_first_failure``; False where a sample fails.
+
+    m and x are band 0's generator and start, and starts its part of the
+    purity bound past the prefix (``_purity_parts``, index 0): each block's
+    largest sum(x_0^2) takes the place of its block-start bound. Over the
+    prefix the bound already sums band 0 exactly. No record is kept per
+    sample.
     """
-    d, ch = len(x) + 1, AMPLITUDE_CHUNK_BLOCKS
-    nblocks, nexact = len(starts), len(exact)
-    squares = list(_squares(_rk4_step(m, dt)))
-    g1 = math.prod(max(1.0, np.abs(p).sum(axis=0).max() * np.abs(p).sum(axis=1).max())
-                   for p in squares[:-1])
-    sqrt_n = np.sqrt(np.arange(1.0, d))
-    ones = _ring([x], complex, ch)
-    # drawn to their end in the first block, so that only R_1^B is kept
-    states = _band_states([iter(squares)], [x], nblocks, ones)
-    del squares
-    for b0, n, count in _chunks(nsamples, ch):
-        for _ in range(n):
-            next(states)
-        x1 = ones[b0 % ch:b0 % ch + n, :, :count]
-        y = x1[:, :, 0]
-        bound = np.repeat(starts[b0:b0 + n] + 2.0 * g1 * (y.real ** 2 + y.imag ** 2).sum(axis=1),
-                          count)
-        if b0 < nexact:  # the prefix's blocks take every band's sum per sample
-            k = min(n, nexact - b0)
-            bound[:k * count] = (exact[b0:b0 + k, :count] + 2.0 * _abs2(x1[:k])).reshape(-1)
-        yield np.matmul(sqrt_n, x1).reshape(-1), bound
+    for k0, pop in _band_blocks(m, x, dt, len(times)):
+        low = np.einsum("ij,ij->j", pop, pop)
+        if _first_failure(times[k0:k0 + len(low)], pop.sum(axis=0), low, pop[-1],
+                          top_limit) is not None:
+            return False
+        starts[k0 // BLOCK_STEPS] = low.max()
+    return True
 
 
 def _damped_amplitude(gens: list[np.ndarray], x0: list[np.ndarray], dt: float,
                       times: np.ndarray, top_limit: float, out: np.ndarray) -> bool:
-    """<a> of a damped run into out, from band 1 alone or from bands 0 and 1;
-    False, with out unspecified, where neither certifies every block.
+    """<a> of a damped run into out, from band 1 alone; False, with out
+    unspecified, where the certificate fails or <a> is not finite.
 
-    Both tiers read one purity bound from block starts (``_purity_parts``),
-    which must keep CERTIFICATE_MARGIN and ``_rounding`` inside 1 +
-    TRACE_TOLERANCE at every sample. The first tier proves the trace,
-    top-level and purity-low gates in closed form (``_closed_form_gates``)
-    before it steps band 1 alone (``_band1_blocks``). Where either fails, the
-    second reads the full run's own trace and top level from bands 0 and 1
-    (``_amplitude_blocks``) and checks them as the full run does; its purity
-    is at least sum(x_0^2), which must be positive. A value that is not
-    finite fails either tier.
+    The certificate is decided before band 1 is stepped. The purity bound
+    (``_purity_parts``) must keep CERTIFICATE_MARGIN and ``_rounding``
+    inside 1 + TRACE_TOLERANCE at every sample (``_bound_holds``). Where the
+    trace, top-level and purity-low gates hold in closed form
+    (``_closed_form_gates``) and the bound holds, no other band is stepped.
+    Otherwise band 0 is stepped alone, its gates are checked as the full
+    run checks them, and its exact sum(x_0^2) takes the place of its
+    block-start part of the bound (``_stepped_band0``), which must then
+    hold. A certified run steps band 1 through the full run's products and
+    reads <a> block by block with its bytes.
     """
-    nsamples = len(out)
-    limit = (1.0 + TRACE_TOLERANCE - CERTIFICATE_MARGIN) / (1.0 + _rounding(nsamples, len(gens)))
+    nsamples, d = len(out), len(gens)
+    limit = (1.0 + TRACE_TOLERANCE - CERTIFICATE_MARGIN) / (1.0 + _rounding(nsamples, d))
     exact, starts = _purity_parts(gens, x0, dt, nsamples)
-    if _closed_form_gates(list(_squares(_rk4_step(gens[0], dt))), x0[0], nsamples, top_limit):
-        k0 = 0
-        for a, bound in _band1_blocks(gens[1], x0[1], dt, nsamples, exact.sum(axis=0),
-                                      starts.sum(axis=0)):
-            # a sum is finite only where every term is
-            if not (np.all(bound <= limit) and np.isfinite(a.sum())):
-                break
-            out[k0:k0 + len(a)] = a
-            k0 += len(a)
-        else:
-            return True
-    k0 = 0
-    for a, trace, low, bound, top in _amplitude_blocks(gens, x0, dt, nsamples, exact[1],
-                                                       starts[1]):
-        blk = slice(k0, k0 + len(a))
-        if (_first_failure(times[blk], trace, low, top, top_limit) is not None
-                or not np.all(bound <= limit)):
-            return False
-        out[blk] = a
-        k0 += len(a)
-    return True
+    squares = list(_squares(_rk4_step(gens[0], dt)))
+    certified = ((_closed_form_gates(squares, x0[0], nsamples, top_limit)
+                  and _bound_holds(exact, starts, nsamples, limit))
+                 or (_stepped_band0(gens[0], x0[0], dt, times, top_limit, starts[0])
+                     and _bound_holds(exact, starts, nsamples, limit)))
+    if not certified:
+        return False
+    sqrt_n = np.sqrt(np.arange(1.0, d))
+    for k0, x1 in _band_blocks(gens[1], x0[1], dt, nsamples):
+        out[k0:k0 + x1.shape[1]] = sqrt_n @ x1
+    return bool(np.all(np.isfinite(out)))
 
 
 def rk4_evolve(L: Liouvillian, rho0: DensityMatrix, t_final: float,
@@ -890,10 +838,10 @@ def rk4_evolve(L: Liouvillian, rho0: DensityMatrix, t_final: float,
 
     With ``amplitude_only`` an undamped run whose gates ``_certified`` proves
     in closed form propagates band 1 alone (``_band1_amplitude``). A damped
-    run propagates band 1 alone where the closed-form gates of band 0 and
-    a purity bound from block starts certify every block, else bands 0 and
-    1 where their records and that bound do (``_damped_amplitude``), forking
-    no band child either way. Then ``times`` and ``a_expect`` are
+    run propagates band 1 alone where one certificate, a purity bound from
+    block starts with band 0's gates in closed form or from band 0 stepped
+    alone, holds at every sample (``_damped_amplitude``); it forks no band
+    child. Then ``times`` and ``a_expect`` are
     byte-identical to the full run's, and ``n_expect``, ``trace``,
     ``purity`` and ``final`` are empty. An uncertified or non-finite run
     takes the full path, band child included, which raises as it would

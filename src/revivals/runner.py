@@ -5,7 +5,7 @@ Output layout per run NAME in the output directory (env REVIVALS_OUT_DIR or
 
     NAME.csv            the trajectory table (schema below)
     NAME.manifest.json  resolved parameters, derived scales, analysis summary,
-                        stage timings
+                        the final state's smallest eigenvalue, stage timings
     NAME_plot.py        standalone matplotlib script reading NAME.csv
 
 CSV bodies are byte-identical across runs of the same config; only the
@@ -275,6 +275,8 @@ def run_experiment(config: ExperimentConfig, name: str = "run",
                               {"t": summary.first_revival.t,
                                "amplitude": summary.first_revival.amplitude}),
         },
+        # negative where RK4's far-band error leaves final short of a state
+        "fidelity": {"min_eigenvalue": float(np.linalg.eigvalsh(traj.final)[0])},
         "outputs": {"csv": csv_path.name, "plot_script": plot_path.name},
         "timing": timing,
     }, t_wall)

@@ -198,6 +198,18 @@ def test_super_revival_detection_on_oracle():
     assert got.amplitude == pytest.approx(abs(ALPHA), rel=1e-3)
 
 
+def test_super_revival_needs_a_span_that_reaches_t_sr():
+    # fig6a's span, 550, ends before t_sr = 2 pi / b = 1256.6: its strongest
+    # late peak (t = 418.9, a full revival) is not the super-revival
+    from revivals.config import load_preset
+    from revivals.runner import evolve, resolve
+
+    ctx = resolve(load_preset("fig6a").config)
+    env = analysis.extract_envelope(evolve(ctx, amplitude_only=True), ctx.window)
+    assert env.source_times[-1] < ctx.predicted.t_sr
+    assert detect_super_revival(env, ctx.predicted) is None
+
+
 def test_log_grid_density():
     grid = log_grid(1e-5, 10.0, per_decade=5)
     assert len(grid) == 31

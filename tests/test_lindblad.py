@@ -16,8 +16,8 @@ from revivals import (DampingSpec, DensityMatrix, DimensionMismatch, DomainError
                       rk4_evolve, superoperator, superoperator_evolve)
 from revivals.config import load_preset
 from revivals.fanout import one_blas_thread, run_slices
-from revivals.lindblad import (AMPLITUDE_CHUNK_BLOCKS, BLOCK_STEPS, CERTIFICATE_MARGIN,
-                               CHUNK_BLOCKS, PREFIX_BLOCKS, TOP_LEVEL_TOLERANCE,
+from revivals.lindblad import (BLOCK_STEPS, CERTIFICATE_MARGIN, CHUNK_BLOCKS,
+                               PREFIX_BLOCKS, TOP_LEVEL_TOLERANCE,
                                TRACE_TOLERANCE, Trajectory, _rk4_step, default_dt,
                                expect_a_raw, expect_n_raw, to_bands)
 from revivals.runner import evolve, resolve
@@ -284,58 +284,45 @@ def per_block_diagonal_blocks(diags, x0, dt, nsamples):
                (pop[-1] * pop_t[-1, :count]).real, last)
 
 
-def per_block_amplitude_blocks(gens, x0, dt, nsamples):
-    """The damped amplitude-only block generator with one block per loop pass
-    and one band at a time for bands 2..D-1.
+def per_band_bound(gens, x0, dt, nsamples):
+    """The parts of the damped purity bound that band 0 and bands 1..D-1
+    give, one band at a time and unpadded.
 
-    Bands 0 and 1 run through the same block products, and each block is
-    read on its own samples; the chunked generator must give the bytes of
-    <a>, the trace, sum(x_0^2) and the top level, and the bound up to
-    ``_rounding``. Band q >= 2 runs unpadded, its g_q from
+    Per part: w sum |x_q|^2 for each sample of the prefix, flat, and
+    w sum g_q |y_q(i)|^2 for each block i, with g_q from
     nu(A) = sqrt(||A||_1 ||A||_inf) of R_q, R_q^2, ..., R_q^(B/2).
+    ``_purity_parts`` steps padded band groups and must agree up to
+    ``_rounding``.
     """
-    from revivals.lindblad import (PREFIX_BLOCKS, _abs2, _band_states, _powers, _ring,
-                                   _squares)
+    from revivals.lindblad import PREFIX_BLOCKS, _abs2, _band_states, _ring, _squares
 
-    d = len(gens)
     nb = BLOCK_STEPS
     nblocks = -(-nsamples // nb)
     nexact = min(nblocks, PREFIX_BLOCKS)
-    exact = np.zeros(nexact * nb)
-    starts = np.zeros(nblocks)
-    for m, x in zip(gens[2:], x0[2:]):
+    exact, starts = np.zeros((2, nexact * nb)), np.zeros((2, nblocks))
+    for q, (m, x) in enumerate(zip(gens, x0)):
+        part, dtype = min(q, 1), np.result_type(m, x)
+        weight = 1.0 + part
         powers = list(_squares(_rk4_step(m, dt)))
-        for i, block in enumerate(_band_states([powers], [x], nexact, _ring([x], complex))):
-            exact[i * nb:(i + 1) * nb] += _abs2(block)
+        for i, block in enumerate(_band_states([powers], [x], nexact, _ring([x], dtype))):
+            exact[part, i * nb:(i + 1) * nb] += weight * _abs2(block)
         nu = [np.sqrt(np.abs(p).sum(axis=0).max() * np.abs(p).sum(axis=1).max())
               for p in powers[:-1]]
         g = np.prod(np.maximum(1.0, nu)) ** 2
-        ys = _band_states([_squares(powers[-1])], [x], -(-nblocks // nb), _ring([x], complex))
+        ys = _band_states([_squares(powers[-1])], [x], -(-nblocks // nb), _ring([x], dtype))
         for i, y in zip(range(0, nblocks, nb), ys):
             n = min(nb, nblocks - i)
-            starts[i:i + n] += g * _abs2(y[:, :n])
-    sqrt_n = np.sqrt(np.arange(1.0, d))
-    pops = _band_states(_powers(gens[:1], dt), x0[:1], nblocks, _ring(x0[:1], float))
-    ones = _band_states(_powers(gens[1:2], dt), x0[1:2], nblocks, _ring(x0[1:2], complex))
-    for i, pop, x1 in zip(range(nblocks), pops, ones):
-        k0 = i * nb
-        count = min(nb, nsamples - k0)
-        pop, x1 = pop[:, :count], x1[:, :count]
-        low = np.einsum("ij,ij->j", pop, pop)
-        bound = low + 2.0 * _abs2(x1)
-        if i < nexact:
-            bound += 2.0 * exact[k0:k0 + count]
-        else:
-            bound = np.full(count, bound.max() + 2.0 * starts[i])
-        yield sqrt_n @ x1, pop.sum(axis=0), low, bound, pop[-1]
+            starts[part, i:i + n] += weight * g * _abs2(y[:, :n])
+    return exact, starts
 
 
-def second_tier_blocks(gens, x0, dt, nsamples):
-    """``_amplitude_blocks`` with the part of the bound that bands 2..D-1 give."""
-    from revivals.lindblad import _amplitude_blocks, _purity_parts
-
-    exact, starts = _purity_parts(gens, x0, dt, nsamples)
-    return _amplitude_blocks(gens, x0, dt, nsamples, exact[1], starts[1])
+def bound_per_sample(exact, starts, nsamples):
+    """The purity bound of ``_purity_parts`` at each sample, its parts summed:
+    exact over the prefix, the block's bound past it."""
+    bound = np.repeat(starts.sum(axis=0), BLOCK_STEPS)[:nsamples]
+    n = min(nsamples, exact[0].size)
+    bound[:n] = exact.sum(axis=0).reshape(-1)[:n]
+    return bound
 
 
 def failure_time(failed):
@@ -561,9 +548,10 @@ def test_amplitude_only_is_ignored_by_damped_runs(monkeypatch):
         assert flagged.final.shape == (14, 14)
 
 
-# rk4_evolve(amplitude_only=True) on a damped run: band 1 alone where band 0's
-# gates hold in closed form, else bands 0 and 1 in full; the purity bounded
-# from block starts past an exact prefix
+# rk4_evolve(amplitude_only=True) on a damped run: band 1 alone where one
+# certificate holds, the purity bounded from block starts past an exact prefix
+# with band 0's gates in closed form, or band 0 stepped alone and its exact
+# sum(x_0^2) in the bound
 
 DAMPED_AMPLITUDE_RUNS = {
     "fig2b": dict(name="fig2b"),
@@ -573,96 +561,123 @@ DAMPED_AMPLITUDE_RUNS = {
 }
 
 
-@pytest.mark.parametrize("run", list(DAMPED_AMPLITUDE_RUNS))
+#: The path each damped amplitude-only run takes. The presets certify; so do
+#: fig2b's and fig8's configs at stronger damping, with band 0 stepped, which
+#: no preset runs. Stronger still falls back, as fig1's coherent state does,
+#: which stays pure under amplitude damping
+DAMPED_AMPLITUDE_PATHS = {
+    **{run: (changes, "amplitude_only") for run, changes in DAMPED_AMPLITUDE_RUNS.items()},
+    "fig2b-gamma0.004": (dict(name="fig2b", gamma=4e-3), "amplitude_only"),
+    "fig2b-gamma0.008": (dict(name="fig2b", gamma=8e-3), "amplitude_only"),
+    "fig8-n5-gamma0.032": (dict(name="fig8", state_n=5, gamma=0.032), "amplitude_only"),
+    "fig2b-gamma0.016": (dict(name="fig2b", gamma=0.016), "full"),
+    "fig1": (dict(name="fig1"), "full"),
+}
+
+
+@pytest.mark.parametrize("run", list(DAMPED_AMPLITUDE_PATHS))
 def test_damped_amplitude_only_gives_the_full_runs_amplitude_bytes(run):
-    L, rho0, t_final, dt = preset_run(**DAMPED_AMPLITUDE_RUNS[run])
+    changes, path = DAMPED_AMPLITUDE_PATHS[run]
+    L, rho0, t_final, dt = preset_run(**changes)
     full = rk4_evolve(L, rho0, t_final, dt)
     flagged = rk4_evolve(L, rho0, t_final, dt, amplitude_only=True)
     assert flagged.times.tobytes() == full.times.tobytes()
     assert flagged.a_expect.tobytes() == full.a_expect.tobytes()
-    # certified: the records that read the other bands stay empty
+    # certified, the records that read the other bands stay empty; the full
+    # path keeps every record
     for name in ("n_expect", "trace", "purity", "final"):
-        assert getattr(flagged, name).size == 0, name
+        assert (getattr(flagged, name).size == 0) is (path == "amplitude_only"), name
+
+
+def stepped_bound(L, rho0, full):
+    """The certificate's bound per sample with band 0 stepped alone, and
+    whether band 0's gates held, for the run that gave the full trajectory."""
+    from revivals.lindblad import _purity_parts, _stepped_band0
+
+    nsamples, dt = len(full), full.times[1]
+    gens, x0 = L.band_generators(), to_bands(rho0.matrix)
+    top_limit = float(rho0.matrix[-1, -1].real) + TOP_LEVEL_TOLERANCE
+    with one_blas_thread():
+        exact, starts = _purity_parts(gens, x0, dt, nsamples)
+        held = _stepped_band0(gens[0], x0[0], dt, full.times, top_limit, starts[0])
+    return bound_per_sample(exact, starts, nsamples), held
 
 
 @pytest.mark.parametrize("run", ["fig2b", "fig2d", "fig8-n10"])
 def test_damped_purity_bound_holds_the_full_runs_purity(run):
-    # every block the certificate passes bounds the full run's own purity
-    # record from above, up to the rounding the certificate allows: fig2d's
-    # far bands decay toward the vacuum until the bound meets the purity. The
-    # exact prefix sums the purity in another order, so there the bound is
-    # the purity up to that rounding. The trace and <a> are the full run's.
-    # fig2d is the tight case: its purity returns toward 1, and it ends about
-    # 1e-6 inside the gate
+    # with band 0 stepped, the bound sits at or above the full run's own
+    # purity record past the prefix, up to the rounding the certificate
+    # allows, and on it within that rounding in the prefix, where the exact
+    # sums add the purity in another order. Every run certifies so. fig2d is
+    # the tight case: its purity returns toward 1, and it ends about 1e-6
+    # inside the gate
     from revivals.lindblad import _rounding
 
     L, rho0, t_final, dt = preset_run(**DAMPED_AMPLITUDE_RUNS[run])
     full = rk4_evolve(L, rho0, t_final, dt)
-    nsamples, d = len(full), L.space.dim
-    rounding = _rounding(nsamples, d)
+    nsamples = len(full)
+    rounding = _rounding(nsamples, L.space.dim)
     limit = (1.0 + TRACE_TOLERANCE - CERTIFICATE_MARGIN) / (1.0 + rounding)
-    blocks = second_tier_blocks(L.band_generators(), to_bands(rho0.matrix), full.times[1],
-                                nsamples)
-    k0, headroom = 0, []
-    for a, trace, low, bound, top in blocks:
-        blk = slice(k0, k0 + len(a))
-        purity = full.purity[blk]
-        prefix = np.arange(k0, k0 + len(a)) // BLOCK_STEPS < PREFIX_BLOCKS
-        assert np.all(bound <= limit), k0
-        assert np.all((np.abs(bound - purity) <= rounding * purity)[prefix]), k0
-        assert np.all((bound * (1.0 + rounding) >= purity)[~prefix]), k0
-        assert np.all(low <= purity), k0
-        assert trace.tobytes() == full.trace[blk].tobytes()
-        assert a.tobytes() == full.a_expect[blk].tobytes()
-        headroom.append(1.0 + TRACE_TOLERANCE - bound.max())
-        k0 += len(a)
-    assert k0 == nsamples
+    bound, held = stepped_bound(L, rho0, full)
+    assert held
+    prefix = np.arange(nsamples) // BLOCK_STEPS < PREFIX_BLOCKS
+    assert np.all(bound <= limit)
+    assert np.all((np.abs(bound - full.purity) <= rounding * full.purity)[prefix])
+    assert np.all((bound * (1.0 + rounding) >= full.purity)[~prefix])
     if run == "fig2d":
-        assert 0.5e-6 < headroom[-1] < 1.5e-6
+        assert 0.5e-6 < 1.0 + TRACE_TOLERANCE - bound[-1] < 1.5e-6
 
 
-AMPLITUDE_CHUNK = AMPLITUDE_CHUNK_BLOCKS * BLOCK_STEPS
+FOUR_BLOCKS = 4 * BLOCK_STEPS
 
 
 @pytest.mark.parametrize("nsamples", [
-    1, BLOCK_STEPS - 1, BLOCK_STEPS, BLOCK_STEPS + 1, AMPLITUDE_CHUNK - 1, AMPLITUDE_CHUNK,
-    AMPLITUDE_CHUNK + 1, 2 * AMPLITUDE_CHUNK + 77])
+    1, BLOCK_STEPS - 1, BLOCK_STEPS, BLOCK_STEPS + 1, FOUR_BLOCKS - 1, FOUR_BLOCKS,
+    FOUR_BLOCKS + 1, 2 * FOUR_BLOCKS + 77])
 @pytest.mark.parametrize("d", [2, 3, 14, 40])
-def test_chunked_amplitude_blocks_match_per_block_loop(d, nsamples):
-    # band 0 is a group of its own; dim 2 has no band past 1, dim 3 one
-    # group of band 2 alone; at dim 14 the groups stack 10 and 2 padded
-    # bands, and at dim 40 bands 2..20 fill groups of 3, 3, 4, 4 and 5
-    from revivals.lindblad import _band_groups, _rounding
+def test_chunked_amplitude_blocks_match_per_block_loop(monkeypatch, d, nsamples):
+    # band 0 stepped alone gives the trace, sum(x_0^2) and top level of the
+    # full run's blocks, with their bytes, and each block's largest
+    # sum(x_0^2) replaces band 0's block-start bound. The padded band groups bound the purity as
+    # one band at a time does, up to rounding: band 0 is a group of its own;
+    # dim 2 has band 1 alone and dim 3 one group of bands 1 and 2; at dim 14
+    # the groups stack 9 and 4 padded bands, and at dim 40 bands 1..20 fill
+    # groups of 3, 3, 3, 4, 4 and 5
+    from revivals import lindblad
+    from revivals.lindblad import _band_groups, _purity_parts, _rounding, _stepped_band0
 
     L, rho0, _ = damped_case(d)
     dt = 2.0 ** math.floor(math.log2(0.1 / L.omega_max()))  # t_final / dt is exact
     gens, x0 = L.band_generators(), to_bands(rho0.matrix)
-    assert [g.stop - g.start for g in _band_groups(d)][:6] == {
-        2: [1], 3: [1, 1], 14: [1, 10, 2], 40: [1, 3, 3, 4, 4, 5]}[d]
-
-    def drain(blocks):
-        # <a>, trace, sum(x_0^2), purity bound, top level
-        cols = [[] for _ in range(5)]
-        for values in blocks:
-            for col, v in zip(cols, values):
-                col.append(np.array(v))
-        return [np.concatenate(c) for c in cols]
-
-    with one_blas_thread():
-        got = drain(second_tier_blocks(gens, x0, dt, nsamples))
-        want = drain(per_block_amplitude_blocks(gens, x0, dt, nsamples))
-    assert len(got[0]) == nsamples
-    for name, g, w in zip(("a", "trace", "low", "bound", "top"), got, want):
-        if name == "bound":
-            assert np.all(np.abs(g - w) <= _rounding(nsamples, d) * w), name
-        else:
-            assert g.tobytes() == w.tobytes(), name
+    assert [g.stop - g.start for g in _band_groups(d)][:7] == {
+        2: [1, 1], 3: [1, 2], 14: [1, 9, 4], 40: [1, 3, 3, 3, 4, 4, 5]}[d]
+    set_cpus(monkeypatch, 1)  # the full run's blocks below come from one process
+    records = []
+    with one_blas_thread(), monkeypatch.context() as spy:
+        exact, starts = _purity_parts(gens, x0, dt, nsamples)
+        want_exact, want_starts = per_band_bound(gens, x0, dt, nsamples)
+        rounding = _rounding(nsamples, d)
+        assert np.all(np.abs(exact.reshape(2, -1) - want_exact) <= rounding * want_exact)
+        past = slice(exact.shape[1], None)  # block starts bound the blocks past the prefix
+        assert np.all(np.abs(starts - want_starts)[:, past] <= rounding * want_starts[:, past])
+        spy.setattr(lindblad, "_first_failure", lambda times, trace, low, top, top_limit:
+                    records.append((trace, low, top.copy())))
+        assert _stepped_band0(gens[0], x0[0], dt, dt * np.arange(nsamples), 1.0, starts[0])
+        spy.undo()
+        want = [(tr, pur, top.copy())
+                for _, _, tr, pur, top, _ in lindblad._dense_blocks(gens, x0, dt, nsamples)]
+    assert len(records) == len(want) == len(starts[0])
+    for i, ((trace, low, top), (full_trace, purity, full_top)) in enumerate(zip(records, want)):
+        assert trace.tobytes() == full_trace.tobytes()
+        assert top.tobytes() == full_top.tobytes()
+        assert np.all(low <= purity)
+        assert starts[0, i] == low.max()
     if nsamples == 1:
         return  # rk4_evolve takes at least one step
     full = rk4_evolve(L, rho0, (nsamples - 1) * dt, dt=dt)
     flagged = rk4_evolve(L, rho0, (nsamples - 1) * dt, dt=dt, amplitude_only=True)
     assert flagged.purity.size == 0  # certified
-    assert flagged.a_expect.tobytes() == full.a_expect.tobytes() == got[0].tobytes()
+    assert flagged.a_expect.tobytes() == full.a_expect.tobytes()
 
 
 @pytest.mark.parametrize("dim", [56, 60])
@@ -765,23 +780,24 @@ def test_certified_keeps_the_margin_inside_each_gate(gate):
 
 
 def test_damped_amplitude_keeps_the_margin_inside_the_purity_gate(monkeypatch):
-    # one block of stand-in second-tier records whose purity bound sits near
-    # the gate, with its rounding allowance; the trace, sum(x_0^2) and top
-    # level pass, and the first tier is refused
+    # the stepped-band-0 branch: a dim-2 run whose band 0 stands still at
+    # (1, 0), so its trace, sum(x_0^2) = 1 and top level pass, and whose
+    # block past the prefix has a stand-in bound from bands 1..D-1 that
+    # brings the sum near the gate, with its rounding allowance; the
+    # closed-form gates are refused
     from revivals import lindblad
 
-    nsamples, d = 3, 2
+    nsamples, d = PREFIX_BLOCKS * BLOCK_STEPS + 3, 2
     gens = [np.zeros((2, 2)), np.zeros((1, 1), dtype=complex)]
     x0 = [np.array([1.0, 0.0]), np.zeros(1, dtype=complex)]
-    monkeypatch.setattr(lindblad, "_purity_parts", lambda *args: (
-        np.zeros((2, 1, BLOCK_STEPS)), np.zeros((2, 1))))
     monkeypatch.setattr(lindblad, "_closed_form_gates", lambda *args: False)
     verdicts = []
     for inside in NEAR_GATE:
         bound = (1.0 + TRACE_TOLERANCE - inside) / (1.0 + lindblad._rounding(nsamples, d))
-        block = (np.ones(nsamples, dtype=complex), np.ones(nsamples), np.full(nsamples, 0.5),
-                 np.full(nsamples, bound), np.zeros(nsamples))
-        monkeypatch.setattr(lindblad, "_amplitude_blocks", lambda *args: iter([block]))
+        starts = np.zeros((2, PREFIX_BLOCKS + 1))
+        starts[1, -1] = bound - 1.0  # exact, and 1.0 + it is bound again
+        monkeypatch.setattr(lindblad, "_purity_parts", lambda *args, starts=starts: (
+            np.zeros((2, PREFIX_BLOCKS, BLOCK_STEPS)), starts))
         verdicts.append(lindblad._damped_amplitude(
             gens, x0, 0.1, 0.1 * np.arange(nsamples), 0.5,
             np.empty(nsamples, dtype=complex)))
@@ -789,16 +805,15 @@ def test_damped_amplitude_keeps_the_margin_inside_the_purity_gate(monkeypatch):
 
 
 def test_first_tier_keeps_the_margin_inside_the_purity_gate(monkeypatch):
-    # a dim-3 run whose first block past the prefix has a stand-in purity
-    # bound near the gate, with its rounding allowance; band 1 is zero, the
-    # closed-form gates pass and the second tier is refused
+    # the block-start branch: a dim-3 run whose first block past the prefix
+    # has a stand-in purity bound near the gate, with its rounding allowance;
+    # band 1 is zero, the closed-form gates pass and stepping band 0 is refused
     from revivals import lindblad
 
     nsamples, d = PREFIX_BLOCKS * BLOCK_STEPS + 3, 3
     gens = make_liouvillian(d, gamma=1e-3).band_generators()
     x0 = [np.array([1.0, 0.0, 0.0]), np.zeros(2, dtype=complex), np.zeros(1, dtype=complex)]
-    failing = (np.ones(1, dtype=complex),) + (np.full(1, np.nan),) * 4
-    monkeypatch.setattr(lindblad, "_amplitude_blocks", lambda *args: iter([failing]))
+    monkeypatch.setattr(lindblad, "_stepped_band0", lambda *args: False)
     verdicts = []
     for inside in NEAR_GATE:
         starts = np.zeros((2, PREFIX_BLOCKS + 1))
@@ -855,63 +870,65 @@ def first_tier_case(run):
 
 @pytest.mark.parametrize("run", ["fig8-n1", "fig8-n10", "fig2b", "fig2d", "mixed-d6"])
 def test_first_tier_bound_holds_the_full_runs_purity(run):
-    # the first tier's bound, read from band 1 and the other bands' block
-    # starts, sits at or above the full run's purity record past the prefix,
-    # up to the rounding it allows, and on it within that rounding in the
-    # prefix; its <a> is the full run's. fig2d's purity returns toward 1,
-    # and the mixed state's band 0 gains purity inside every block
-    from revivals.lindblad import _band1_blocks, _purity_parts, _rounding
+    # the bound from every band's block starts sits at or above the full
+    # run's purity record past the prefix, up to the rounding it allows, and
+    # on it within that rounding in the prefix; so does the bound with band
+    # 0 stepped, which is at most the block-start one up to that rounding.
+    # fig2d's purity returns toward 1, and the mixed state's band 0 gains
+    # purity inside every block
+    from revivals.lindblad import _purity_parts, _rounding
 
     L, rho0, t_final, dt = first_tier_case(run)
     full = rk4_evolve(L, rho0, t_final, dt)
     nsamples, dt = len(full), full.times[1]
     rounding = _rounding(nsamples, L.space.dim)
-    gens, x0 = L.band_generators(), to_bands(rho0.matrix)
     with one_blas_thread():
-        exact, starts = _purity_parts(gens, x0, dt, nsamples)
-        chunks = list(_band1_blocks(gens[1], x0[1], dt, nsamples, exact.sum(axis=0),
-                                    starts.sum(axis=0)))
-    a, bound = (np.concatenate(c) for c in zip(*chunks))
-    assert a.tobytes() == full.a_expect.tobytes()
+        starts_bound = bound_per_sample(
+            *_purity_parts(L.band_generators(), to_bands(rho0.matrix), dt, nsamples), nsamples)
+    stepped, held = stepped_bound(L, rho0, full)
+    assert held
     prefix = np.arange(nsamples) // BLOCK_STEPS < PREFIX_BLOCKS
-    assert np.all((np.abs(bound - full.purity) <= rounding * full.purity)[prefix])
-    assert np.all((bound * (1.0 + rounding) >= full.purity)[~prefix])
+    for bound in (starts_bound, stepped):
+        assert np.all((np.abs(bound - full.purity) <= rounding * full.purity)[prefix])
+        assert np.all((bound * (1.0 + rounding) >= full.purity)[~prefix])
+    assert np.all(stepped <= starts_bound * (1.0 + rounding))
     if run == "mixed-d6":
         assert np.all(np.diff(full.purity[BLOCK_STEPS * PREFIX_BLOCKS:]) > 0)
 
 
-@pytest.mark.parametrize("run,tier", [
+@pytest.mark.parametrize("run,branch", [
     ("fig8-n1", 1), ("fig8-n5", 1), ("fig8-n10", 1), ("fig2b", 1), ("fig2d", 2),
     ("fig1", None)])
-def test_damped_amplitude_only_takes_the_first_tier_that_certifies(monkeypatch, run, tier):
-    # the first tier steps band 1 alone, so no band-0 stack of D rows is
-    # ever stepped per sample; the second steps bands 0 and 1
-    # (``_amplitude_blocks``). fig2d's purity returns toward 1 and needs the
-    # second tier's exact band 0; fig1 takes the full path
+def test_damped_amplitude_only_takes_the_first_tier_that_certifies(monkeypatch, run, branch):
+    # the certificate from block starts (branch 1) steps band 1 alone, so no
+    # band-0 stack of D rows is ever stepped per sample; where it fails, band
+    # 0 is stepped alone (branch 2, ``_stepped_band0``). fig2d's purity
+    # returns toward 1 and needs band 0's exact sum(x_0^2); fig1 steps band
+    # 0 and takes the full path
     from revivals import lindblad
 
     name, _, n = run.partition("-n")
     L, rho0, t_final, dt = preset_run(name, **({"state_n": int(n)} if n else {}))
     d = L.space.dim
-    rows, second = [], []
-    band_states, amplitude_blocks = lindblad._band_states, lindblad._amplitude_blocks
+    rows, stepped = [], []
+    band_states, stepped_band0 = lindblad._band_states, lindblad._stepped_band0
 
     def spy(steps, x0, nblocks, buffers):
         rows.append(buffers.shape[1])
         return band_states(steps, x0, nblocks, buffers)
 
     monkeypatch.setattr(lindblad, "_band_states", spy)
-    monkeypatch.setattr(lindblad, "_amplitude_blocks",
-                        lambda *args: second.append(1) or amplitude_blocks(*args))
+    monkeypatch.setattr(lindblad, "_stepped_band0",
+                        lambda *args: stepped.append(1) or stepped_band0(*args))
     set_cpus(monkeypatch, 1)
     flagged = rk4_evolve(L, rho0, t_final, dt, amplitude_only=True)
-    if tier is None:
-        assert flagged.purity.size == len(flagged) and second == [1]
+    if branch is None:
+        assert flagged.purity.size == len(flagged) and stepped == [1]
         return
     assert flagged.purity.size == 0
-    assert second == ([1] if tier == 2 else [])
-    assert (d in rows) is (tier == 2)
-    assert set(rows) <= {d, d - 1}
+    assert stepped == ([1] if branch == 2 else [])
+    # band 1 is stepped once, after band 0 where band 0 is stepped
+    assert rows == ([d, d - 1] if branch == 2 else [d - 1])
 
 
 def test_rk4_truncation_error_at_reference_time():

@@ -53,6 +53,17 @@ def test_run_manifest_times_each_stage(tmp_path):
     assert sum(timing.values()) - timing["csv_s"] <= manifest["wall_time_s"]
 
 
+@pytest.mark.parametrize("name,low,high", [
+    # fig2a is undamped: RK4's far-band phase error leaves final with a
+    # negative eigenvalue (-0.0164); fig2d's damping keeps it a state
+    ("fig2a", -math.inf, -0.01), ("fig2d", -1e-12, math.inf)], ids=["fig2a", "fig2d"])
+def test_run_manifest_reports_the_final_states_smallest_eigenvalue(tmp_path, name, low, high):
+    result = run_experiment(load_preset(name).config, name=name, out_dir=tmp_path)
+    got = json.loads(result.manifest_path.read_text())["fidelity"]["min_eigenvalue"]
+    assert got == float(np.linalg.eigvalsh(result.trajectory.final)[0])
+    assert low <= got < high
+
+
 def test_run_outputs_full_precision(tmp_path):
     result = run_experiment(small_config(), name="p", out_dir=tmp_path)
     row = result.csv_path.read_text().splitlines()[5].split(",")
