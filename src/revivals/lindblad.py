@@ -36,13 +36,14 @@ through its exact sum over the first PREFIX_BLOCKS blocks, where the state
 may still be pure, and past them through a bound from its block starts and
 the norms of R_q's powers. Band 0 runs as one group and bands 1..D-1 in
 groups of consecutive bands of up to GROUP_ROWS stacked rows, each M_q
-zero-padded to its group's largest, so one stacked product steps a whole
-group (``_group_bound``). Where the trace, top-level and purity-low gates
-hold in closed form, read from band 0's start and the column sums and norms
-of the powers of R_0 (``_closed_form_gates``), and the bound holds, no
-other band is stepped. Otherwise band 0 is stepped alone with the dense
-path's own ``_band_states``, its gates are checked as the full run checks
-them, and its exact sum(x_0^2) takes the place of its block-start part
+zero-padded to its group's largest, and each group is one stacked band of
+the dense path's own block stepper, ``_band_states`` (``_group_bound``).
+Where the trace, top-level and purity-low gates hold in closed form, read
+from band 0's start and the column sums and norms of the powers of R_0
+(``_closed_form_gates``), and the bound holds, no other band is stepped.
+Otherwise band 0 is stepped alone through ``_band_states`` too, its gates
+are checked as the full run checks them, and its exact sum(x_0^2) takes
+the place of its block-start part, up to the first block that fails
 (``_stepped_band0``). A sample whose bound stays CERTIFICATE_MARGIN and the
 rounding allowance (``_rounding``) inside 1 + TRACE_TOLERANCE cannot fail
 the purity gate. A certified run then steps band 1 through the same
@@ -87,6 +88,9 @@ TRACE_TOLERANCE = 1e-6
 
 #: Top-level population treated as truncation overflow during evolution.
 TOP_LEVEL_TOLERANCE = 1e-6
+
+#: Growth per step, |r(dt lambda)| - 1, that ``default_dt`` allows any band.
+STABLE_GROWTH = 1e-12
 
 #: Steps per block of samples in ``rk4_evolve``; a power of two.
 BLOCK_STEPS = 128
@@ -247,13 +251,28 @@ class Trajectory:
 
 
 def default_dt(L: Liouvillian, rho0: DensityMatrix) -> float:
-    """Step size keeping dt * Omega_max <= 0.1 and >= 200 steps per T_cl.
+    """Step size keeping dt * Omega_max <= 0.1 and >= 200 steps per T_cl,
+    bisected down to the largest at which |r(dt lambda)| (``_rk4_step``)
+    stays within 1 + STABLE_GROWTH for every eigenvalue lambda of every M_q.
 
     T_cl is evaluated at the wave packet's own center, the rounded mean
-    photon number of the initial state.
+    photon number of the initial state. Without the upward term each M_q is
+    diagonal or upper bidiagonal, so the elementwise part holds the lambda.
     """
     n0 = max(1, round(expect_n_raw(rho0.matrix)))
-    return min(0.1 / L.omega_max(), classical_period(L.hamiltonian, n0) / 200.0)
+    dt = min(0.1 / L.omega_max(), classical_period(L.hamiltonian, n0) / 200.0)
+    lam = (np.concatenate([np.linalg.eigvals(m) for m in L.band_generators()]) if L._upward
+           else L._diag.ravel())
+
+    def grows(h: float) -> bool:
+        return not np.max(np.abs(_rk4_step(lam, h))) <= 1.0 + STABLE_GROWTH
+
+    if grows(dt):
+        lo, hi = 0.0, dt
+        while lo < (mid := (lo + hi) / 2) < hi:
+            lo, hi = (lo, mid) if grows(mid) else (mid, hi)
+        dt = lo
+    return dt
 
 
 def _rk4_step(m: np.ndarray, dt: float) -> np.ndarray:
@@ -344,18 +363,19 @@ def _band_states(steps, x0: list[np.ndarray], nblocks: int, buffers: np.ndarray)
     steps gives, per band, its step R_q and the squares of it up to R_q^B
     (``_squares``). The first block comes by doubling: columns [w, 2w) are
     R_q^w applied to [0, w). Each later block is R_q^B times the one before,
-    so a yielded block is valid until len(buffers) - 1 more are drawn.
+    so a yielded block is valid until len(buffers) - 1 more are drawn. A
+    band may be a stack of padded bands with stacked steps (``_group_bound``).
     """
     nb = BLOCK_STEPS
     rows = np.cumsum([0] + [len(x) for x in x0])
     bands = [[b[lo:hi] for lo, hi in zip(rows[:-1], rows[1:])] for b in buffers]
     powers = []
     for x, xq, squares in zip(bands[0], x0, steps):
-        x[:, 0] = xq
+        x[..., 0] = xq
         width = 1
         for p in squares:
             if width < nb:
-                np.matmul(p, x[:, :width], out=x[:, width:2 * width])
+                np.matmul(p, x[..., :width], out=x[..., width:2 * width])
             width *= 2
         powers.append(p)  # R^B
     yield buffers[0]
@@ -621,58 +641,42 @@ def _group_bound(gens: list[np.ndarray], x0: list[np.ndarray], dt: float,
     sum |x_q|^2 over the exact prefix's samples to exact, (prefix blocks,
     BLOCK_STEPS), and weight sum g_q |y_q(i)|^2 to starts, per block i.
 
-    Each band's M_q is zero-padded to the group's first, largest, band in one
-    stack, so its step is blockdiag(R_q, I) and the padded entries of x_q stay
-    exactly zero. One pass over R, R^2, ..., R^B doubles the prefix, takes
-    g_q from each power but R^B with the padding's rows and columns masked
-    out, and leaves R^B; its squares then double the block starts in the
-    same buffers, and (R^B)^B steps them on by BLOCK_STEPS blocks. A group
-    of real bands (band 0's) runs in real arithmetic.
+    The bands, zero-padded to the first, largest, one, are one stacked band
+    of ``_band_states`` with steps blockdiag(R_q, 0), whose powers are zero
+    on the padding, exactly. Its first blocks are the prefix; as they draw
+    R, ..., R^B, g_q takes max(1, ||p||_1 ||p||_inf) of each power p but R^B.
+    The block starts are the samples of a run whose step is R^B, in the same
+    two blocks. A group of real bands (band 0's) runs in real arithmetic.
     """
     nb = BLOCK_STEPS
     nexact, nblocks = len(exact), len(starts)
-    sizes = np.array([len(x) for x in x0])
-    inside = np.arange(sizes[0]) < sizes[:, None]  # (bands, rows): not padding
     dtype = np.result_type(*gens, *x0)
-    m = np.zeros((len(x0), sizes[0], sizes[0]), dtype=dtype)
-    # the prefix's samples; later two halves that take the block starts in turn
-    x = np.zeros((len(x0), sizes[0], max(nexact, 2) * nb), dtype=dtype)
+    x = np.zeros((len(x0), len(x0[0])), dtype=dtype)
+    m = np.zeros((*x.shape, len(x0[0])), dtype=dtype)
     for b, (mq, xq) in enumerate(zip(gens, x0)):
         m[b, :len(xq), :len(xq)] = mq
-        x[b, :len(xq), 0] = xq
-    g = np.ones(len(x0))
+        x[b, :len(xq)] = xq
+    step = _rk4_step(m, dt)
+    for b, xq in enumerate(x0):
+        step[b, len(xq):, len(xq):] = 0.0
+    g, kept = np.ones(len(x0)), []
 
-    def double(y, p, spare, g=None):
-        """Columns [w, 2w) of y become p^w times [0, w); with g, g_q takes
-        max(1, nu(p^w))^2 = max(1, ||p^w||_1 ||p^w||_inf). Returns p^B and
-        the spare buffer."""
-        width = 1
-        while width < nb:
-            np.matmul(p, y[..., :width], out=y[..., width:2 * width])
-            if g is not None:
+    def noted(squares):
+        for k, p in enumerate(squares, 1):
+            if k < nb.bit_length():  # every power but R^B
                 a = np.abs(p)
-                g *= np.maximum(1.0, np.max(a.sum(axis=1) * inside, axis=1)
-                                * np.max(a.sum(axis=2) * inside, axis=1))
-            np.matmul(p, p, out=spare)
-            p, spare = spare, p
-            width *= 2
-        return p, spare
+                g[:] *= np.maximum(1.0, a.sum(axis=1).max(axis=1) * a.sum(axis=2).max(axis=1))
+            yield p
+        kept.append(p)
 
-    p, spare = double(x, _rk4_step(m, dt), m, g)  # m's memory takes the squares
-    for i in range(1, nexact):
-        np.matmul(p, x[..., (i - 1) * nb:i * nb], out=x[..., i * nb:(i + 1) * nb])
-    exact += weight * _abs2(x[..., :nexact * nb]).sum(axis=0).reshape(nexact, nb)
+    buffers = np.empty((2, *x.shape, nb), dtype=dtype)  # two blocks, as ``_ring``
+    for i, block in enumerate(_band_states([noted(_squares(step))], [x], nexact, buffers)):
+        exact[i] += weight * _abs2(block).sum(axis=0)
     if nblocks <= nexact:
         return
-    # the block starts are the samples of a run whose step is R^B
-    y, z = x[..., :nb], x[..., nb:2 * nb]  # y[..., 0] is still x_q
-    p, spare = double(y, p, spare)
-    for i in range(0, nblocks, nb):
-        if i > 0:
-            np.matmul(p, y, out=z)
-            y, z = z, y
-        n = min(nb, nblocks - i)
-        starts[i:i + n] += weight * (g @ _abs2(y[..., :n]))
+    ys = _band_states([_squares(kept[0])], [x], -(-nblocks // nb), buffers)
+    for i, y in zip(range(0, nblocks, nb), ys):
+        starts[i:i + nb] += weight * (g @ _abs2(y[..., :min(nb, nblocks - i)]))
 
 
 def _purity_parts(gens: list[np.ndarray], x0: list[np.ndarray], dt: float,
@@ -701,15 +705,6 @@ def _purity_parts(gens: list[np.ndarray], x0: list[np.ndarray], dt: float,
         part = min(i, 1)
         _group_bound(gens[group], x0[group], dt, exact[part], starts[part], 1.0 + part)
     return exact, starts
-
-
-def _bound_holds(exact: np.ndarray, starts: np.ndarray, nsamples: int,
-                 limit: float) -> bool:
-    """True when the purity bound of ``_purity_parts``, its parts summed, is
-    at most limit at each of nsamples samples: per sample over the prefix,
-    per block past it. A bound that is not finite fails."""
-    return bool(np.all(exact.sum(axis=0).reshape(-1)[:nsamples] <= limit)
-                and np.all(starts.sum(axis=0)[exact.shape[1]:] <= limit))
 
 
 def _closed_form_gates(squares: list[np.ndarray], x: np.ndarray, nsamples: int,
@@ -762,22 +757,24 @@ def _band_blocks(m: np.ndarray, x: np.ndarray, dt: float, nsamples: int):
 
 
 def _stepped_band0(m: np.ndarray, x: np.ndarray, dt: float, times: np.ndarray,
-                   top_limit: float, starts: np.ndarray) -> bool:
+                   top_limit: float, starts: np.ndarray, limit: float) -> bool:
     """Step band 0 alone as the full run does and check its trace, top level
-    and sum(x_0^2) with ``_first_failure``; False where a sample fails.
+    and sum(x_0^2) with ``_first_failure``; False at the first block where a
+    sample fails or, past the prefix, the purity bound exceeds limit.
 
-    m and x are band 0's generator and start, and starts its part of the
-    purity bound past the prefix (``_purity_parts``, index 0): each block's
-    largest sum(x_0^2) takes the place of its block-start bound. Over the
-    prefix the bound already sums band 0 exactly. No record is kept per
-    sample.
+    starts holds the bound's two parts per block (``_purity_parts``); each
+    block's largest sum(x_0^2) takes the place of band 0's. Over the prefix
+    the bound already sums band 0 exactly. No record is kept per sample.
     """
     for k0, pop in _band_blocks(m, x, dt, len(times)):
         low = np.einsum("ij,ij->j", pop, pop)
         if _first_failure(times[k0:k0 + len(low)], pop.sum(axis=0), low, pop[-1],
                           top_limit) is not None:
             return False
-        starts[k0 // BLOCK_STEPS] = low.max()
+        block = k0 // BLOCK_STEPS
+        starts[0, block] = low.max()
+        if block >= PREFIX_BLOCKS and not starts[:, block].sum() <= limit:
+            return False
     return True
 
 
@@ -787,25 +784,25 @@ def _damped_amplitude(gens: list[np.ndarray], x0: list[np.ndarray], dt: float,
     unspecified, where the certificate fails or <a> is not finite.
 
     The certificate is decided before band 1 is stepped. The purity bound
-    (``_purity_parts``) must keep CERTIFICATE_MARGIN and ``_rounding``
-    inside 1 + TRACE_TOLERANCE at every sample (``_bound_holds``). Where the
-    trace, top-level and purity-low gates hold in closed form
-    (``_closed_form_gates``) and the bound holds, no other band is stepped.
-    Otherwise band 0 is stepped alone, its gates are checked as the full
-    run checks them, and its exact sum(x_0^2) takes the place of its
-    block-start part of the bound (``_stepped_band0``), which must then
-    hold. A certified run steps band 1 through the full run's products and
-    reads <a> block by block with its bytes.
+    (``_purity_parts``), its parts summed, must keep CERTIFICATE_MARGIN and
+    ``_rounding`` inside 1 + TRACE_TOLERANCE at every sample, first over the
+    prefix, which sums band 0 exactly. Where the trace, top-level and
+    purity-low gates hold in closed form (``_closed_form_gates``) and the
+    bound holds past the prefix, no other band is stepped. Otherwise band 0
+    is stepped alone and checked as the full run checks it, and its exact
+    sum(x_0^2) takes the place of its block-start part (``_stepped_band0``).
+    A certified run steps band 1 through the full run's products and reads
+    <a> block by block with its bytes.
     """
     nsamples, d = len(out), len(gens)
     limit = (1.0 + TRACE_TOLERANCE - CERTIFICATE_MARGIN) / (1.0 + _rounding(nsamples, d))
     exact, starts = _purity_parts(gens, x0, dt, nsamples)
+    if not np.all(exact.sum(axis=0).reshape(-1)[:nsamples] <= limit):
+        return False
     squares = list(_squares(_rk4_step(gens[0], dt)))
-    certified = ((_closed_form_gates(squares, x0[0], nsamples, top_limit)
-                  and _bound_holds(exact, starts, nsamples, limit))
-                 or (_stepped_band0(gens[0], x0[0], dt, times, top_limit, starts[0])
-                     and _bound_holds(exact, starts, nsamples, limit)))
-    if not certified:
+    if not ((_closed_form_gates(squares, x0[0], nsamples, top_limit)
+             and np.all(starts.sum(axis=0)[exact.shape[1]:] <= limit))
+            or _stepped_band0(gens[0], x0[0], dt, times, top_limit, starts, limit)):
         return False
     sqrt_n = np.sqrt(np.arange(1.0, d))
     for k0, x1 in _band_blocks(gens[1], x0[1], dt, nsamples):

@@ -275,8 +275,12 @@ def run_experiment(config: ExperimentConfig, name: str = "run",
                               {"t": summary.first_revival.t,
                                "amplitude": summary.first_revival.amplitude}),
         },
-        # negative where RK4's far-band error leaves final short of a state
-        "fidelity": {"min_eigenvalue": float(np.linalg.eigvalsh(traj.final)[0])},
+        # negative where RK4's far-band error leaves final short of a state;
+        # then how close the run came to the trace and purity gates
+        "fidelity": {"min_eigenvalue": float(np.linalg.eigvalsh(traj.final)[0]),
+                     "trace_drift": float(np.abs(traj.trace - 1.0).max()),
+                     "purity_min": float(traj.purity.min()),
+                     "purity_max": float(traj.purity.max())},
         "outputs": {"csv": csv_path.name, "plot_script": plot_path.name},
         "timing": timing,
     }, t_wall)

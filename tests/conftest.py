@@ -12,6 +12,11 @@ ALPHA = -1.9
 B1 = 0.005
 B2 = 0.005
 
+#: The step that the automatic rule picked, before it followed the far bands
+#: of rho, for fig2a and fig2b at these dims (fig2a alone at 70). RK4 grows
+#: those bands at it, so a run at it fails the purity gate.
+UNSTABLE_DT = {56: 0.11398298141763404, 60: 0.11398298141763404, 70: 0.10862251509734282}
+
 
 @pytest.fixture
 def space30():

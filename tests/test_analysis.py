@@ -8,8 +8,8 @@ from revivals import (Classification, DomainError, StabilityError, analysis, Cla
                       coherent_state, damped_linear_expect_a, default_n0,
                       detect_revivals, detect_super_revival, displaced_number_state,
                       diagonal_h_fock_sum_expect_a, first_revival_peak,
-                      kerr_expect_a_closed_form, log_grid, modulus_revival_period,
-                      scan_nonlinearity, timescales_closed_form)
+                      kerr_expect_a_closed_form, lindblad, log_grid,
+                      modulus_revival_period, scan_nonlinearity, timescales_closed_form)
 from revivals.analysis import envelope_from_series
 
 from conftest import ALPHA, B1, B2, OMEGA0, needs_fork, set_cpus
@@ -282,14 +282,16 @@ def test_scan_raises_the_smallest_failing_b(monkeypatch):
     assert ran == [BRACKET_B[0]]
 
 
-#: The purity error of b = 0.005 on the k=2 ladder at dim 60, where the
+#: The purity error of b = 0.005 on the k=2 ladder at dim 60, where the old
 #: automatic step leaves the far bands unstable.
 DIM60_FAILURE = "purity 1.000042807942807 outside (0, 1] at t=2.62156; reduce dt"
 
 
 def test_scan_falls_back_to_the_full_runs_error(monkeypatch):
-    # the closed-form purity of these points fails, so each runs the full
-    # rk4_evolve, and the scan raises what it raises without amplitude_only
+    # on the old automatic step, which ``default_dt`` takes with any growth
+    # allowed, the closed-form purity of these points fails, so each runs the
+    # full rk4_evolve, and the scan raises what it raises without amplitude_only
+    monkeypatch.setattr(lindblad, "STABLE_GROWTH", math.inf)
     full_run = analysis.rk4_evolve
     raised = []
     for strip in (False, True):

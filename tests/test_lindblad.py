@@ -22,9 +22,9 @@ from revivals.lindblad import (BLOCK_STEPS, CERTIFICATE_MARGIN, CHUNK_BLOCKS,
                                expect_a_raw, expect_n_raw, to_bands)
 from revivals.runner import evolve, resolve
 
-from conftest import (ALPHA, B1, B2, OMEGA0, children_exit_at_once, fock_state,
-                      needs_fork, no_child_left, random_density, random_hermitian,
-                      refuse_certificates, set_cpus)
+from conftest import (ALPHA, B1, B2, OMEGA0, UNSTABLE_DT, children_exit_at_once,
+                      fock_state, needs_fork, no_child_left, random_density,
+                      random_hermitian, refuse_certificates, set_cpus)
 
 
 def make_liouvillian(dim, b=B1, k=2, gamma=0.0, n_thermal=0.0, full=False):
@@ -492,6 +492,33 @@ def test_undamped_dim60_failure_message():
                                  "t=2.62155; reduce dt")
 
 
+DIM60_UNSTABLE = ("fig2a", "fig2b", "fig2c", "fig3c", "fig3d", "fig5b")
+
+
+@pytest.mark.parametrize("name,changes", [
+    *((name, {}) for name in DIM60_UNSTABLE), ("fig2b", dict(n_thermal=0.1, full_equation=True))],
+    ids=[*DIM60_UNSTABLE, "fig2b-thermal"])
+def test_automatic_step_keeps_every_band_stable_at_dim60(name, changes):
+    # the old rule read the top level's spacing alone, and at dim 60 its step
+    # grew these presets' far bands (|r| - 1 up to 3.24). The automatic step is
+    # now the largest at which no eigenvalue of any M_q, computed here from the
+    # dense generators, has |r(dt lambda)| above 1 + STABLE_GROWTH, and each run
+    # finishes with a finite purity of at most 1 but for the rounding of the
+    # pure state's own sum at t = 0 (1 + 7e-16)
+    from revivals.lindblad import STABLE_GROWTH
+
+    ctx = resolve(replace(load_preset(name).config, dim=60, **changes))
+    L = ctx.liouvillian
+    lam = np.concatenate([np.linalg.eigvals(m) for m in L.band_generators()])
+    dt = default_dt(L, ctx.rho0)
+    assert np.abs(_rk4_step(lam, dt)).max() <= 1.0 + STABLE_GROWTH
+    assert np.abs(_rk4_step(lam, dt * (1.0 + 1e-9))).max() > 1.0 + STABLE_GROWTH
+    if changes:
+        return  # the thermal run reads the eigenvalues themselves, as above
+    purity = evolve(ctx).purity
+    assert np.all(np.isfinite(purity)) and purity.max() <= 1.0 + 1e-15
+
+
 # rk4_evolve(amplitude_only=True): an undamped run whose gates hold in closed
 # form propagates band 1 alone
 
@@ -599,7 +626,7 @@ def stepped_bound(L, rho0, full):
     top_limit = float(rho0.matrix[-1, -1].real) + TOP_LEVEL_TOLERANCE
     with one_blas_thread():
         exact, starts = _purity_parts(gens, x0, dt, nsamples)
-        held = _stepped_band0(gens[0], x0[0], dt, full.times, top_limit, starts[0])
+        held = _stepped_band0(gens[0], x0[0], dt, full.times, top_limit, starts, math.inf)
     return bound_per_sample(exact, starts, nsamples), held
 
 
@@ -628,6 +655,8 @@ def test_damped_purity_bound_holds_the_full_runs_purity(run):
         assert 0.5e-6 < 1.0 + TRACE_TOLERANCE - bound[-1] < 1.5e-6
 
 
+#: A run two blocks past the exact prefix, whose every block past it the
+#: stepped band 0 checks against the bound.
 FOUR_BLOCKS = 4 * BLOCK_STEPS
 
 
@@ -636,13 +665,15 @@ FOUR_BLOCKS = 4 * BLOCK_STEPS
     FOUR_BLOCKS + 1, 2 * FOUR_BLOCKS + 77])
 @pytest.mark.parametrize("d", [2, 3, 14, 40])
 def test_chunked_amplitude_blocks_match_per_block_loop(monkeypatch, d, nsamples):
-    # band 0 stepped alone gives the trace, sum(x_0^2) and top level of the
-    # full run's blocks, with their bytes, and each block's largest
-    # sum(x_0^2) replaces band 0's block-start bound. The padded band groups bound the purity as
-    # one band at a time does, up to rounding: band 0 is a group of its own;
-    # dim 2 has band 1 alone and dim 3 one group of bands 1 and 2; at dim 14
-    # the groups stack 9 and 4 padded bands, and at dim 40 bands 1..20 fill
-    # groups of 3, 3, 3, 4, 4 and 5
+    # the one damped certificate's two pieces against their references, on
+    # runs at and either side of block edges: band 0 stepped alone gives the
+    # trace, sum(x_0^2) and top level of the full run's blocks, with their
+    # bytes, and each block's largest sum(x_0^2) replaces band 0's
+    # block-start bound. The padded band groups bound the purity as one band
+    # at a time does (``per_band_bound``), up to rounding: band 0 is a group
+    # of its own; dim 2 has band 1 alone and dim 3 one group of bands 1 and
+    # 2; at dim 14 the groups stack 9 and 4 padded bands, and at dim 40 bands
+    # 1..20 fill groups of 3, 3, 3, 4, 4 and 5
     from revivals import lindblad
     from revivals.lindblad import _band_groups, _purity_parts, _rounding, _stepped_band0
 
@@ -662,7 +693,8 @@ def test_chunked_amplitude_blocks_match_per_block_loop(monkeypatch, d, nsamples)
         assert np.all(np.abs(starts - want_starts)[:, past] <= rounding * want_starts[:, past])
         spy.setattr(lindblad, "_first_failure", lambda times, trace, low, top, top_limit:
                     records.append((trace, low, top.copy())))
-        assert _stepped_band0(gens[0], x0[0], dt, dt * np.arange(nsamples), 1.0, starts[0])
+        assert _stepped_band0(gens[0], x0[0], dt, dt * np.arange(nsamples), 1.0, starts,
+                              math.inf)
         spy.undo()
         want = [(tr, pur, top.copy())
                 for _, _, tr, pur, top, _ in lindblad._dense_blocks(gens, x0, dt, nsamples)]
@@ -680,11 +712,34 @@ def test_chunked_amplitude_blocks_match_per_block_loop(monkeypatch, d, nsamples)
     assert flagged.a_expect.tobytes() == full.a_expect.tobytes()
 
 
+def test_failing_band0_certificate_stops_at_its_first_failing_block(monkeypatch):
+    # fig2b's config at gamma = 0.016: with band 0 stepped, the purity bound
+    # first exceeds its limit at block 2, just past the exact prefix, so band 0
+    # is stepped no further, and the run takes the full path with its bytes
+    from revivals import lindblad
+
+    L, rho0, t_final, dt = preset_run("fig2b", gamma=0.016)
+    firsts, band_blocks = [], lindblad._band_blocks
+
+    def spy(*args):
+        for k0, block in band_blocks(*args):
+            firsts.append(k0)
+            yield k0, block
+
+    with monkeypatch.context() as patched:
+        patched.setattr(lindblad, "_band_blocks", spy)
+        flagged = rk4_evolve(L, rho0, t_final, dt, amplitude_only=True)
+    assert firsts == [0, BLOCK_STEPS, 2 * BLOCK_STEPS]
+    full = rk4_evolve(L, rho0, t_final, dt)
+    assert flagged.purity.size == len(flagged) == len(full)
+    assert flagged.a_expect.tobytes() == full.a_expect.tobytes()
+
+
 @pytest.mark.parametrize("dim", [56, 60])
 def test_damped_amplitude_only_falls_back_to_the_full_runs_error(dim):
-    # the automatic step leaves fig2b's far bands unstable at these dims: the
-    # exact prefix's purity fails, and the full run names the first failing sample
-    L, rho0, t_final, dt = preset_run("fig2b", dim=dim)
+    # the old automatic step leaves fig2b's far bands unstable at these dims:
+    # the exact prefix's purity fails, and the full run names the first failing sample
+    L, rho0, t_final, dt = preset_run("fig2b", dim=dim, dt=UNSTABLE_DT[dim])
     raised = []
     for flag in (False, True):
         with pytest.raises(Exception) as failed:
@@ -734,9 +789,9 @@ def test_undamped_runs_build_no_dense_generators(monkeypatch):
 
 @pytest.mark.parametrize("dim", [60, 70])
 def test_amplitude_only_falls_back_to_the_full_runs_error(dim):
-    # the automatic step leaves fig2a's far bands unstable at these dims: the
-    # closed-form purity fails, and the full run names the first failing sample
-    L, rho0, t_final, dt = preset_run("fig2a", dim=dim)
+    # the old automatic step leaves fig2a's far bands unstable at these dims:
+    # the closed-form purity fails, and the full run names the first failing sample
+    L, rho0, t_final, dt = preset_run("fig2a", dim=dim, dt=UNSTABLE_DT[dim])
     raised = []
     for flag in (False, True):
         with pytest.raises(Exception) as failed:
@@ -804,8 +859,8 @@ def test_damped_amplitude_keeps_the_margin_inside_the_purity_gate(monkeypatch):
     assert verdicts == [False, True]
 
 
-def test_first_tier_keeps_the_margin_inside_the_purity_gate(monkeypatch):
-    # the block-start branch: a dim-3 run whose first block past the prefix
+def test_closed_form_branch_keeps_the_margin_inside_the_purity_gate(monkeypatch):
+    # the closed-form branch: a dim-3 run whose first block past the prefix
     # has a stand-in purity bound near the gate, with its rounding allowance;
     # band 1 is zero, the closed-form gates pass and stepping band 0 is refused
     from revivals import lindblad
@@ -858,7 +913,7 @@ def test_closed_form_gates_keep_the_margin_inside_the_trace_gate():
     assert verdicts == [False, True]
 
 
-def first_tier_case(run):
+def block_start_case(run):
     """A preset's damped run, or a damped dim-6 run from the maximally mixed
     state, whose sum(x_0^2) rises in every block as the vacuum fills."""
     if run != "mixed-d6":
@@ -869,7 +924,7 @@ def first_tier_case(run):
 
 
 @pytest.mark.parametrize("run", ["fig8-n1", "fig8-n10", "fig2b", "fig2d", "mixed-d6"])
-def test_first_tier_bound_holds_the_full_runs_purity(run):
+def test_block_start_bound_holds_the_full_runs_purity(run):
     # the bound from every band's block starts sits at or above the full
     # run's purity record past the prefix, up to the rounding it allows, and
     # on it within that rounding in the prefix; so does the bound with band
@@ -878,7 +933,7 @@ def test_first_tier_bound_holds_the_full_runs_purity(run):
     # purity inside every block
     from revivals.lindblad import _purity_parts, _rounding
 
-    L, rho0, t_final, dt = first_tier_case(run)
+    L, rho0, t_final, dt = block_start_case(run)
     full = rk4_evolve(L, rho0, t_final, dt)
     nsamples, dt = len(full), full.times[1]
     rounding = _rounding(nsamples, L.space.dim)
@@ -900,24 +955,25 @@ def test_first_tier_bound_holds_the_full_runs_purity(run):
     ("fig8-n1", 1), ("fig8-n5", 1), ("fig8-n10", 1), ("fig2b", 1), ("fig2d", 2),
     ("fig1", None)])
 def test_damped_amplitude_only_takes_the_first_tier_that_certifies(monkeypatch, run, branch):
-    # the certificate from block starts (branch 1) steps band 1 alone, so no
-    # band-0 stack of D rows is ever stepped per sample; where it fails, band
-    # 0 is stepped alone (branch 2, ``_stepped_band0``). fig2d's purity
-    # returns toward 1 and needs band 0's exact sum(x_0^2); fig1 steps band
-    # 0 and takes the full path
+    # the one certificate's branches: where band 0's gates hold in closed
+    # form and the block-start bound holds (branch 1), band 1 is stepped
+    # alone, so no band-0 stack of D rows is ever stepped per sample; where
+    # either fails, band 0 is stepped alone (branch 2, ``_stepped_band0``).
+    # fig2d's purity returns toward 1 and needs band 0's exact sum(x_0^2);
+    # fig1 steps band 0 and takes the full path (branch None)
     from revivals import lindblad
 
     name, _, n = run.partition("-n")
     L, rho0, t_final, dt = preset_run(name, **({"state_n": int(n)} if n else {}))
     d = L.space.dim
     rows, stepped = [], []
-    band_states, stepped_band0 = lindblad._band_states, lindblad._stepped_band0
+    band_blocks, stepped_band0 = lindblad._band_blocks, lindblad._stepped_band0
 
-    def spy(steps, x0, nblocks, buffers):
-        rows.append(buffers.shape[1])
-        return band_states(steps, x0, nblocks, buffers)
+    def spy(m, x, dt, nsamples):
+        rows.append(len(x))
+        return band_blocks(m, x, dt, nsamples)
 
-    monkeypatch.setattr(lindblad, "_band_states", spy)
+    monkeypatch.setattr(lindblad, "_band_blocks", spy)
     monkeypatch.setattr(lindblad, "_stepped_band0",
                         lambda *args: stepped.append(1) or stepped_band0(*args))
     set_cpus(monkeypatch, 1)
@@ -1120,8 +1176,8 @@ def test_band_child_ignores_overflow(monkeypatch, forks, cpus):
 @needs_fork
 def test_failed_damped_run_reaps_its_band_child(monkeypatch, forks):
     set_cpus(monkeypatch, 4)
-    # fig2b at dim 60 fails in the first block
-    ctx = resolve(replace(load_preset("fig2b").config, dim=60))
+    # fig2b at dim 60, on the old automatic step, fails in the first block
+    ctx = resolve(replace(load_preset("fig2b").config, dim=60, dt=UNSTABLE_DT[60]))
     with pytest.raises(StabilityError) as failed:
         evolve(ctx)
     assert str(failed.value) == ("purity 1.0000409021160646 outside (0, 1] at "

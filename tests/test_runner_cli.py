@@ -15,7 +15,7 @@ from revivals.lindblad import Trajectory, _band_split
 from revivals.runner import (CSV_CHUNK_ROWS, CSV_HEADER, SWEEP_HEADER, run_experiment,
                              run_sweep, write_csv)
 
-from conftest import (ALPHA, OMEGA0, children_exit_at_once, needs_fork,
+from conftest import (ALPHA, OMEGA0, UNSTABLE_DT, children_exit_at_once, needs_fork,
                       no_child_left, refuse_certificates, set_cpus)
 
 
@@ -51,6 +51,21 @@ def test_run_manifest_times_each_stage(tmp_path):
     # csv_s is the CSV's part of write_s, which adds the plot script
     assert timing["csv_s"] <= timing["write_s"]
     assert sum(timing.values()) - timing["csv_s"] <= manifest["wall_time_s"]
+    # how close the run came to the trace and purity gates, from its records
+    traj, fidelity = result.trajectory, manifest["fidelity"]
+    assert fidelity["trace_drift"] == float(np.abs(traj.trace - 1.0).max())
+    assert (fidelity["purity_min"], fidelity["purity_max"]) == (traj.purity.min(), traj.purity.max())
+    assert 0.0 < fidelity["purity_min"] <= fidelity["purity_max"] <= 1.0 + 1e-6
+
+
+def test_run_manifest_reports_the_undamped_purity_drift(tmp_path):
+    # fig3b is undamped, so its purity should stay 1; RK4's phase error on its
+    # far bands lets it drift to 0.9906, and the manifest shows it
+    result = run_experiment(load_preset("fig3b").config, name="fig3b", out_dir=tmp_path)
+    fidelity = json.loads(result.manifest_path.read_text())["fidelity"]
+    assert fidelity["purity_min"] == pytest.approx(0.9906, abs=5e-5)
+    assert 1.0 - 1e-15 <= fidelity["purity_max"] <= 1.0 + 1e-15
+    assert fidelity["trace_drift"] <= 1e-14
 
 
 @pytest.mark.parametrize("name,low,high", [
@@ -581,8 +596,8 @@ def _fig2b_dim60():
     from dataclasses import replace
     from revivals.config import load_preset
 
-    # the automatic step is unstable on the far bands of rho at dim >= 56
-    return replace(load_preset("fig2b").config, dim=60)
+    # the old automatic step is unstable on the far bands of rho at dim >= 56
+    return replace(load_preset("fig2b").config, dim=60, dt=UNSTABLE_DT[60])
 
 
 def test_unstable_run_raises_and_writes_no_csv(tmp_path):
