@@ -2,27 +2,35 @@
 
 ``format_rows`` makes the text of a chunk of rows with NumPy arithmetic
 rather than one Python format call per value. A value x with
-1e-6 <= |x| < 1e17 is written from its 17 significant digits, the integer
+1e-22 <= |x| < 1e17 is written from its 17 significant digits, the integer
 N = |x| * 10**(16 - e) rounded half-even, where e is x's decimal exponent:
 
 - e is guessed as floor(log10|x|) and corrected by one where the guess is
-  off (log10 rounds up next to a power of ten), by an exact test of the
-  scaled value against 1e16 and 1e17;
-- 10**k is exact in float64 for 0 <= k <= 22, so |x| * 10**k is formed
-  exactly as hi + lo (Dekker's product); hi is an even integer there, so
-  rounding hi + lo half-even is rounding lo half-even, and no x rounds up
-  to 10**17;
+  off (log10 rounds up next to a power of ten), by a test of the scaled
+  value against 1e16 and 1e17;
+- 10**k is exact in float64 for 0 <= k <= 22, so for e >= -6 |x| * 10**k
+  is formed exactly as hi + lo (Dekker's product); hi is an even integer
+  there, so rounding hi + lo half-even is rounding lo half-even;
+- below 1e-6 (k > 22) |x| * 10**(k - 22) is formed exactly as hi + lo, and
+  each of the two times 10**22 exactly again; the four terms, summed into
+  hi + lo, are the scaled value up to 2**-47, so N is exact unless lo lies
+  within 2**-40 of a half-integer; no scaled float lies that close to 1e16
+  or 1e17 (the closest, the float nearest 1e-14, lies 0.012 from 1e16), so
+  the test against them is exact too;
+- no x rounds up to 10**17 but the float nearest 1e-14, which scales to
+  1e17 - 0.12 at e = -15;
 - N's digits come from multiply-shift splits of two 8-digit words, one
   byte per digit; trailing zeros (and a point with no fraction after it)
   become NUL, and each value's field is laid out by its exponent: fixed
-  notation for -4 <= e < 17, ``d.ddde-0X`` below that. Rows of one
+  notation for -4 <= e < 17, ``d.ddde-XX`` below that. Rows of one
   exponent share a layout, so the fields are built in exponent order, in
   slices, then put back in row order;
 - the NUL padding is removed in one ``bytes.translate``.
 
-Every other value (±0, |x| < 1e-6, |x| >= 1e17, inf and nan, or a scaled
-value still outside [1e16, 1e17) after the correction) keeps Python's
-``%.17g``, applied to the finished text, whose only ``%`` are those values'.
+Every other value (±0, |x| < 1e-22, |x| >= 1e17, inf and nan, a scaled
+value still outside [1e16, 1e17) after the correction, a near-tie below
+1e-6 and a carry to 10**17) keeps Python's ``%.17g``, applied to the
+finished text, whose only ``%`` are those values'.
 """
 
 from __future__ import annotations
@@ -31,8 +39,8 @@ import numpy as np
 
 #: Bytes of one value's field: sign, at most 22 of text, separator.
 _FIELD = 24
-#: Exponents written from exact digits: 10**(16 - e) is then exact.
-_E_MIN, _E_MAX = -6, 16
+#: Exponents written from exact digits: 10**(16 - e) is exact down to e = -6.
+_E_MIN, _E_MAX = -22, 16
 #: Layout classes: one per exponent in [_E_MIN, _E_MAX], then the fallback.
 _FALLBACK = _E_MAX - _E_MIN + 1
 
@@ -69,20 +77,37 @@ def _template(c: int) -> tuple[np.ndarray, list[tuple[int, int, int]], int | Non
         head = b"0." + b"0" * (-e - 1)
         row[1:1 + len(head)] = np.frombuffer(head, np.uint8)
         return row, [(1 + len(head), 7, 17)], None
-    row[19:23] = np.frombuffer(b"e-%02d" % -e, np.uint8)  # d.ddde-0X
+    row[19:23] = np.frombuffer(b"e-%02d" % -e, np.uint8)  # d.ddde-XX
     return row, [(1, 7, 1), (3, 8, 16)], 2
 
 
 _TEMPLATES = [_template(c) for c in range(_FALLBACK + 1)]
 
 
-def _scaled(a, e):
-    """|x| * 10**(16 - e) as hi + lo exactly, and whether it lies in [1e16, 1e17)."""
-    k = 16 - e
+def _product(a, k):
+    """a * 10**k as hi + lo exactly (Dekker's product), for 0 <= k <= 22."""
     hi = a * _POW10[k]
     a_hi, a_lo = _split(a)
     p_hi, p_lo = _POW10_HI[k], _POW10_LO[k]
-    lo = ((a_hi * p_hi - hi) + a_hi * p_lo + a_lo * p_hi) + a_lo * p_lo
+    return hi, ((a_hi * p_hi - hi) + a_hi * p_lo + a_lo * p_hi) + a_lo * p_lo
+
+
+def _scaled(a, e):
+    """|x| * 10**(16 - e) as hi + lo, and whether it lies in [1e16, 1e17).
+
+    Exact for e >= -6. Below, only those rows are scaled by 10**22 once
+    more: the four exact terms summed give hi + lo up to 2**-47.
+    """
+    k = 16 - e
+    deep = np.flatnonzero(k > 22)
+    k[deep] -= 22
+    hi, lo = _product(a, k)
+    if deep.size:
+        h1, l1 = _product(hi[deep], 22)
+        h2, l2 = _product(lo[deep], 22)
+        rest = (l1 + h2) + l2
+        hi[deep] = h1 + rest
+        lo[deep] = (h1 - hi[deep]) + rest
     inside = (((hi > 1e16) | ((hi == 1e16) & (lo >= 0)))
               & ((hi < 1e17) | ((hi == 1e17) & (lo < 0))))
     return hi, lo, inside
@@ -120,7 +145,7 @@ def _digits(n, e):
     top = (np.frexp(tail.astype(np.float64))[1] - 1) >> 3
     top_mid, top_low = top[:len(n)], top[len(n):]
     significant = np.where(top_low >= 0, 10 + top_low, 2 + top_mid)
-    # digits before the point: e + 1 in fixed notation, 1 in d.ddde-0X
+    # digits before the point: e + 1 in fixed notation, 1 in d.ddde-XX
     before = np.maximum(e + 1, 1)
     keep = np.maximum(significant, before)
     tail |= _ZEROS
@@ -148,7 +173,7 @@ def _decimal(x):
     """
     a = np.abs(x)
     with np.errstate(invalid="ignore"):  # nan compares false
-        exact = (a >= 1e-6) & (a < 1e17)
+        exact = (a >= 1e-22) & (a < 1e17)
     a = np.where(exact, a, 1.0)
     e = np.clip(np.floor(np.log10(a)), _E_MIN, _E_MAX).astype(np.int64)
     hi, lo, inside = _scaled(a, e)
@@ -159,9 +184,12 @@ def _decimal(x):
         e[off] = np.clip(e[off], _E_MIN, _E_MAX)
         hi[off], lo[off], again = _scaled(a[off], e[off])
         exact[off] &= fits & again
-    # no carry to 10**17: below each power of ten 10**j with -5 <= j <= 17,
-    # the nearest float scales to 10**17 - 8.3 or less
+    # below each power of ten 10**j with -21 <= j <= 17 the nearest float
+    # scales to 10**17 - 2 or less, but below 1e-14, to 10**17 - 0.12: a carry
     n = hi.astype(np.int64) + np.rint(lo).astype(np.int64)
+    exact &= n < 10 ** 17
+    deep = np.flatnonzero(e < -6)  # where hi + lo is the scaled value up to 2**-47
+    exact[deep] &= np.abs(lo[deep] - np.floor(lo[deep]) - 0.5) >= 2.0 ** -40
     return n, np.where(exact, e - _E_MIN, _FALLBACK).astype(np.int8)
 
 

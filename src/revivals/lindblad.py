@@ -22,47 +22,43 @@ RK4 loop, up to rounding; only the order of the floating-point operations
 differs. The final state's upper triangle is the conjugate of its lower
 bands, so it is Hermitian by construction.
 
+Every damped path draws its blocks from one block stepper, ``_band_blocks``,
+given each band's squares R_q, R_q^2, ..., R_q^BLOCK_STEPS (``_squares``):
+the full run's bands in the calling process and the band child, the purity
+bound's band groups, band 0 stepped alone and band 1's <a>. The full
+(dense) path splits the bands between two processes: one forked band child
+propagates the largest complex bands, 1..k-1, and pipes back <a> and its
+part of the purity sum per block, while the calling process propagates
+band 0 and bands k..D-1, continues that sum and checks the gates. Small
+BLAS products on threads of one process contend for the GIL, so the child
+is a process. A run of one block, or one where ``fanout.fork_slices()``
+allows a single process, draws the child's records in the calling process.
+Every product runs on one OpenBLAS thread, and the child's sum is continued
+in the order of one sum over all rows, so the bytes do not depend on the
+split or on the fork. The module starts no threads.
+
 <a> reads band 1 alone. So an amplitude-only run (``amplitude_only=True``,
-the nonlinearity scan's and every sweep point's) of an undamped model
-propagates band 1 only, once ``_certified`` has shown in closed form that
-no sample can fail a gate: the step factor of band 0 is exactly 1, so the
-trace and the top level stay put, and the purity is convex in time, so it
-peaks at an end. Band 1 runs through the same table, block starts and
-products as in the full loop, so <a> has the same bytes.
-
-A damped amplitude-only run is certified before band 1 is stepped, with one
-purity bound from block starts (``_purity_parts``): each band enters
-through its exact sum over the first PREFIX_BLOCKS blocks, where the state
-may still be pure, and past them through a bound from its block starts and
-the norms of R_q's powers. Band 0 runs as one group and bands 1..D-1 in
-groups of consecutive bands of up to GROUP_ROWS stacked rows, each M_q
-zero-padded to its group's largest, and each group is one stacked band of
-the dense path's own block stepper, ``_band_states`` (``_group_bound``).
-Where the trace, top-level and purity-low gates hold in closed form, read
-from band 0's start and the column sums and norms of the powers of R_0
-(``_closed_form_gates``), and the bound holds, no other band is stepped.
-Otherwise band 0 is stepped alone through ``_band_states`` too, its gates
-are checked as the full run checks them, and its exact sum(x_0^2) takes
-the place of its block-start part, up to the first block that fails
-(``_stepped_band0``). A sample whose bound stays CERTIFICATE_MARGIN and the
-rounding allowance (``_rounding``) inside 1 + TRACE_TOLERANCE cannot fail
-the purity gate. A certified run then steps band 1 through the same
-products and reads <a> block by block with the full run's bytes. Any other
-run (a failing gate or bound, a value that is not finite) takes the full
-loop, which raises what it raises without the flag.
-
-The damped (dense) path splits the bands between two processes: one
-forked band child propagates the largest complex bands, 1..k-1, and
-sends <a> and its part of the purity sum per block through a pipe; the
-calling process propagates band 0 and bands k..D-1, continues the purity
-sum and checks the gates. Small BLAS products on threads of one process
-contend for the GIL, so the band child is a process, and it works ahead
-of the caller while the pipe holds its blocks. A run of one block, or
-one where ``fanout.fork_slices()`` allows a single process, draws the
-child's records from the same generator in the calling process. Every
-product runs on one OpenBLAS thread, and the child's part of the purity
-sum is continued in the order of one sum over all rows, so the bytes do
-not depend on the split or on the fork. The module starts no threads.
+the nonlinearity scan's and every sweep point's) propagates band 1 only,
+with the full loop's products and so its bytes, once a certificate shows
+that no sample can fail a gate; ``Trajectory.certificate`` names the branch
+and the narrowest gap to each gate. Undamped (``_certified``), band 0's
+step factor is exactly 1, so the trace and the top level stay put, and the
+purity is convex in time, so it peaks at an end. Damped, band 0's squares
+are built once, and one purity bound from block starts (``_purity_parts``)
+comes first: each band enters through its exact sum over the first
+PREFIX_BLOCKS blocks, where the state may still be pure, and past them
+through its block starts and the norms of R_q's powers. Band 0 is one
+group, bands 1..D-1 stack into zero-padded groups of up to GROUP_ROWS rows,
+and each group is one stacked band of the stepper (``_group_bound``). Where
+the other gates hold in closed form from band 0's squares
+(``_closed_form_gates``) and the bound holds, band 1 is stepped alone;
+otherwise band 0 is stepped alone, its gates checked as the full run checks
+them and its exact sum(x_0^2) in place of its block-start part, up to the
+first block that fails (``_stepped_band0``). A bound kept CERTIFICATE_MARGIN
+and the rounding allowance (``_rounding``) inside 1 + TRACE_TOLERANCE
+cannot fail the purity gate. Any other run (a failing gate or bound, a
+value that is not finite) takes the full loop, which raises what it raises
+without the flag.
 
 This module holds the propagator only; the fork helper, and the BLAS
 thread count, live in ``fanout``. The dense superoperator that
@@ -234,7 +230,9 @@ class Trajectory:
     """Observable time series plus the state at the last sample.
 
     An amplitude-only run (``rk4_evolve(amplitude_only=True)``) that took
-    the band-1 path leaves n_expect, trace, purity and final empty.
+    the band-1 path leaves n_expect, trace, purity and final empty; its
+    certificate names the branch that certified it and the narrowest gap to
+    each gate (``branch``, ``purity_gap``, ``trace_gap``, ``top_gap``).
     """
 
     times: np.ndarray
@@ -243,6 +241,7 @@ class Trajectory:
     trace: np.ndarray
     purity: np.ndarray
     final: np.ndarray
+    certificate: dict | None = None
     # always empty; the benchmark's tracer still reads len(states)
     states: list[tuple[float, np.ndarray]] = field(default_factory=list)
 
@@ -315,14 +314,14 @@ def _first_failure(times: np.ndarray, trace: np.ndarray, purity: np.ndarray,
                           f"t={times[i]:.6g}; reduce dt")
 
 
-# Both block generators below yield pieces of consecutive samples: the dense
-# one a block of up to BLOCK_STEPS samples, the diagonal one a chunk of up to
-# CHUNK_BLOCKS full blocks, or a run's last partial block alone. Each piece is
-# the arrays <a>, <n>, trace, purity and top-level population, and last(): the
-# bands (band 0, bands 1..D-1 stacked) of the piece's last sample, formed only
-# when called (in every block, that cost the undamped scan 4-9%) and valid
-# until the next piece is drawn. The dense generator's last() works in a
-# run's last block only, the one that reads the band child's last column.
+# Both full-run generators below yield pieces of consecutive samples: the
+# dense one a block of up to BLOCK_STEPS samples, the diagonal one a chunk of
+# up to CHUNK_BLOCKS full blocks, or a run's last partial block alone. Each
+# piece is the arrays <a>, <n>, trace, purity and top-level population, and
+# last(): the bands (band 0, bands 1..D-1 stacked) of the piece's last
+# sample, formed only when called (in every block, that cost the undamped
+# scan 4-9%) and valid until the next piece is drawn; the dense one's works
+# in a run's last block only, the one that reads the band child's last column.
 
 
 def _band_split(d: int) -> int:
@@ -346,27 +345,26 @@ def _squares(p: np.ndarray):
 
 
 def _powers(gens: list[np.ndarray], dt: float):
-    """``_squares`` of each generator's RK4 step in turn, for ``_band_states``."""
+    """``_squares`` of each generator's RK4 step, made as ``_band_blocks`` draws it."""
     return (_squares(_rk4_step(m, dt)) for m in gens)
 
 
-def _ring(x0: list[np.ndarray], dtype: type) -> np.ndarray:
-    """Two blocks of BLOCK_STEPS samples of the bands x0 stacked row-wise,
-    for ``_band_states``."""
-    return np.empty((2, sum(len(x) for x in x0), BLOCK_STEPS), dtype=dtype)
-
-
-def _band_states(steps, x0: list[np.ndarray], nblocks: int, buffers: np.ndarray):
-    """Blocks of BLOCK_STEPS samples of some bands, stacked row-wise, block i
-    written into buffers[i % len(buffers)] (``_ring``).
+def _band_blocks(steps, x0: list[np.ndarray], nsamples: int, buffers: np.ndarray | None = None):
+    """(first sample, block[..., :count]) per block of up to BLOCK_STEPS of
+    nsamples samples of the bands x0 stacked row-wise: every damped path's
+    block stepper.
 
     steps gives, per band, its step R_q and the squares of it up to R_q^B
     (``_squares``). The first block comes by doubling: columns [w, 2w) are
     R_q^w applied to [0, w). Each later block is R_q^B times the one before,
-    so a yielded block is valid until len(buffers) - 1 more are drawn. A
-    band may be a stack of padded bands with stacked steps (``_group_bound``).
+    written into buffers[i % len(buffers)] (by default two blocks), so a
+    block is valid until len(buffers) - 1 more are drawn. A band may be a
+    stack of padded bands with stacked steps (``_group_bound``).
     """
     nb = BLOCK_STEPS
+    if buffers is None:
+        dtype = np.result_type(*x0) if x0 else complex  # no far bands at small D
+        buffers = np.empty((2, sum(len(x) for x in x0), nb), dtype=dtype)
     rows = np.cumsum([0] + [len(x) for x in x0])
     bands = [[b[lo:hi] for lo, hi in zip(rows[:-1], rows[1:])] for b in buffers]
     powers = []
@@ -378,12 +376,12 @@ def _band_states(steps, x0: list[np.ndarray], nblocks: int, buffers: np.ndarray)
                 np.matmul(p, x[..., :width], out=x[..., width:2 * width])
             width *= 2
         powers.append(p)  # R^B
-    yield buffers[0]
     ring = len(buffers)
-    for i in range(1, nblocks):
-        for p, x, y in zip(powers, bands[(i - 1) % ring], bands[i % ring]):
-            np.matmul(p, x, out=y)
-        yield buffers[i % ring]
+    for i, k0 in enumerate(range(0, nsamples, nb)):
+        if i > 0:
+            for p, x, y in zip(powers, bands[(i - 1) % ring], bands[i % ring]):
+                np.matmul(p, x, out=y)
+        yield k0, buffers[i % ring][..., :min(nb, nsamples - k0)]
 
 
 def _band_child(gens: list[np.ndarray], x0: list[np.ndarray], dt: float, nsamples: int):
@@ -394,37 +392,31 @@ def _band_child(gens: list[np.ndarray], x0: list[np.ndarray], dt: float, nsample
     After the last block: the last column of these bands.
     """
     d = len(x0[0]) + 1  # band 1 has D - 1 entries
-    nb = BLOCK_STEPS
     sqrt_n = np.sqrt(np.arange(1.0, d))
-    states = _band_states(_powers(gens, dt), x0, -(-nsamples // nb), _ring(x0, complex))
-    for k0, off in zip(range(0, nsamples, nb), states):
-        count = min(nb, nsamples - k0)
-        v = off[:, :count].view(np.float64)
-        yield (sqrt_n @ off[:d - 1, :count]).tobytes() + np.einsum("ij,ij->j", v, v).tobytes()
-    yield off[:, count - 1].tobytes()
+    for _, off in _band_blocks(_powers(gens, dt), x0, nsamples):
+        v = off.view(np.float64)
+        yield (sqrt_n @ off[:d - 1]).tobytes() + np.einsum("ij,ij->j", v, v).tobytes()
+    yield off[:, -1].tobytes()
 
 
 def _dense_blocks(gens: list[np.ndarray], x0: list[np.ndarray], dt: float, nsamples: int):
-    """Blocks as matrix products of the band states with powers of R_q.
-
-    The band child (``_band_child``) propagates bands 1..k-1 (``_band_split``);
-    the caller propagates band 0 and bands k..D-1 and reads the child's
-    record of each block. Where ``fanout.fork_slices()`` allows more than one
-    process and the run has more than one block, the child runs in a forked
-    process (``fanout.fork_slice``) and works ahead while the pipe holds its
-    records; otherwise the caller draws them from the same generator. The
+    """The full damped run's blocks, from the band child's records
+    (``_band_child``, bands 1..k-1, ``_band_split``) and the caller's band 0
+    and bands k..D-1. The child runs in a forked process
+    (``fanout.fork_slice``), working ahead while the pipe holds its records,
+    where ``fanout.fork_slices()`` allows more than one process and the run
+    has more than one block; otherwise the caller draws them itself. The
     caller continues the child's purity sums row by row over its own rows,
     as the einsum over all rows adds them, so the bytes do not depend on k
     or on the fork.
     """
     d = len(gens)
     nb = BLOCK_STEPS
-    nblocks = -(-nsamples // nb)
     k = _band_split(d)
     split = sum(len(x) for x in x0[1:k])  # rows of bands 1..k-1
     child = _band_child(gens[1:k], x0[1:k], dt, nsamples)
-    pops = _band_states(_powers(gens[:1], dt), x0[:1], nblocks, _ring(x0[:1], float))
-    owns = _band_states(_powers(gens[k:], dt), x0[k:], nblocks, _ring(x0[k:], complex))
+    pops = _band_blocks(_powers(gens[:1], dt), x0[:1], nsamples)
+    owns = _band_blocks(_powers(gens[k:], dt), x0[k:], nsamples)
     levels = np.arange(float(d))
     # row 0 takes the child's sums, the others the squares of own rows
     squares = np.empty((1 + sum(len(x) for x in x0[k:]), 2 * nb))
@@ -435,7 +427,7 @@ def _dense_blocks(gens: list[np.ndarray], x0: list[np.ndarray], dt: float, nsamp
         return pop[:, -1], np.concatenate([tail, own[:, -1]])
 
     with contextlib.ExitStack() as stack:
-        if nblocks > 1 and fork_slices() > 1:
+        if nsamples > nb and fork_slices() > 1:
             children = stack.enter_context(forked_children(what))
             children.append(fork_slice(lambda: child))
             recv = children[0][1].read
@@ -448,10 +440,10 @@ def _dense_blocks(gens: list[np.ndarray], x0: list[np.ndarray], dt: float, nsamp
                 raise OSError(f"{what} sent {len(data)} of {n} bytes")
             return data
 
-        for k0, pop, own in zip(range(0, nsamples, nb), pops, owns):
-            count = min(nb, nsamples - k0)
+        for (k0, pop), (_, own) in zip(pops, owns):
+            count = pop.shape[1]
             record = exactly(32 * count)
-            pop, own, sq = pop[:, :count], own[:, :count], squares[:, :2 * count]
+            sq = squares[:, :2 * count]
             sq[0] = np.frombuffer(record, np.float64, offset=16 * count)
             np.square(own.view(np.float64), out=sq[1:])
             sq = np.add.reduce(sq, axis=0)
@@ -564,8 +556,10 @@ def _rounding(nsamples: int, d: int) -> float:
 
 
 def _certified(x: np.ndarray, r: np.ndarray, d: int, nsamples: int,
-               top_limit: float) -> bool:
-    """True when no sample of an undamped run can fail a gate, read in closed form.
+               top_limit: float) -> dict | None:
+    """The certificate of an undamped run whose every sample is shown in
+    closed form to pass every gate (branch "closed_form"), with the gaps to
+    the purity, trace and top-level gates; None where that cannot be shown.
 
     x and r are the stacked bands and step factors of ``_diagonal_blocks``.
     Band 0's factor must be exactly 1.0, so x_0 never changes: the trace
@@ -577,31 +571,35 @@ def _certified(x: np.ndarray, r: np.ndarray, d: int, nsamples: int,
     the block loop makes (``_rounding``). A check that is not finite fails.
     """
     if not (np.all(np.isfinite(x)) and np.all(np.isfinite(r)) and np.all(r[:d] == 1.0)):
-        return False
+        return None
     pop = x[:d].real
     w = np.full(len(x), 2.0)
     w[:d] = 1.0
     mass = w * (x.real ** 2 + x.imag ** 2)
     ends = max(mass.sum(), np.dot(mass, (r.real ** 2 + r.imag ** 2) ** (nsamples - 1)))
-    return bool(abs(pop.sum() - 1.0) <= TRACE_TOLERANCE - CERTIFICATE_MARGIN
-                and pop[-1] <= top_limit - CERTIFICATE_MARGIN
-                and np.dot(pop, pop) > 0.0
-                and ends * (1.0 + _rounding(nsamples, d))
-                <= 1.0 + TRACE_TOLERANCE - CERTIFICATE_MARGIN)
+    drift, purity = abs(pop.sum() - 1.0), ends * (1.0 + _rounding(nsamples, d))
+    if not (drift <= TRACE_TOLERANCE - CERTIFICATE_MARGIN
+            and pop[-1] <= top_limit - CERTIFICATE_MARGIN
+            and np.dot(pop, pop) > 0.0
+            and purity <= 1.0 + TRACE_TOLERANCE - CERTIFICATE_MARGIN):
+        return None
+    return {"branch": "closed_form", "purity_gap": float(1.0 + TRACE_TOLERANCE - purity),
+            "trace_gap": float(TRACE_TOLERANCE - drift), "top_gap": float(top_limit - pop[-1])}
 
 
 def _band1_amplitude(diags: list[np.ndarray], x0: list[np.ndarray], dt: float,
-                     top_limit: float, out: np.ndarray) -> bool:
-    """<a> of an undamped run into out, from band 1 alone; False, with out
-    unspecified, where ``_certified`` fails or <a> is not finite.
+                     top_limit: float, out: np.ndarray) -> dict | None:
+    """<a> of an undamped run into out, from band 1 alone, and its certificate;
+    None, with out unspecified, where ``_certified`` fails or <a> is not finite.
 
     The operations on band 1 are those of ``_diagonal_blocks``, so the bytes
     are too: the bands never mix, and <a> reads band 1 only.
     """
     d = len(diags)
     x, r = _stacked(diags, x0, dt)
-    if not _certified(x, r, d, len(out), top_limit):
-        return False
+    cert = _certified(x, r, d, len(out), top_limit)
+    if cert is None:
+        return None
     x1, r1 = x[d:2 * d - 1], r[d:2 * d - 1]
     sqrt_n = np.sqrt(np.arange(1.0, d))
     table, p = _power_table(r1)
@@ -610,7 +608,7 @@ def _band1_amplitude(diags: list[np.ndarray], x0: list[np.ndarray], dt: float,
         k1 = k0 + len(starts) * count
         _rows(sqrt_n * starts, table[:, :count], out[k0:k1])
         k0 = k1
-    return bool(np.all(np.isfinite(out)))
+    return cert if np.all(np.isfinite(out)) else None
 
 
 def _abs2(x: np.ndarray) -> np.ndarray:
@@ -635,31 +633,22 @@ def _band_groups(d: int) -> list[slice]:
     return groups
 
 
-def _group_bound(gens: list[np.ndarray], x0: list[np.ndarray], dt: float,
-                 exact: np.ndarray, starts: np.ndarray, weight: float) -> None:
+def _group_bound(squares, x: np.ndarray, exact: np.ndarray, starts: np.ndarray,
+                 weight: float) -> None:
     """Add one group's part of the purity bound (``_purity_parts``): weight
     sum |x_q|^2 over the exact prefix's samples to exact, (prefix blocks,
     BLOCK_STEPS), and weight sum g_q |y_q(i)|^2 to starts, per block i.
 
-    The bands, zero-padded to the first, largest, one, are one stacked band
-    of ``_band_states`` with steps blockdiag(R_q, 0), whose powers are zero
-    on the padding, exactly. Its first blocks are the prefix; as they draw
-    R, ..., R^B, g_q takes max(1, ||p||_1 ||p||_inf) of each power p but R^B.
-    The block starts are the samples of a run whose step is R^B, in the same
-    two blocks. A group of real bands (band 0's) runs in real arithmetic.
+    x stacks the group's bands, zero-padded to the first, largest, one, and
+    squares are those of their stacked steps blockdiag(R_q, 0) (``_squares``),
+    whose powers are zero on the padding, exactly: one stacked band of
+    ``_band_blocks``. Its first blocks are the prefix; as they draw R, ...,
+    R^B, g_q takes max(1, ||p||_1 ||p||_inf) of each power p but R^B. The
+    block starts are the samples of a run whose step is R^B, in the same two
+    blocks. A group of real bands (band 0's) runs in real arithmetic.
     """
     nb = BLOCK_STEPS
-    nexact, nblocks = len(exact), len(starts)
-    dtype = np.result_type(*gens, *x0)
-    x = np.zeros((len(x0), len(x0[0])), dtype=dtype)
-    m = np.zeros((*x.shape, len(x0[0])), dtype=dtype)
-    for b, (mq, xq) in enumerate(zip(gens, x0)):
-        m[b, :len(xq), :len(xq)] = mq
-        x[b, :len(xq)] = xq
-    step = _rk4_step(m, dt)
-    for b, xq in enumerate(x0):
-        step[b, len(xq):, len(xq):] = 0.0
-    g, kept = np.ones(len(x0)), []
+    g, kept = np.ones(len(x)), []
 
     def noted(squares):
         for k, p in enumerate(squares, 1):
@@ -669,26 +658,25 @@ def _group_bound(gens: list[np.ndarray], x0: list[np.ndarray], dt: float,
             yield p
         kept.append(p)
 
-    buffers = np.empty((2, *x.shape, nb), dtype=dtype)  # two blocks, as ``_ring``
-    for i, block in enumerate(_band_states([noted(_squares(step))], [x], nexact, buffers)):
+    buffers = np.empty((2, *x.shape, nb), dtype=x.dtype)
+    for i, (_, block) in enumerate(_band_blocks([noted(squares)], [x], len(exact) * nb, buffers)):
         exact[i] += weight * _abs2(block).sum(axis=0)
-    if nblocks <= nexact:
-        return
-    ys = _band_states([_squares(kept[0])], [x], -(-nblocks // nb), buffers)
-    for i, y in zip(range(0, nblocks, nb), ys):
-        starts[i:i + nb] += weight * (g @ _abs2(y[..., :min(nb, nblocks - i)]))
+    if len(starts) > len(exact):
+        for i, y in _band_blocks([_squares(kept[0])], [x], len(starts), buffers):
+            starts[i:i + y.shape[-1]] += weight * (g @ _abs2(y))
 
 
-def _purity_parts(gens: list[np.ndarray], x0: list[np.ndarray], dt: float,
-                  nsamples: int) -> tuple[np.ndarray, np.ndarray]:
+def _purity_parts(band0: list[np.ndarray], gens: list[np.ndarray], x0: list[np.ndarray],
+                  dt: float, nsamples: int) -> tuple[np.ndarray, np.ndarray]:
     """The parts of a damped run's purity bound that band 0 (index 0) and
     bands 1..D-1 (index 1) give, each from block starts past an exact prefix.
 
     exact[p] is the part's exact sum over the first PREFIX_BLOCKS blocks,
     (prefix blocks, BLOCK_STEPS), and starts[p][i] its bound over block i,
     sum w_q g_q |y_q(i)|^2 with w_0 = 1 and w_q = 2 for q >= 1 (band q also
-    stands for band -q). Band 0 and the groups of ``_band_groups`` run
-    through ``_group_bound``.
+    stands for band -q). Band 0, whose step R_0 and its squares band0 gives
+    (``_squares``), and the groups of ``_band_groups`` run through
+    ``_group_bound``.
 
     The purity is sum_q w_q |x_q|^2. Past the prefix, band q enters through
     its block start y_q(i) = (R_q^B)^i x_q alone. Sample s of block i is
@@ -701,17 +689,27 @@ def _purity_parts(gens: list[np.ndarray], x0: list[np.ndarray], dt: float,
     nblocks = -(-nsamples // BLOCK_STEPS)
     exact = np.zeros((2, min(nblocks, PREFIX_BLOCKS), BLOCK_STEPS))
     starts = np.zeros((2, nblocks))
-    for i, group in enumerate(_band_groups(len(gens))):
-        part = min(i, 1)
-        _group_bound(gens[group], x0[group], dt, exact[part], starts[part], 1.0 + part)
+    _group_bound((p[None] for p in band0), x0[0][None], exact[0], starts[0], 1.0)
+    for group in _band_groups(len(gens))[1:]:
+        bands = x0[group]
+        x = np.zeros((len(bands), len(bands[0])), dtype=np.result_type(*gens[group], *bands))
+        m = np.zeros((*x.shape, x.shape[1]), dtype=x.dtype)
+        for b, (mq, xq) in enumerate(zip(gens[group], bands)):
+            m[b, :len(xq), :len(xq)] = mq
+            x[b, :len(xq)] = xq
+        step = _rk4_step(m, dt)
+        for b, xq in enumerate(bands):
+            step[b, len(xq):, len(xq):] = 0.0
+        _group_bound(_squares(step), x, exact[1], starts[1], 2.0)
     return exact, starts
 
 
 def _closed_form_gates(squares: list[np.ndarray], x: np.ndarray, nsamples: int,
-                       top_limit: float) -> bool:
-    """True when no sample of a damped run can fail the trace, top-level or
-    purity-low gate, read from band 0's start x and the squares R_0, R_0^2,
-    ..., R_0^B that its block loop multiplies by (``_squares``).
+                       top_limit: float) -> tuple[float, float] | None:
+    """The gaps (trace, top level) to their gates that no sample of a damped
+    run can close, read from band 0's start x and the squares R_0, R_0^2,
+    ..., R_0^B that its block loop multiplies by (``_squares``); None where
+    the trace, top-level or purity-low gate cannot be shown to hold so.
 
     Sample s of band 0 is x times at most BLOCK_STEPS.bit_length() - 1 of
     the powers below R_0^B and nblocks - 1 of R_0^B. Each product moves the
@@ -732,7 +730,7 @@ def _closed_form_gates(squares: list[np.ndarray], x: np.ndarray, nsamples: int,
     nblocks = -(-nsamples // nb)
     if not (np.all(np.isfinite(x)) and all(np.all(np.isfinite(p)) for p in squares)
             and all(np.all(p[-1, :-1] == 0.0) and abs(p[-1, -1]) <= 1.0 for p in squares)):
-        return False
+        return None
     defects = [float(np.abs(p.sum(axis=0) - 1.0).max()) for p in squares]
     norms = [max(1.0, float(np.abs(p).sum(axis=0).max())) for p in squares]
     rounding = _rounding(nsamples, d)
@@ -740,74 +738,74 @@ def _closed_form_gates(squares: list[np.ndarray], x: np.ndarray, nsamples: int,
             * (1.0 + rounding))  # the largest ||v||_1
     drift = abs(float(x.sum()) - 1.0) + size * (
         sum(defects[:-1]) + (nblocks - 1) * defects[-1] + rounding * max(norms))
-    return bool(drift <= TRACE_TOLERANCE - CERTIFICATE_MARGIN
-                and abs(x[-1]) <= top_limit - CERTIFICATE_MARGIN)
+    if not (drift <= TRACE_TOLERANCE - CERTIFICATE_MARGIN
+            and abs(x[-1]) <= top_limit - CERTIFICATE_MARGIN):
+        return None
+    return float(TRACE_TOLERANCE - drift), top_limit - abs(float(x[-1]))
 
 
-def _band_blocks(m: np.ndarray, x: np.ndarray, dt: float, nsamples: int):
-    """(first sample, samples) per block of one band, stepped through the
-    products of ``_dense_blocks``, so that what is read from a block as
-    the full run reads it has its bytes. A block is valid until the next
-    but one is drawn."""
-    nb = BLOCK_STEPS
-    buffers = _ring([x], np.result_type(m, x))
-    states = _band_states(_powers([m], dt), [x], -(-nsamples // nb), buffers)
-    for k0, y in zip(range(0, nsamples, nb), states):
-        yield k0, y[:, :min(nb, nsamples - k0)]
-
-
-def _stepped_band0(m: np.ndarray, x: np.ndarray, dt: float, times: np.ndarray,
-                   top_limit: float, starts: np.ndarray, limit: float) -> bool:
-    """Step band 0 alone as the full run does and check its trace, top level
-    and sum(x_0^2) with ``_first_failure``; False at the first block where a
-    sample fails or, past the prefix, the purity bound exceeds limit.
+def _stepped_band0(squares: list[np.ndarray], x: np.ndarray, times: np.ndarray,
+                   top_limit: float, starts: np.ndarray, limit: float
+                   ) -> tuple[float, float] | None:
+    """Step band 0 alone from x as the full run does, by its squares, and
+    check its trace, top level and sum(x_0^2) with ``_first_failure``; the
+    gaps (trace, top level) to their gates, or None at the first block where
+    a sample fails or, past the prefix, the purity bound exceeds limit.
 
     starts holds the bound's two parts per block (``_purity_parts``); each
-    block's largest sum(x_0^2) takes the place of band 0's. Over the prefix
-    the bound already sums band 0 exactly. No record is kept per sample.
+    block's largest sum(x_0^2) takes the place of band 0's (the prefix's
+    bound already sums band 0 exactly). No record is kept per sample.
     """
-    for k0, pop in _band_blocks(m, x, dt, len(times)):
-        low = np.einsum("ij,ij->j", pop, pop)
-        if _first_failure(times[k0:k0 + len(low)], pop.sum(axis=0), low, pop[-1],
-                          top_limit) is not None:
-            return False
+    drift = top = 0.0
+    for k0, pop in _band_blocks([squares], [x], len(times)):
+        trace, low = pop.sum(axis=0), np.einsum("ij,ij->j", pop, pop)
+        if _first_failure(times[k0:k0 + len(low)], trace, low, pop[-1], top_limit) is not None:
+            return None
         block = k0 // BLOCK_STEPS
         starts[0, block] = low.max()
         if block >= PREFIX_BLOCKS and not starts[:, block].sum() <= limit:
-            return False
-    return True
+            return None
+        drift, top = max(drift, float(np.abs(trace - 1.0).max())), max(top, float(pop[-1].max()))
+    return TRACE_TOLERANCE - drift, top_limit - top
 
 
 def _damped_amplitude(gens: list[np.ndarray], x0: list[np.ndarray], dt: float,
-                      times: np.ndarray, top_limit: float, out: np.ndarray) -> bool:
-    """<a> of a damped run into out, from band 1 alone; False, with out
-    unspecified, where the certificate fails or <a> is not finite.
+                      times: np.ndarray, top_limit: float, out: np.ndarray) -> dict | None:
+    """<a> of a damped run into out, from band 1 alone, and its certificate
+    (branch, and the gaps to the purity, trace and top-level gates); None,
+    with out unspecified, where the certificate fails or <a> is not finite.
 
-    The certificate is decided before band 1 is stepped. The purity bound
+    Band 0's step and squares are built once, for the bound's band-0 group,
+    the closed-form gates and the stepped band 0. The purity bound
     (``_purity_parts``), its parts summed, must keep CERTIFICATE_MARGIN and
     ``_rounding`` inside 1 + TRACE_TOLERANCE at every sample, first over the
-    prefix, which sums band 0 exactly. Where the trace, top-level and
-    purity-low gates hold in closed form (``_closed_form_gates``) and the
-    bound holds past the prefix, no other band is stepped. Otherwise band 0
-    is stepped alone and checked as the full run checks it, and its exact
-    sum(x_0^2) takes the place of its block-start part (``_stepped_band0``).
-    A certified run steps band 1 through the full run's products and reads
-    <a> block by block with its bytes.
+    prefix. Where the other gates hold in closed form (``_closed_form_gates``)
+    and the bound holds past the prefix, the branch is "block_starts";
+    otherwise band 0 is stepped alone (``_stepped_band0``, "stepped_band0").
+    Only then is band 1 stepped, through the full run's products.
     """
     nsamples, d = len(out), len(gens)
-    limit = (1.0 + TRACE_TOLERANCE - CERTIFICATE_MARGIN) / (1.0 + _rounding(nsamples, d))
-    exact, starts = _purity_parts(gens, x0, dt, nsamples)
-    if not np.all(exact.sum(axis=0).reshape(-1)[:nsamples] <= limit):
-        return False
-    squares = list(_squares(_rk4_step(gens[0], dt)))
-    if not ((_closed_form_gates(squares, x0[0], nsamples, top_limit)
-             and np.all(starts.sum(axis=0)[exact.shape[1]:] <= limit))
-            or _stepped_band0(gens[0], x0[0], dt, times, top_limit, starts, limit)):
-        return False
+    rounding = _rounding(nsamples, d)
+    limit = (1.0 + TRACE_TOLERANCE - CERTIFICATE_MARGIN) / (1.0 + rounding)
+    band0 = list(_squares(_rk4_step(gens[0], dt)))
+    exact, starts = _purity_parts(band0, gens, x0, dt, nsamples)
+    prefix = exact.sum(axis=0).reshape(-1)[:nsamples]
+    if not np.all(prefix <= limit):
+        return None
+    branch, gaps = "block_starts", _closed_form_gates(band0, x0[0], nsamples, top_limit)
+    if not gaps or not np.all(starts.sum(axis=0)[exact.shape[1]:] <= limit):
+        branch = "stepped_band0"
+        gaps = _stepped_band0(band0, x0[0], times, top_limit, starts, limit)
+        if not gaps:
+            return None
     sqrt_n = np.sqrt(np.arange(1.0, d))
-    for k0, x1 in _band_blocks(gens[1], x0[1], dt, nsamples):
+    for k0, x1 in _band_blocks(_powers(gens[1:2], dt), x0[1:2], nsamples):
         out[k0:k0 + x1.shape[1]] = sqrt_n @ x1
-    return bool(np.all(np.isfinite(out)))
+    if not np.all(np.isfinite(out)):
+        return None
+    bound = max(prefix.max(), starts.sum(axis=0)[exact.shape[1]:].max(initial=0.0))
+    return {"branch": branch, "purity_gap": float(1.0 + TRACE_TOLERANCE - bound * (1 + rounding)),
+            "trace_gap": gaps[0], "top_gap": gaps[1]}
 
 
 def rk4_evolve(L: Liouvillian, rho0: DensityMatrix, t_final: float,
@@ -833,16 +831,13 @@ def rk4_evolve(L: Liouvillian, rho0: DensityMatrix, t_final: float,
     n_thermal > 0). NaN fails every gate. The error names the first failing
     time. A DomainError names the step count whose records cannot be allocated.
 
-    With ``amplitude_only`` an undamped run whose gates ``_certified`` proves
-    in closed form propagates band 1 alone (``_band1_amplitude``). A damped
-    run propagates band 1 alone where one certificate, a purity bound from
-    block starts with band 0's gates in closed form or from band 0 stepped
-    alone, holds at every sample (``_damped_amplitude``); it forks no band
-    child. Then ``times`` and ``a_expect`` are
-    byte-identical to the full run's, and ``n_expect``, ``trace``,
-    ``purity`` and ``final`` are empty. An uncertified or non-finite run
-    takes the full path, band child included, which raises as it would
-    without the flag.
+    With ``amplitude_only`` a run whose certificate holds at every sample
+    (``_band1_amplitude`` undamped, ``_damped_amplitude`` damped) propagates
+    band 1 alone and forks nothing: ``times`` and ``a_expect`` are
+    byte-identical to the full run's, ``n_expect``, ``trace``, ``purity``
+    and ``final`` are empty, and ``certificate`` is set. An uncertified or
+    non-finite run takes the full path, band child included, which raises
+    as it would without the flag.
     """
     if rho0.space.dim != L.space.dim:
         raise DimensionMismatch(
@@ -880,16 +875,16 @@ def rk4_evolve(L: Liouvillian, rho0: DensityMatrix, t_final: float,
         # gamma > 0 makes the downward one nonzero
         if L.damping.gamma == 0:
             diags = L.band_diagonals()
-            done = amplitude_only and _band1_amplitude(diags, x0, dt, top_limit, a_rec)
+            cert = amplitude_only and _band1_amplitude(diags, x0, dt, top_limit, a_rec)
             blocks = _diagonal_blocks(diags, x0, dt, nsamples)
         else:
             gens = L.band_generators()
-            done = amplitude_only and _damped_amplitude(gens, x0, dt, times, top_limit, a_rec)
+            cert = amplitude_only and _damped_amplitude(gens, x0, dt, times, top_limit, a_rec)
             blocks = _dense_blocks(gens, x0, dt, nsamples)
-        if done:
+        if cert:
             return Trajectory(times=times, a_expect=a_rec, n_expect=np.empty(0),
                               trace=np.empty(0), purity=np.empty(0),
-                              final=np.empty((0, 0), dtype=complex))
+                              final=np.empty((0, 0), dtype=complex), certificate=cert)
         try:  # the full loop's other records, which a certified run never holds
             n_rec, tr_rec, pur_rec = (np.empty(nsamples) for _ in range(3))
         except MemoryError as exc:

@@ -316,7 +316,8 @@ def _sweep_point(args: tuple[ExperimentConfig, str, float]) -> tuple[dict, dict]
     a RevivalsError lands in the row, any other error is raised.
 
     A row reads <a> alone, so the point runs amplitude-only; its row's
-    ``path`` names the path its run took (see ``run_sweep``)."""
+    ``path`` and ``certificate`` name the path its run took and what
+    certified it (see ``run_sweep``)."""
     base, axis, value = args
     config = replace(base, **{axis: int(value) if axis == "state_n" else value})
     row = {"param_value": value, "classification": "", "n_revivals": 0,
@@ -328,6 +329,7 @@ def _sweep_point(args: tuple[ExperimentConfig, str, float]) -> tuple[dict, dict]
         _, traj, summary = _solve(config, timing, amplitude_only=True)
         # manifest only, like the error; an amplitude-only run records no purity
         row["path"] = "amplitude_only" if traj.purity.size == 0 else "full"
+        row["certificate"] = traj.certificate
         row["classification"] = summary.report.classification.value
         row["n_revivals"] = int(len(summary.report.revival_times))
         if summary.first_revival is not None:
@@ -362,9 +364,10 @@ def run_sweep(base: ExperimentConfig, axis: str, values, name: str = "sweep",
     error (a RevivalsError) lands in its row; any other error, such as a
     failed forked child's OSError, fails the sweep with the error of the
     smallest failing point, and leaves no CSV. The manifest's rows add the
-    path each point's run took (``path``: amplitude_only or full) and the
-    seconds of each finished stage of a point (``timing``: resolve_s,
-    evolve_s, analyze_s); the CSV adds neither.
+    path each point's run took (``path``: amplitude_only or full), its
+    certificate (``certificate``: ``Trajectory.certificate``, None on the
+    full path) and the seconds of each finished stage of a point
+    (``timing``: resolve_s, evolve_s, analyze_s); the CSV adds none.
     """
     if axis not in SWEEP_AXES:
         raise ConfigError(f"sweep axis must be one of {SWEEP_AXES}, got {axis!r}")

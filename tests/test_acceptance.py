@@ -9,8 +9,10 @@ the earlier criteria, so it runs last in this module.
 import math
 import time
 from contextlib import contextmanager
+from dataclasses import replace
 
 import numpy as np
+import pytest
 
 from revivals import (Classification, ClassifierThresholds, DampingSpec,
                       DensityMatrix, FockSpace, build_hamiltonian,
@@ -21,6 +23,7 @@ from revivals import (Classification, ClassifierThresholds, DampingSpec,
                       kerr_expect_a_closed_form, log_grid, rk4_evolve,
                       scan_nonlinearity, superoperator_evolve,
                       timescales_closed_form)
+from revivals import runner
 from revivals.config import load_preset
 from revivals.runner import run_sweep
 
@@ -153,6 +156,29 @@ def test_criterion_04_photon_number_decay_law():
         _AUDIT.append(("c4-mixed", traj))
         expected = traj.n_expect[0] * np.exp(-3e-3 * traj.times)
         assert np.abs(traj.n_expect / expected - 1.0).max() <= 1e-6
+
+
+#: Bounds on every sample of the damped panels' full runs, set from their
+#: measured largest errors with about 4x headroom: n_expect against the
+#: closed form 1.2e-12 relative (fig4d), |trace - 1| 3.4e-13 (fig7a)
+CLOSED_FORM_N_RTOL = 5e-12
+CLOSED_FORM_TRACE_ATOL = 1.5e-12
+
+
+@pytest.mark.parametrize("panel", ["fig2b", "fig2d", "fig4d", "fig7a", "fig8-n10"])
+def test_damped_panels_follow_the_closed_forms(panel):
+    # under downward-only damping d<n>/dt = -gamma (N+1) <n> holds exactly on
+    # the truncated ladder, where a+ n a = n (n - 1), and the trace is exactly
+    # 1: the full run's n_expect and trace columns, at every sample
+    name, _, n = panel.partition("-n")
+    config = replace(load_preset(name).config, **({"state_n": int(n)} if n else {}))
+    assert config.gamma > 0 and not (config.full_equation and config.n_thermal > 0)
+    ctx = runner.resolve(config)
+    traj = runner.evolve(ctx)
+    n0 = float(np.dot(np.arange(config.dim), np.diagonal(ctx.rho0.matrix).real))
+    expected = n0 * np.exp(-config.gamma * (config.n_thermal + 1.0) * traj.times)
+    assert np.abs(traj.n_expect / expected - 1.0).max() <= CLOSED_FORM_N_RTOL
+    assert np.abs(traj.trace - 1.0).max() <= CLOSED_FORM_TRACE_ATOL
 
 
 def test_criterion_05_propagator_cross_validation():

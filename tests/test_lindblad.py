@@ -1,6 +1,7 @@
 import math
 import os
 import re
+import sys
 import threading
 import warnings
 from dataclasses import replace
@@ -294,25 +295,23 @@ def per_band_bound(gens, x0, dt, nsamples):
     ``_purity_parts`` steps padded band groups and must agree up to
     ``_rounding``.
     """
-    from revivals.lindblad import PREFIX_BLOCKS, _abs2, _band_states, _ring, _squares
+    from revivals.lindblad import PREFIX_BLOCKS, _abs2, _band_blocks, _squares
 
     nb = BLOCK_STEPS
     nblocks = -(-nsamples // nb)
     nexact = min(nblocks, PREFIX_BLOCKS)
     exact, starts = np.zeros((2, nexact * nb)), np.zeros((2, nblocks))
     for q, (m, x) in enumerate(zip(gens, x0)):
-        part, dtype = min(q, 1), np.result_type(m, x)
+        part = min(q, 1)
         weight = 1.0 + part
         powers = list(_squares(_rk4_step(m, dt)))
-        for i, block in enumerate(_band_states([powers], [x], nexact, _ring([x], dtype))):
-            exact[part, i * nb:(i + 1) * nb] += weight * _abs2(block)
+        for k0, block in _band_blocks([powers], [x], nexact * nb):
+            exact[part, k0:k0 + nb] += weight * _abs2(block)
         nu = [np.sqrt(np.abs(p).sum(axis=0).max() * np.abs(p).sum(axis=1).max())
               for p in powers[:-1]]
         g = np.prod(np.maximum(1.0, nu)) ** 2
-        ys = _band_states([_squares(powers[-1])], [x], -(-nblocks // nb), _ring([x], dtype))
-        for i, y in zip(range(0, nblocks, nb), ys):
-            n = min(nb, nblocks - i)
-            starts[part, i:i + n] += weight * g * _abs2(y[:, :n])
+        for i, y in _band_blocks([_squares(powers[-1])], [x], nblocks):
+            starts[part, i:i + y.shape[1]] += weight * g * _abs2(y)
     return exact, starts
 
 
@@ -619,14 +618,15 @@ def test_damped_amplitude_only_gives_the_full_runs_amplitude_bytes(run):
 def stepped_bound(L, rho0, full):
     """The certificate's bound per sample with band 0 stepped alone, and
     whether band 0's gates held, for the run that gave the full trajectory."""
-    from revivals.lindblad import _purity_parts, _stepped_band0
+    from revivals.lindblad import _purity_parts, _squares, _stepped_band0
 
     nsamples, dt = len(full), full.times[1]
     gens, x0 = L.band_generators(), to_bands(rho0.matrix)
     top_limit = float(rho0.matrix[-1, -1].real) + TOP_LEVEL_TOLERANCE
     with one_blas_thread():
-        exact, starts = _purity_parts(gens, x0, dt, nsamples)
-        held = _stepped_band0(gens[0], x0[0], dt, full.times, top_limit, starts, math.inf)
+        band0 = list(_squares(_rk4_step(gens[0], dt)))
+        exact, starts = _purity_parts(band0, gens, x0, dt, nsamples)
+        held = _stepped_band0(band0, x0[0], full.times, top_limit, starts, math.inf)
     return bound_per_sample(exact, starts, nsamples), held
 
 
@@ -675,7 +675,7 @@ def test_chunked_amplitude_blocks_match_per_block_loop(monkeypatch, d, nsamples)
     # 2; at dim 14 the groups stack 9 and 4 padded bands, and at dim 40 bands
     # 1..20 fill groups of 3, 3, 3, 4, 4 and 5
     from revivals import lindblad
-    from revivals.lindblad import _band_groups, _purity_parts, _rounding, _stepped_band0
+    from revivals.lindblad import _band_groups, _purity_parts, _rounding, _squares, _stepped_band0
 
     L, rho0, _ = damped_case(d)
     dt = 2.0 ** math.floor(math.log2(0.1 / L.omega_max()))  # t_final / dt is exact
@@ -685,7 +685,8 @@ def test_chunked_amplitude_blocks_match_per_block_loop(monkeypatch, d, nsamples)
     set_cpus(monkeypatch, 1)  # the full run's blocks below come from one process
     records = []
     with one_blas_thread(), monkeypatch.context() as spy:
-        exact, starts = _purity_parts(gens, x0, dt, nsamples)
+        band0 = list(_squares(_rk4_step(gens[0], dt)))
+        exact, starts = _purity_parts(band0, gens, x0, dt, nsamples)
         want_exact, want_starts = per_band_bound(gens, x0, dt, nsamples)
         rounding = _rounding(nsamples, d)
         assert np.all(np.abs(exact.reshape(2, -1) - want_exact) <= rounding * want_exact)
@@ -693,8 +694,7 @@ def test_chunked_amplitude_blocks_match_per_block_loop(monkeypatch, d, nsamples)
         assert np.all(np.abs(starts - want_starts)[:, past] <= rounding * want_starts[:, past])
         spy.setattr(lindblad, "_first_failure", lambda times, trace, low, top, top_limit:
                     records.append((trace, low, top.copy())))
-        assert _stepped_band0(gens[0], x0[0], dt, dt * np.arange(nsamples), 1.0, starts,
-                              math.inf)
+        assert _stepped_band0(band0, x0[0], dt * np.arange(nsamples), 1.0, starts, math.inf)
         spy.undo()
         want = [(tr, pur, top.copy())
                 for _, _, tr, pur, top, _ in lindblad._dense_blocks(gens, x0, dt, nsamples)]
@@ -721,9 +721,12 @@ def test_failing_band0_certificate_stops_at_its_first_failing_block(monkeypatch)
     L, rho0, t_final, dt = preset_run("fig2b", gamma=0.016)
     firsts, band_blocks = [], lindblad._band_blocks
 
-    def spy(*args):
-        for k0, block in band_blocks(*args):
-            firsts.append(k0)
+    def spy(steps, x0, nsamples, buffers=None):
+        # every damped path steps through it; count only the certificate's band 0
+        caller = sys._getframe(1).f_code.co_name
+        for k0, block in band_blocks(steps, x0, nsamples, buffers):
+            if caller == "_stepped_band0":
+                firsts.append(k0)
             yield k0, block
 
     with monkeypatch.context() as patched:
@@ -830,7 +833,7 @@ def test_certified_keeps_the_margin_inside_each_gate(gate):
             c /= r ** (nsamples - 1)
         x = np.array([p0, p1, c], dtype=complex)
         verdicts.append(_certified(x, np.array([1.0, 1.0, r], dtype=complex), 2, nsamples,
-                                   top_limit))
+                                   top_limit) is not None)
     assert verdicts == [False, True]
 
 
@@ -855,7 +858,7 @@ def test_damped_amplitude_keeps_the_margin_inside_the_purity_gate(monkeypatch):
             np.zeros((2, PREFIX_BLOCKS, BLOCK_STEPS)), starts))
         verdicts.append(lindblad._damped_amplitude(
             gens, x0, 0.1, 0.1 * np.arange(nsamples), 0.5,
-            np.empty(nsamples, dtype=complex)))
+            np.empty(nsamples, dtype=complex)) is not None)
     assert verdicts == [False, True]
 
 
@@ -876,7 +879,8 @@ def test_closed_form_branch_keeps_the_margin_inside_the_purity_gate(monkeypatch)
         monkeypatch.setattr(lindblad, "_purity_parts", lambda *args, starts=starts: (
             np.zeros((2, PREFIX_BLOCKS, BLOCK_STEPS)), starts))
         verdicts.append(lindblad._damped_amplitude(
-            gens, x0, 0.1, 0.1 * np.arange(nsamples), 0.5, np.empty(nsamples, dtype=complex)))
+            gens, x0, 0.1, 0.1 * np.arange(nsamples), 0.5,
+            np.empty(nsamples, dtype=complex)) is not None)
     assert verdicts == [False, True]
 
 
@@ -895,7 +899,7 @@ def test_closed_form_gates_refuse_a_stand_in_step(defect):
         r[1, 1], r[2, 1] = 0.98, 0.01
     x = np.array([0.5, 0.3, 0.2])
     got = _closed_form_gates(list(_squares(r)), x, 100 * BLOCK_STEPS,
-                             top_limit=x[-1] + TOP_LEVEL_TOLERANCE)
+                             top_limit=x[-1] + TOP_LEVEL_TOLERANCE) is not None
     assert got is (defect is None)
 
 
@@ -909,7 +913,7 @@ def test_closed_form_gates_keep_the_margin_inside_the_trace_gate():
     for inside in NEAR_GATE:
         x0 = (1.0 - TRACE_TOLERANCE + inside) / (1.0 - (1.0 + r) * r)
         verdicts.append(_closed_form_gates(list(_squares(np.eye(3))), np.array([x0, 0.0, 0.0]),
-                                           nsamples, top_limit=1.0))
+                                           nsamples, top_limit=1.0) is not None)
     assert verdicts == [False, True]
 
 
@@ -931,15 +935,17 @@ def test_block_start_bound_holds_the_full_runs_purity(run):
     # 0 stepped, which is at most the block-start one up to that rounding.
     # fig2d's purity returns toward 1, and the mixed state's band 0 gains
     # purity inside every block
-    from revivals.lindblad import _purity_parts, _rounding
+    from revivals.lindblad import _purity_parts, _rounding, _squares
 
     L, rho0, t_final, dt = block_start_case(run)
     full = rk4_evolve(L, rho0, t_final, dt)
     nsamples, dt = len(full), full.times[1]
     rounding = _rounding(nsamples, L.space.dim)
+    gens = L.band_generators()
     with one_blas_thread():
+        band0 = list(_squares(_rk4_step(gens[0], dt)))
         starts_bound = bound_per_sample(
-            *_purity_parts(L.band_generators(), to_bands(rho0.matrix), dt, nsamples), nsamples)
+            *_purity_parts(band0, gens, to_bands(rho0.matrix), dt, nsamples), nsamples)
     stepped, held = stepped_bound(L, rho0, full)
     assert held
     prefix = np.arange(nsamples) // BLOCK_STEPS < PREFIX_BLOCKS
@@ -969,9 +975,12 @@ def test_damped_amplitude_only_takes_the_first_tier_that_certifies(monkeypatch, 
     rows, stepped = [], []
     band_blocks, stepped_band0 = lindblad._band_blocks, lindblad._stepped_band0
 
-    def spy(m, x, dt, nsamples):
-        rows.append(len(x))
-        return band_blocks(m, x, dt, nsamples)
+    def spy(steps, x0, nsamples, buffers=None):
+        # every damped path steps through it; count only the bands that the
+        # certificate steps whole, not the purity bound's band groups
+        if sys._getframe(1).f_code.co_name in ("_stepped_band0", "_damped_amplitude"):
+            rows.append(sum(len(x) for x in x0))
+        return band_blocks(steps, x0, nsamples, buffers)
 
     monkeypatch.setattr(lindblad, "_band_blocks", spy)
     monkeypatch.setattr(lindblad, "_stepped_band0",
@@ -985,6 +994,60 @@ def test_damped_amplitude_only_takes_the_first_tier_that_certifies(monkeypatch, 
     assert stepped == ([1] if branch == 2 else [])
     # band 1 is stepped once, after band 0 where band 0 is stepped
     assert rows == ([d, d - 1] if branch == 2 else [d - 1])
+
+
+@pytest.mark.parametrize("run,branch", [("fig8-n1", "block_starts"), ("fig2d", "stepped_band0")])
+def test_damped_amplitude_only_builds_band0_step_once(monkeypatch, run, branch):
+    # band 0's step and its squares are built once and shared by the purity
+    # bound's band-0 group, the closed-form gates and, on fig2d, the stepped
+    # band 0. Band 0's generator is the only real one
+    from revivals import lindblad
+
+    L, rho0, t_final, dt = preset_run(**DAMPED_AMPLITUDE_RUNS[run])
+    band0, rk4_step = [], lindblad._rk4_step
+
+    def spy(m, dt):
+        if m.ndim > 1 and not np.iscomplexobj(m):
+            band0.append(m.shape)
+        return rk4_step(m, dt)
+
+    monkeypatch.setattr(lindblad, "_rk4_step", spy)
+    flagged = rk4_evolve(L, rho0, t_final, dt, amplitude_only=True)
+    assert band0 == [(L.space.dim, L.space.dim)]
+    assert flagged.purity.size == 0 and flagged.certificate["branch"] == branch
+
+
+@pytest.mark.parametrize("run", ["fig2a", "fig2d", "fig8-n10", "fig2b-gamma0.016"])
+def test_certificate_reports_its_branch_and_gaps(run):
+    # a certified run names its branch and the narrowest gap to each gate,
+    # all open; fig2d's purity bound, with band 0 stepped, comes about 1e-6
+    # from the gate. The full path has no certificate
+    L, rho0, t_final, dt = (preset_run("fig2a") if run == "fig2a"
+                            else preset_run(**DAMPED_AMPLITUDE_PATHS[run][0]))
+    flagged = rk4_evolve(L, rho0, t_final, dt, amplitude_only=True)
+    full = rk4_evolve(L, rho0, t_final, dt)
+    assert full.certificate is None
+    cert = flagged.certificate
+    if run == "fig2b-gamma0.016":
+        assert cert is None
+        return
+    branch = {"fig2a": "closed_form", "fig2d": "stepped_band0", "fig8-n10": "block_starts"}[run]
+    assert cert["branch"] == branch
+    assert set(cert) == {"branch", "purity_gap", "trace_gap", "top_gap"}
+    assert min(cert["purity_gap"], cert["trace_gap"], cert["top_gap"]) > 0
+    if run == "fig2d":
+        assert cert["purity_gap"] < 1e-5
+    if branch == "closed_form":
+        return
+    # a damped certificate's gaps are no wider than the full run's records
+    # leave; band 0 stepped alone has the full run's trace bytes
+    top_limit = float(rho0.matrix[-1, -1].real) + TOP_LEVEL_TOLERANCE
+    trace_gap = TRACE_TOLERANCE - np.abs(full.trace - 1.0).max()
+    assert cert["purity_gap"] <= 1.0 + TRACE_TOLERANCE - full.purity.max()
+    assert cert["trace_gap"] <= trace_gap
+    if branch == "stepped_band0":
+        assert cert["trace_gap"] == trace_gap
+    assert cert["top_gap"] <= top_limit - float(rho0.matrix[-1, -1].real)
 
 
 def test_rk4_truncation_error_at_reference_time():

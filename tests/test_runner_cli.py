@@ -364,6 +364,21 @@ def test_readme_gamma_sweep_keeps_the_amplitude_only_path(tmp_path):
     assert [row["path"] for row in rows] == ["amplitude_only"] * 3
 
 
+def test_fig8_sweep_rows_report_their_certificates_headroom(tmp_path):
+    # every fig8 point certifies from block starts, each gap to its gate open;
+    # the certificate is manifest only, next to the path
+    spec = load_preset("fig8")
+    sweep = run_sweep(spec.config, spec.sweep_axis, spec.sweep_values, name="f8",
+                      out_dir=tmp_path)
+    rows = json.loads(sweep.manifest_path.read_text())["rows"]
+    assert len(rows) == 10
+    for row in rows:
+        cert = row["certificate"]
+        assert row["path"] == "amplitude_only" and cert["branch"] == "block_starts", row
+        assert min(cert["purity_gap"], cert["trace_gap"], cert["top_gap"]) > 0, row
+    assert sweep.csv_path.read_text().splitlines()[0] == SWEEP_HEADER
+
+
 @needs_fork
 def test_forked_sweep_workers_make_no_blas_set_call(tmp_path, monkeypatch, blas_log):
     # a sweep holds one thread across all its points and forks, so that
