@@ -11,16 +11,19 @@ evaluated as that matrix, and samples come out in blocks of BLOCK_STEPS
 steps as matrix products with powers of R_q. Without jump terms
 (gamma = 0) every M_q is diagonal, and so is R_q: the step is then the
 vector r = diag R over the stacked bands, read from the diagonals of the
-M_q (``Liouvillian.band_diagonals``) with no M_q built. Sample j of a block
-is the block-start state times r^j elementwise, and the observables are
-products of the block-start state with one table of r^j. One pass of that loop
-reads the observables of up to CHUNK_BLOCKS blocks in one stacked product,
-one vector-matrix product per block, so the Python work per pass is spread
-over many blocks and the bytes are those of one block at a time. The
-steps, the time grid and the recorded values are those of the stage-wise
-RK4 loop, up to rounding; only the order of the floating-point operations
-differs. The final state's upper triangle is the conjugate of its lower
-bands, so it is Hermitian by construction.
+M_q (``Liouvillian.band_diagonals``) with no M_q built. ``rk4_evolve``
+builds a run's step once, r undamped and band 0's R_0 and its squares
+damped, and hands it to both of the run's paths, the certificate below and
+the full loop. Sample j of a block is the block-start state times r^j
+elementwise, and the observables are products of the block-start state
+with one table of r^j. One pass of that loop reads the observables of up
+to CHUNK_BLOCKS blocks in one stacked product, one vector-matrix product
+per block, so the Python work per pass is spread over many blocks and the
+bytes are those of one block at a time. The steps, the time grid and the
+recorded values are those of the stage-wise RK4 loop, up to rounding; only
+the order of the floating-point operations differs. The final state's
+upper triangle is the conjugate of its lower bands, so it is Hermitian by
+construction.
 
 Every damped path draws its blocks from one block stepper, ``_band_blocks``,
 given each band's squares R_q, R_q^2, ..., R_q^BLOCK_STEPS (``_squares``):
@@ -43,22 +46,21 @@ with the full loop's products and so its bytes, once a certificate shows
 that no sample can fail a gate; ``Trajectory.certificate`` names the branch
 and the narrowest gap to each gate. Undamped (``_certified``), band 0's
 step factor is exactly 1, so the trace and the top level stay put, and the
-purity is convex in time, so it peaks at an end. Damped, band 0's squares
-are built once, and one purity bound from block starts (``_purity_parts``)
-comes first: each band enters through its exact sum over the first
-PREFIX_BLOCKS blocks, where the state may still be pure, and past them
-through its block starts and the norms of R_q's powers. Band 0 is one
-group, bands 1..D-1 stack into zero-padded groups of up to GROUP_ROWS rows,
-and each group is one stacked band of the stepper (``_group_bound``). Where
-the other gates hold in closed form from band 0's squares
-(``_closed_form_gates``) and the bound holds, band 1 is stepped alone;
-otherwise band 0 is stepped alone, its gates checked as the full run checks
-them and its exact sum(x_0^2) in place of its block-start part, up to the
-first block that fails (``_stepped_band0``). A bound kept CERTIFICATE_MARGIN
-and the rounding allowance (``_rounding``) inside 1 + TRACE_TOLERANCE
-cannot fail the purity gate. Any other run (a failing gate or bound, a
-value that is not finite) takes the full loop, which raises what it raises
-without the flag.
+purity is convex in time, so it peaks at an end. Damped, one purity bound
+from block starts (``_purity_parts``) comes first: each band enters
+through its exact sum over the first PREFIX_BLOCKS blocks, where the state
+may still be pure, and past them through its block starts and the norms of
+R_q's powers. Band 0 is one group, bands 1..D-1 stack into zero-padded
+groups of up to GROUP_ROWS rows, and each group is one stacked band of the
+stepper (``_group_bound``). Where the other gates hold in closed form from
+band 0's squares (``_closed_form_gates``) and the bound holds, band 1 is
+stepped alone; otherwise band 0 is stepped alone, its gates checked as the
+full run checks them and its exact sum(x_0^2) in place of its block-start
+part, up to the first block that fails (``_stepped_band0``). A bound kept
+CERTIFICATE_MARGIN and the rounding allowance (``_rounding``) inside
+1 + TRACE_TOLERANCE cannot fail the purity gate. Any other run (a failing
+gate or bound, a value that is not finite) takes the full loop, which
+raises what it raises without the flag.
 
 This module holds the propagator only; the fork helper, and the BLAS
 thread count, live in ``fanout``. The dense superoperator that
@@ -256,12 +258,14 @@ def default_dt(L: Liouvillian, rho0: DensityMatrix) -> float:
 
     T_cl is evaluated at the wave packet's own center, the rounded mean
     photon number of the initial state. Without the upward term each M_q is
-    diagonal or upper bidiagonal, so the elementwise part holds the lambda.
+    diagonal or upper bidiagonal, so its diagonal (``band_diagonals``) holds
+    the lambda.
     """
     n0 = max(1, round(expect_n_raw(rho0.matrix)))
     dt = min(0.1 / L.omega_max(), classical_period(L.hamiltonian, n0) / 200.0)
-    lam = (np.concatenate([np.linalg.eigvals(m) for m in L.band_generators()]) if L._upward
-           else L._diag.ravel())
+    upward = L.damping.full_equation and L.damping.n_thermal > 0
+    lam = (np.concatenate([np.linalg.eigvals(m) for m in L.band_generators()]) if upward
+           else np.concatenate(L.band_diagonals()))
 
     def grows(h: float) -> bool:
         return not np.max(np.abs(_rk4_step(lam, h))) <= 1.0 + STABLE_GROWTH
@@ -399,23 +403,24 @@ def _band_child(gens: list[np.ndarray], x0: list[np.ndarray], dt: float, nsample
     yield off[:, -1].tobytes()
 
 
-def _dense_blocks(gens: list[np.ndarray], x0: list[np.ndarray], dt: float, nsamples: int):
+def _dense_blocks(band0: list[np.ndarray], gens: list[np.ndarray], x0: list[np.ndarray],
+                  dt: float, nsamples: int):
     """The full damped run's blocks, from the band child's records
-    (``_band_child``, bands 1..k-1, ``_band_split``) and the caller's band 0
-    and bands k..D-1. The child runs in a forked process
-    (``fanout.fork_slice``), working ahead while the pipe holds its records,
-    where ``fanout.fork_slices()`` allows more than one process and the run
-    has more than one block; otherwise the caller draws them itself. The
-    caller continues the child's purity sums row by row over its own rows,
-    as the einsum over all rows adds them, so the bytes do not depend on k
-    or on the fork.
+    (``_band_child``, bands 1..k-1, ``_band_split``) and the caller's band 0,
+    stepped by its squares band0 (``_squares``), and bands k..D-1. The child
+    runs in a forked process (``fanout.fork_slice``), working ahead while the
+    pipe holds its records, where ``fanout.fork_slices()`` allows more than
+    one process and the run has more than one block; otherwise the caller
+    draws them itself. The caller continues the child's purity sums row by
+    row over its own rows, as the einsum over all rows adds them, so the
+    bytes do not depend on k or on the fork.
     """
     d = len(gens)
     nb = BLOCK_STEPS
     k = _band_split(d)
     split = sum(len(x) for x in x0[1:k])  # rows of bands 1..k-1
     child = _band_child(gens[1:k], x0[1:k], dt, nsamples)
-    pops = _band_blocks(_powers(gens[:1], dt), x0[:1], nsamples)
+    pops = _band_blocks([band0], x0[:1], nsamples)
     owns = _band_blocks(_powers(gens[k:], dt), x0[k:], nsamples)
     levels = np.arange(float(d))
     # row 0 takes the child's sums, the others the squares of own rows
@@ -468,28 +473,22 @@ def _power_table(r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return table, p
 
 
-def _chunks(nsamples: int, size: int) -> list[tuple[int, int, int]]:
-    """(first block, blocks, count) per chunk of a run's blocks: up to size
-    full blocks of ``count`` = BLOCK_STEPS samples, and a run's last partial
-    block alone, with its own count."""
-    nb = BLOCK_STEPS
-    nfull, rest = divmod(nsamples, nb)
-    chunks = [(b0, min(size, nfull - b0), nb) for b0 in range(0, nfull, size)]
-    if rest:
-        chunks.append((nfull, 1, rest))
-    return chunks
-
-
 def _block_starts(x: np.ndarray, p: np.ndarray, nsamples: int):
-    """Chunks (starts, count) of the block starts of an elementwise run.
+    """Chunks (starts, count) of the block starts of an elementwise run: up
+    to CHUNK_BLOCKS full blocks of ``count`` = BLOCK_STEPS samples, and a
+    run's last partial block alone, with its own count.
 
     starts[i] is the state at the start of block i of the chunk: x itself at
     block 0 of the run, else the row before times p, written into the row
     by one ``np.multiply``. (``np.multiply.accumulate`` runs another complex
-    loop and moves the bytes.) x is left equal to the chunk's last row. The
-    chunks are those of ``_chunks`` with CHUNK_BLOCKS blocks.
+    loop and moves the bytes.) x is left equal to the chunk's last row.
     """
-    for b0, nrows, count in _chunks(nsamples, CHUNK_BLOCKS):
+    nb = BLOCK_STEPS
+    nfull, rest = divmod(nsamples, nb)
+    chunks = [(b0, min(CHUNK_BLOCKS, nfull - b0), nb) for b0 in range(0, nfull, CHUNK_BLOCKS)]
+    if rest:
+        chunks.append((nfull, 1, rest))
+    for b0, nrows, count in chunks:
         starts = np.empty((nrows, len(x)), dtype=complex)
         if b0 > 0:
             np.multiply(x, p, out=starts[0])
@@ -510,24 +509,16 @@ def _rows(v: np.ndarray, t: np.ndarray, out: np.ndarray | None = None) -> np.nda
     return np.matmul(v[:, None, :], t, out=out)[:, 0, :].reshape(-1)
 
 
-def _stacked(diags: list[np.ndarray], x0: list[np.ndarray], dt: float
-             ) -> tuple[np.ndarray, np.ndarray]:
-    """The bands stacked into one complex vector, and their diagonal step r."""
-    return np.concatenate(x0), _rk4_step(np.concatenate(diags), dt)
-
-
-def _diagonal_blocks(diags: list[np.ndarray], x0: list[np.ndarray], dt: float,
-                     nsamples: int):
+def _diagonal_blocks(x: np.ndarray, r: np.ndarray, d: int, nsamples: int):
     """Blocks as elementwise products of the band states with powers of diag R_q.
 
-    Only valid when every M_q is diagonal, given by its diagonal in diags:
-    then so is R_q, and sample j of a block is x(block start) * r^j with r
-    the stacked diagonals of the R_q. A chunk holds up to CHUNK_BLOCKS full
-    blocks; a run's last partial block comes alone, against the first
-    ``count`` columns of the table.
+    Only valid when every M_q is diagonal: then so is R_q, and sample j of a
+    block is x(block start) * r^j, with x the D bands stacked into one
+    complex vector and r the stacked diagonals of the R_q. x is stepped in
+    place. A chunk holds up to CHUNK_BLOCKS full blocks; a run's last
+    partial block comes alone, against the first ``count`` columns of the
+    table.
     """
-    d = len(diags)
-    x, r = _stacked(diags, x0, dt)
     table, p = _power_table(r)
     abs2 = table.real ** 2 + table.imag ** 2
     weight = np.full(len(x), 2.0)  # each band q >= 1 also stands for band -q
@@ -587,20 +578,20 @@ def _certified(x: np.ndarray, r: np.ndarray, d: int, nsamples: int,
             "trace_gap": float(TRACE_TOLERANCE - drift), "top_gap": float(top_limit - pop[-1])}
 
 
-def _band1_amplitude(diags: list[np.ndarray], x0: list[np.ndarray], dt: float,
-                     top_limit: float, out: np.ndarray) -> dict | None:
+def _band1_amplitude(x: np.ndarray, r: np.ndarray, d: int, top_limit: float,
+                     out: np.ndarray) -> dict | None:
     """<a> of an undamped run into out, from band 1 alone, and its certificate;
     None, with out unspecified, where ``_certified`` fails or <a> is not finite.
 
-    The operations on band 1 are those of ``_diagonal_blocks``, so the bytes
-    are too: the bands never mix, and <a> reads band 1 only.
+    x and r are the stacked bands and step factors of ``_diagonal_blocks``,
+    whose operations on band 1 these are, so the bytes are too: the bands
+    never mix, and <a> reads band 1 only. Band 1 is stepped in a copy, so x
+    is left as it came for the full path.
     """
-    d = len(diags)
-    x, r = _stacked(diags, x0, dt)
     cert = _certified(x, r, d, len(out), top_limit)
     if cert is None:
         return None
-    x1, r1 = x[d:2 * d - 1], r[d:2 * d - 1]
+    x1, r1 = x[d:2 * d - 1].copy(), r[d:2 * d - 1]
     sqrt_n = np.sqrt(np.arange(1.0, d))
     table, p = _power_table(r1)
     k0 = 0
@@ -769,14 +760,16 @@ def _stepped_band0(squares: list[np.ndarray], x: np.ndarray, times: np.ndarray,
     return TRACE_TOLERANCE - drift, top_limit - top
 
 
-def _damped_amplitude(gens: list[np.ndarray], x0: list[np.ndarray], dt: float,
-                      times: np.ndarray, top_limit: float, out: np.ndarray) -> dict | None:
+def _damped_amplitude(band0: list[np.ndarray], gens: list[np.ndarray], x0: list[np.ndarray],
+                      dt: float, times: np.ndarray, top_limit: float, out: np.ndarray
+                      ) -> dict | None:
     """<a> of a damped run into out, from band 1 alone, and its certificate
     (branch, and the gaps to the purity, trace and top-level gates); None,
     with out unspecified, where the certificate fails or <a> is not finite.
 
-    Band 0's step and squares are built once, for the bound's band-0 group,
-    the closed-form gates and the stepped band 0. The purity bound
+    band0 holds band 0's step R_0 and its squares (``_squares``), which the
+    bound's band-0 group, the closed-form gates and the stepped band 0
+    share with the full path. The purity bound
     (``_purity_parts``), its parts summed, must keep CERTIFICATE_MARGIN and
     ``_rounding`` inside 1 + TRACE_TOLERANCE at every sample, first over the
     prefix. Where the other gates hold in closed form (``_closed_form_gates``)
@@ -787,7 +780,6 @@ def _damped_amplitude(gens: list[np.ndarray], x0: list[np.ndarray], dt: float,
     nsamples, d = len(out), len(gens)
     rounding = _rounding(nsamples, d)
     limit = (1.0 + TRACE_TOLERANCE - CERTIFICATE_MARGIN) / (1.0 + rounding)
-    band0 = list(_squares(_rk4_step(gens[0], dt)))
     exact, starts = _purity_parts(band0, gens, x0, dt, nsamples)
     prefix = exact.sum(axis=0).reshape(-1)[:nsamples]
     if not np.all(prefix <= limit):
@@ -866,21 +858,25 @@ def rk4_evolve(L: Liouvillian, rho0: DensityMatrix, t_final: float,
     # downward-only dissipation cannot grow the top-level population, so
     # only growth beyond the initial value signals truncation overflow
     top_limit = float(rho0.matrix[-1, -1].real) + TOP_LEVEL_TOLERANCE
+    d = L.space.dim
 
     # Past a failing sample the values may overflow; the gates report it.
     # Closing the blocks on a gate's raise kills and reaps the band child.
     with np.errstate(over="ignore", invalid="ignore"), one_blas_thread():
         x0 = to_bands(np.asarray(rho0.matrix))
         # gamma = 0 zeroes both jump weights, so every M_q is diagonal;
-        # gamma > 0 makes the downward one nonzero
+        # gamma > 0 makes the downward one nonzero. The step is built once,
+        # for the certificate and the full path alike
         if L.damping.gamma == 0:
-            diags = L.band_diagonals()
-            cert = amplitude_only and _band1_amplitude(diags, x0, dt, top_limit, a_rec)
-            blocks = _diagonal_blocks(diags, x0, dt, nsamples)
+            x, r = np.concatenate(x0), _rk4_step(np.concatenate(L.band_diagonals()), dt)
+            cert = amplitude_only and _band1_amplitude(x, r, d, top_limit, a_rec)
+            blocks = _diagonal_blocks(x, r, d, nsamples)
         else:
             gens = L.band_generators()
-            cert = amplitude_only and _damped_amplitude(gens, x0, dt, times, top_limit, a_rec)
-            blocks = _dense_blocks(gens, x0, dt, nsamples)
+            band0 = list(_squares(_rk4_step(gens[0], dt)))
+            cert = amplitude_only and _damped_amplitude(band0, gens, x0, dt, times, top_limit,
+                                                        a_rec)
+            blocks = _dense_blocks(band0, gens, x0, dt, nsamples)
         if cert:
             return Trajectory(times=times, a_expect=a_rec, n_expect=np.empty(0),
                               trace=np.empty(0), purity=np.empty(0),
@@ -900,7 +896,6 @@ def rk4_evolve(L: Liouvillian, rho0: DensityMatrix, t_final: float,
                 k0 += len(a)
         pop, off = last()
 
-    d = L.space.dim
     final = np.diag(pop.astype(complex))
     lower = (np.concatenate([np.arange(q, d) for q in range(1, d)]),
              np.concatenate([np.arange(d - q) for q in range(1, d)]))

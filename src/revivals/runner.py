@@ -212,14 +212,28 @@ def write_plot_script(path: Path, name: str, csv_name: str, title: str) -> None:
                     encoding="utf-8")
 
 
+def _json_value(x):
+    """x with NumPy arrays and scalars as lists and numbers, and every float
+    that is not finite as None, so that it is strict JSON."""
+    if isinstance(x, dict):
+        return {k: _json_value(v) for k, v in x.items()}
+    if isinstance(x, (list, tuple)):
+        return [_json_value(v) for v in x]
+    if isinstance(x, (np.ndarray, np.generic)):
+        return _json_value(x.tolist())
+    if isinstance(x, float) and not math.isfinite(x):
+        return None
+    return x
+
+
 def _write_manifest(out: Path, name: str, body: dict, t_wall: float) -> Path:
-    """NAME.manifest.json: name, version, body, wall time since t_wall, timestamp."""
+    """NAME.manifest.json: name, version, body, wall time since t_wall,
+    timestamp; strict JSON, with null for every value that is not finite."""
     manifest = {"name": name, "version": __version__, **body,
                 "wall_time_s": time.perf_counter() - t_wall,
                 "timestamp_utc": datetime.now(timezone.utc).isoformat()}
     path = out / f"{name}.manifest.json"
-    # NumPy scalars and arrays; np.float64 is a float and needs no conversion
-    path.write_text(json.dumps(manifest, indent=2, default=lambda x: x.tolist()) + "\n",
+    path.write_text(json.dumps(_json_value(manifest), indent=2, allow_nan=False) + "\n",
                     encoding="utf-8")
     return path
 

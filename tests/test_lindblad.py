@@ -1,7 +1,6 @@
 import math
 import os
 import re
-import sys
 import threading
 import warnings
 from dataclasses import replace
@@ -244,17 +243,16 @@ def reference_rk4(L, rho0, t_final, dt):
                       purity=pur_rec, final=rho)
 
 
-def per_block_diagonal_blocks(diags, x0, dt, nsamples):
+def per_block_diagonal_blocks(x, r, d, nsamples):
     """The undamped block generator with one block per loop pass.
 
-    diags are the diagonals of the band generators. The observables of each
-    block are vector-matrix products of its start state with the table of
-    r^j; the chunked generator must give their bytes.
+    x stacks the D bands, stepped in place, and r their diagonal step
+    factors. The observables of each block are vector-matrix products of its
+    start state with the table of r^j; the chunked generator must give their
+    bytes.
     """
-    d = len(diags)
     nb = BLOCK_STEPS
-    x = np.concatenate(x0)
-    p = _rk4_step(np.concatenate(diags), dt)
+    p = r
     table = np.empty((len(x), nb), dtype=complex)
     table[:, 0] = 1.0
     width = 1
@@ -427,6 +425,13 @@ def test_rk4_stability_error_at_reference_time():
 CHUNK = CHUNK_BLOCKS * BLOCK_STEPS
 
 
+def stacked_step(L, rho0, dt):
+    """The stacked bands of rho0 and their diagonal step factors, as
+    ``rk4_evolve`` builds them for an undamped run."""
+    return (np.concatenate(to_bands(np.asarray(rho0.matrix))),
+            _rk4_step(np.concatenate(L.band_diagonals()), dt))
+
+
 @pytest.mark.parametrize("nsamples", [
     1, BLOCK_STEPS - 1, BLOCK_STEPS, BLOCK_STEPS + 1,
     CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 77])
@@ -445,9 +450,9 @@ def test_chunked_diagonal_blocks_match_per_block_loop(monkeypatch, nsamples):
                 col.append(np.array(v))
         return [np.concatenate(c) for c in cols] + list(last())
 
-    diags, x0 = L.band_diagonals(), to_bands(np.asarray(rho0.matrix))
-    got = drain(lindblad._diagonal_blocks(diags, x0, dt, nsamples))
-    want = drain(per_block_diagonal_blocks(diags, x0, dt, nsamples))
+    x, r = stacked_step(L, rho0, dt)
+    got = drain(lindblad._diagonal_blocks(x.copy(), r, L.space.dim, nsamples))
+    want = drain(per_block_diagonal_blocks(x.copy(), r, L.space.dim, nsamples))
     assert len(got[0]) == nsamples
     for g, w in zip(got, want):
         assert np.array_equal(g, w)
@@ -558,6 +563,30 @@ def test_amplitude_only_gives_the_full_runs_amplitude_bytes(run):
     assert full.purity.max() <= max(full.purity[0], full.purity[-1]) * (1 + 1e-12)
 
 
+@pytest.mark.parametrize("verdict", ["certifies", "refuses_gates", "refuses_amplitude"])
+def test_band1_amplitude_leaves_the_stacked_bands_as_they_came(monkeypatch, verdict):
+    # the full path steps the same stacked bands from the start, so the
+    # certificate steps band 1 in a copy: on a run it certifies, on one whose
+    # top-level gate it refuses before any step, and on one whose <a> it
+    # refuses after stepping band 1 over two chunks with an overflowing factor
+    from revivals import lindblad
+
+    L, rho0, t_final, dt = steps_run(CHUNK + 1)
+    d = L.space.dim
+    x, r = stacked_step(L, rho0, dt)
+    top_limit = float(rho0.matrix[-1, -1].real) + TOP_LEVEL_TOLERANCE
+    if verdict == "refuses_gates":
+        top_limit = -1.0
+    elif verdict == "refuses_amplitude":
+        r[d] = 1e200  # band 1's first factor, whose square overflows
+        monkeypatch.setattr(lindblad, "_certified", lambda *args: {"branch": "closed_form"})
+    before = x.tobytes()
+    with np.errstate(over="ignore", invalid="ignore"):
+        cert = lindblad._band1_amplitude(x, r, d, top_limit, np.empty(CHUNK + 2, dtype=complex))
+    assert (cert is not None) is (verdict == "certifies")
+    assert x.tobytes() == before
+
+
 def test_amplitude_only_is_ignored_by_damped_runs(monkeypatch):
     # a damped run the certificate does not cover takes the full path, with
     # every record: a coherent state stays pure under amplitude damping, so
@@ -657,12 +686,12 @@ def test_damped_purity_bound_holds_the_full_runs_purity(run):
 
 #: A run two blocks past the exact prefix, whose every block past it the
 #: stepped band 0 checks against the bound.
-FOUR_BLOCKS = 4 * BLOCK_STEPS
+PAST_PREFIX = (PREFIX_BLOCKS + 2) * BLOCK_STEPS
 
 
 @pytest.mark.parametrize("nsamples", [
-    1, BLOCK_STEPS - 1, BLOCK_STEPS, BLOCK_STEPS + 1, FOUR_BLOCKS - 1, FOUR_BLOCKS,
-    FOUR_BLOCKS + 1, 2 * FOUR_BLOCKS + 77])
+    1, BLOCK_STEPS - 1, BLOCK_STEPS, BLOCK_STEPS + 1, PAST_PREFIX - 1, PAST_PREFIX,
+    PAST_PREFIX + 1, 2 * PAST_PREFIX + 77])
 @pytest.mark.parametrize("d", [2, 3, 14, 40])
 def test_chunked_amplitude_blocks_match_per_block_loop(monkeypatch, d, nsamples):
     # the one damped certificate's two pieces against their references, on
@@ -697,7 +726,8 @@ def test_chunked_amplitude_blocks_match_per_block_loop(monkeypatch, d, nsamples)
         assert _stepped_band0(band0, x0[0], dt * np.arange(nsamples), 1.0, starts, math.inf)
         spy.undo()
         want = [(tr, pur, top.copy())
-                for _, _, tr, pur, top, _ in lindblad._dense_blocks(gens, x0, dt, nsamples)]
+                for _, _, tr, pur, top, _ in lindblad._dense_blocks(band0, gens, x0, dt,
+                                                                    nsamples)]
     assert len(records) == len(want) == len(starts[0])
     for i, ((trace, low, top), (full_trace, purity, full_top)) in enumerate(zip(records, want)):
         assert trace.tobytes() == full_trace.tobytes()
@@ -719,18 +749,22 @@ def test_failing_band0_certificate_stops_at_its_first_failing_block(monkeypatch)
     from revivals import lindblad
 
     L, rho0, t_final, dt = preset_run("fig2b", gamma=0.016)
-    firsts, band_blocks = [], lindblad._band_blocks
+    firsts, band_blocks, stepped_band0 = [], lindblad._band_blocks, lindblad._stepped_band0
 
     def spy(steps, x0, nsamples, buffers=None):
-        # every damped path steps through it; count only the certificate's band 0
-        caller = sys._getframe(1).f_code.co_name
         for k0, block in band_blocks(steps, x0, nsamples, buffers):
-            if caller == "_stepped_band0":
-                firsts.append(k0)
+            firsts.append(k0)
             yield k0, block
 
+    def stepped(*args):
+        # every damped path steps through _band_blocks; count only band 0's
+        # blocks, those the certificate steps inside _stepped_band0
+        with monkeypatch.context() as inside:
+            inside.setattr(lindblad, "_band_blocks", spy)
+            return stepped_band0(*args)
+
     with monkeypatch.context() as patched:
-        patched.setattr(lindblad, "_band_blocks", spy)
+        patched.setattr(lindblad, "_stepped_band0", stepped)
         flagged = rk4_evolve(L, rho0, t_final, dt, amplitude_only=True)
     assert firsts == [0, BLOCK_STEPS, 2 * BLOCK_STEPS]
     full = rk4_evolve(L, rho0, t_final, dt)
@@ -847,6 +881,7 @@ def test_damped_amplitude_keeps_the_margin_inside_the_purity_gate(monkeypatch):
 
     nsamples, d = PREFIX_BLOCKS * BLOCK_STEPS + 3, 2
     gens = [np.zeros((2, 2)), np.zeros((1, 1), dtype=complex)]
+    band0 = list(lindblad._squares(_rk4_step(gens[0], 0.1)))
     x0 = [np.array([1.0, 0.0]), np.zeros(1, dtype=complex)]
     monkeypatch.setattr(lindblad, "_closed_form_gates", lambda *args: False)
     verdicts = []
@@ -857,7 +892,7 @@ def test_damped_amplitude_keeps_the_margin_inside_the_purity_gate(monkeypatch):
         monkeypatch.setattr(lindblad, "_purity_parts", lambda *args, starts=starts: (
             np.zeros((2, PREFIX_BLOCKS, BLOCK_STEPS)), starts))
         verdicts.append(lindblad._damped_amplitude(
-            gens, x0, 0.1, 0.1 * np.arange(nsamples), 0.5,
+            band0, gens, x0, 0.1, 0.1 * np.arange(nsamples), 0.5,
             np.empty(nsamples, dtype=complex)) is not None)
     assert verdicts == [False, True]
 
@@ -870,6 +905,7 @@ def test_closed_form_branch_keeps_the_margin_inside_the_purity_gate(monkeypatch)
 
     nsamples, d = PREFIX_BLOCKS * BLOCK_STEPS + 3, 3
     gens = make_liouvillian(d, gamma=1e-3).band_generators()
+    band0 = list(lindblad._squares(_rk4_step(gens[0], 0.1)))
     x0 = [np.array([1.0, 0.0, 0.0]), np.zeros(2, dtype=complex), np.zeros(1, dtype=complex)]
     monkeypatch.setattr(lindblad, "_stepped_band0", lambda *args: False)
     verdicts = []
@@ -879,7 +915,7 @@ def test_closed_form_branch_keeps_the_margin_inside_the_purity_gate(monkeypatch)
         monkeypatch.setattr(lindblad, "_purity_parts", lambda *args, starts=starts: (
             np.zeros((2, PREFIX_BLOCKS, BLOCK_STEPS)), starts))
         verdicts.append(lindblad._damped_amplitude(
-            gens, x0, 0.1, 0.1 * np.arange(nsamples), 0.5,
+            band0, gens, x0, 0.1, 0.1 * np.arange(nsamples), 0.5,
             np.empty(nsamples, dtype=complex)) is not None)
     assert verdicts == [False, True]
 
@@ -962,48 +998,58 @@ def test_block_start_bound_holds_the_full_runs_purity(run):
     ("fig1", None)])
 def test_damped_amplitude_only_takes_the_first_tier_that_certifies(monkeypatch, run, branch):
     # the one certificate's branches: where band 0's gates hold in closed
-    # form and the block-start bound holds (branch 1), band 1 is stepped
-    # alone, so no band-0 stack of D rows is ever stepped per sample; where
-    # either fails, band 0 is stepped alone (branch 2, ``_stepped_band0``).
-    # fig2d's purity returns toward 1 and needs band 0's exact sum(x_0^2);
-    # fig1 steps band 0 and takes the full path (branch None)
+    # form and the block-start bound holds (1, "block_starts"), band 1 is
+    # stepped alone, so no band-0 stack of D rows is ever stepped per sample;
+    # where either fails, band 0 is stepped alone (2, "stepped_band0",
+    # ``_stepped_band0``). fig2d's purity returns toward 1 and needs band 0's
+    # exact sum(x_0^2); fig1 steps band 0 and takes the full path (None)
     from revivals import lindblad
 
     name, _, n = run.partition("-n")
     L, rho0, t_final, dt = preset_run(name, **({"state_n": int(n)} if n else {}))
     d = L.space.dim
     rows, stepped = [], []
-    band_blocks, stepped_band0 = lindblad._band_blocks, lindblad._stepped_band0
+    powers, stepped_band0 = lindblad._powers, lindblad._stepped_band0
 
-    def spy(steps, x0, nsamples, buffers=None):
-        # every damped path steps through it; count only the bands that the
-        # certificate steps whole, not the purity bound's band groups
-        if sys._getframe(1).f_code.co_name in ("_stepped_band0", "_damped_amplitude"):
-            rows.append(sum(len(x) for x in x0))
-        return band_blocks(steps, x0, nsamples, buffers)
+    def stepped_spy(*args):
+        # the stepped band 0 is its second argument
+        stepped.append(1)
+        rows.append(len(args[1]))
+        return stepped_band0(*args)
 
-    monkeypatch.setattr(lindblad, "_band_blocks", spy)
-    monkeypatch.setattr(lindblad, "_stepped_band0",
-                        lambda *args: stepped.append(1) or stepped_band0(*args))
+    def powers_spy(gens, dt):
+        # the steps of the bands stepped whole: a certified run's band 1, and
+        # on the full path its bands past 0; the purity bound's groups build
+        # theirs without it
+        rows.append(sum(len(m) for m in gens))
+        return powers(gens, dt)
+
+    monkeypatch.setattr(lindblad, "_powers", powers_spy)
+    monkeypatch.setattr(lindblad, "_stepped_band0", stepped_spy)
     set_cpus(monkeypatch, 1)
     flagged = rk4_evolve(L, rho0, t_final, dt, amplitude_only=True)
     if branch is None:
         assert flagged.purity.size == len(flagged) and stepped == [1]
+        assert flagged.certificate is None
         return
     assert flagged.purity.size == 0
+    assert flagged.certificate["branch"] == {1: "block_starts", 2: "stepped_band0"}[branch]
     assert stepped == ([1] if branch == 2 else [])
     # band 1 is stepped once, after band 0 where band 0 is stepped
     assert rows == ([d, d - 1] if branch == 2 else [d - 1])
 
 
-@pytest.mark.parametrize("run,branch", [("fig8-n1", "block_starts"), ("fig2d", "stepped_band0")])
+@pytest.mark.parametrize("run,branch", [
+    ("fig8-n1", "block_starts"), ("fig2d", "stepped_band0"), ("fig1", "full"),
+    ("fig2b-gamma0.016", "full")])
 def test_damped_amplitude_only_builds_band0_step_once(monkeypatch, run, branch):
     # band 0's step and its squares are built once and shared by the purity
-    # bound's band-0 group, the closed-form gates and, on fig2d, the stepped
-    # band 0. Band 0's generator is the only real one
+    # bound's band-0 group, the closed-form gates, on fig2d the stepped band
+    # 0 and, where the certificate fails, the full path. Band 0's generator
+    # is the only real one; one process makes every call
     from revivals import lindblad
 
-    L, rho0, t_final, dt = preset_run(**DAMPED_AMPLITUDE_RUNS[run])
+    L, rho0, t_final, dt = preset_run(**DAMPED_AMPLITUDE_PATHS[run][0])
     band0, rk4_step = [], lindblad._rk4_step
 
     def spy(m, dt):
@@ -1012,9 +1058,13 @@ def test_damped_amplitude_only_builds_band0_step_once(monkeypatch, run, branch):
         return rk4_step(m, dt)
 
     monkeypatch.setattr(lindblad, "_rk4_step", spy)
+    set_cpus(monkeypatch, 1)
     flagged = rk4_evolve(L, rho0, t_final, dt, amplitude_only=True)
     assert band0 == [(L.space.dim, L.space.dim)]
-    assert flagged.purity.size == 0 and flagged.certificate["branch"] == branch
+    if branch == "full":
+        assert flagged.purity.size == len(flagged) and flagged.certificate is None
+    else:
+        assert flagged.purity.size == 0 and flagged.certificate["branch"] == branch
 
 
 @pytest.mark.parametrize("run", ["fig2a", "fig2d", "fig8-n10", "fig2b-gamma0.016"])

@@ -334,6 +334,20 @@ def test_sweep_manifest_rows_time_their_stages(tmp_path):
     assert sweep.csv_path.read_text().splitlines()[0] == SWEEP_HEADER
 
 
+def test_sweep_manifest_is_strict_json(tmp_path):
+    # the quadratic ladder has no predicted superrevival time: the CSV reads
+    # nan and the manifest null, with no NaN or Infinity, which strict JSON
+    # parsers refuse
+    def refuse(constant):
+        raise ValueError(f"{constant} is not strict JSON")
+
+    sweep = run_sweep(load_preset("fig2b").config, "gamma", [1e-4], name="strict",
+                      out_dir=tmp_path)
+    rows = json.loads(sweep.manifest_path.read_text(), parse_constant=refuse)["rows"]
+    assert rows[0]["predicted_t_sr"] is None
+    assert sweep.csv_path.read_text().splitlines()[1].split(",")[-1] == "nan"
+
+
 @needs_fork
 def test_sweep_manifest_names_each_points_path(tmp_path, monkeypatch, forks):
     # a fig8 point is certified: it runs amplitude-only and forks nothing.
