@@ -1,10 +1,12 @@
 """Work spread over forked processes, and the BLAS thread count it runs on.
 
+Every fork goes through ``forked_children``, which forks one child per
+producer, streams each child's bytes back through a pipe and reaps the
+children; ``fork_slices`` says how many slices a piece of work may take.
 Three users: ``runner.write_csv`` formats a CSV's rows in slices of forked
-children, and a damped ``lindblad.rk4_evolve`` propagates its largest
-bands in one forked band child, both through ``fork_slices``,
-``fork_slice`` and ``forked_children``; ``run_slices`` runs the points of
-a sweep that way.
+children, a damped ``lindblad.rk4_evolve`` propagates its largest bands in
+one forked band child, and ``run_slices`` runs the points of a sweep in
+slices. No caller sees a pid.
 """
 
 from __future__ import annotations
@@ -34,71 +36,69 @@ def usable_cpus() -> int:
     return len(os.sched_getaffinity(0))
 
 
-def fork_slices() -> int:
-    """Slices to split one piece of work into: one per usable CPU, where forking is safe.
+def fork_slices(count: int) -> int:
+    """Slices to split ``count`` pieces of work into: one per usable CPU and
+    piece, where forking is safe.
 
     A single one (no fork) where ``os.fork`` is missing (Windows) or another
     thread is alive, since a forked child would inherit any lock it holds.
     """
     if not hasattr(os, "fork") or threading.active_count() > 1:
         return 1
-    return usable_cpus()
-
-
-def fork_slice(produce: Callable[[], Iterable[bytes]]) -> tuple[int, BinaryIO]:
-    """Start a child that sends the bytes of ``produce()`` through a pipe.
-
-    The child writes each piece as ``produce()`` yields it, so the parent
-    can read the first while the child makes the next; a full pipe holds
-    the child back until the parent reads. A producer that must not wait on
-    the parent returns a list. The child always leaves with ``os._exit`` (no
-    exit handlers, no inherited buffers flushed twice), with status 0 only
-    when every byte is sent. Returns the child's pid and the pipe's read
-    end, for the list of ``forked_children``.
-    """
-    r, w = os.pipe()
-    pid = os.fork()
-    if pid == 0:  # child
-        status = 1
-        try:
-            os.close(r)
-            with open(w, "wb") as pipe:
-                for piece in produce():
-                    pipe.write(piece)
-                    pipe.flush()
-            status = 0
-        finally:
-            os._exit(status)
-    os.close(w)
-    return pid, open(r, "rb")
+    return max(1, min(usable_cpus(), count))
 
 
 @contextlib.contextmanager
-def forked_children(what: str):
-    """Yield a list for the (pid, pipe) pairs of ``fork_slice``; reap them on leaving.
+def forked_children(what: str, producers: Iterable[Callable[[], Iterable[bytes]]]):
+    """Fork one child per producer; yield their pipes' read ends in order;
+    reap the children on leaving.
+
+    Each child writes the pieces of its ``producer()`` to its pipe as they
+    are made, so the parent can read the first while the child makes the
+    next; a full pipe holds the child back until the parent reads. A
+    producer that must not wait on the parent returns a list. A child
+    always leaves with ``os._exit`` (no exit handlers, no inherited buffers
+    flushed twice), with status 0 only when every byte is sent.
 
     Leaving closes every pipe and waits for every child, so none outlives
-    the block. If the body raised (a Ctrl-C too), the children are killed
-    first and the body's exception goes on; otherwise a child that exited
-    non-zero raises OSError naming ``what``.
+    the block. If a fork or the body raised (a Ctrl-C too), the children
+    are killed first and the exception goes on; otherwise a child that
+    exited non-zero raises OSError naming ``what``.
     """
-    children: list[tuple[int, BinaryIO]] = []
+    pids: list[int] = []
+    pipes: list[BinaryIO] = []
     try:
-        yield children
+        for produce in producers:
+            r, w = os.pipe()
+            pipes.append(open(r, "rb"))
+            with open(w, "wb") as sink:
+                pid = os.fork()
+                if pid == 0:  # child
+                    status = 1
+                    try:
+                        pipes[-1].close()
+                        for piece in produce():
+                            sink.write(piece)
+                            sink.flush()
+                        status = 0
+                    finally:
+                        os._exit(status)
+            pids.append(pid)
+        yield pipes
     except BaseException:
-        for pid, _ in children:
+        for pid in pids:
             os.kill(pid, signal.SIGKILL)
         raise
     finally:
-        for _, pipe in children:
+        for pipe in pipes:
             pipe.close()
-        codes = [os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) for pid, _ in children]
+        codes = [os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) for pid in pids]
     if any(codes):
         raise OSError(f"{what} exited with status {codes}")
 
 
 def run_slices(run: Callable[[int], object], count: int, what: str) -> list:
-    """[run(i) for i in range(count)], in one slice per ``fork_slices()`` process.
+    """[run(i) for i in range(count)], in ``fork_slices(count)`` slices.
 
     Never more slices than indices. Index i goes to slice i mod n, so the
     first slice, which the caller runs, is never empty; slices 2..n run in
@@ -110,7 +110,7 @@ def run_slices(run: Callable[[int], object], count: int, what: str) -> list:
     shut down. A slice sees the whole affinity mask, so a run inside it that
     forks children of its own may fork them there too.
     """
-    n = max(1, min(fork_slices(), count))
+    n = fork_slices(count)
     slices = [range(j, count, n) for j in range(n)]
 
     def outcomes(todo: range) -> dict:
@@ -123,17 +123,13 @@ def run_slices(run: Callable[[int], object], count: int, what: str) -> list:
                 break
         return done
 
-    if n == 1:
+    producers = [lambda todo=todo: [pickle.dumps(outcomes(todo))] for todo in slices[1:]]
+    with one_blas_thread() if n > 1 else contextlib.nullcontext(), forked_children(
+            f"{what}: the processes running slices 2..{n}", producers) as pipes:
         done = outcomes(slices[0])
-    else:
-        with one_blas_thread(), forked_children(
-                f"{what}: the processes running slices 2..{n}") as children:
-            for todo in slices[1:]:
-                children.append(fork_slice(lambda todo=todo: [pickle.dumps(outcomes(todo))]))
-            done = outcomes(slices[0])
-            sent = [pipe.read() for _, pipe in children]
-        for data in sent:
-            done.update(pickle.loads(data))
+        sent = [pipe.read() for pipe in pipes]
+    for data in sent:
+        done.update(pickle.loads(data))
     # a slice stops at its first failure, so every index below the first failing one ran
     failed = [i for i, value in done.items() if isinstance(value, Exception)]
     if failed:

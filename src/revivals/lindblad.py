@@ -34,11 +34,12 @@ propagates the largest complex bands, 1..k-1, and pipes back <a> and its
 part of the purity sum per block, while the calling process propagates
 band 0 and bands k..D-1, continues that sum and checks the gates. Small
 BLAS products on threads of one process contend for the GIL, so the child
-is a process. A run of one block, or one where ``fanout.fork_slices()``
-allows a single process, draws the child's records in the calling process.
-Every product runs on one OpenBLAS thread, and the child's sum is continued
-in the order of one sum over all rows, so the bytes do not depend on the
-split or on the fork. The module starts no threads.
+is a process, forked by ``fanout.forked_children``. A run of one block,
+or one where ``fanout.fork_slices`` allows a single process, draws the
+child's records in the calling process. Every product runs on one OpenBLAS
+thread, and the child's sum is continued in the order of one sum over all
+rows, so the bytes do not depend on the split or on the fork. The module
+starts no threads.
 
 <a> reads band 1 alone. So an amplitude-only run (``amplitude_only=True``,
 the nonlinearity scan's and every sweep point's) propagates band 1 only,
@@ -62,7 +63,7 @@ CERTIFICATE_MARGIN and the rounding allowance (``_rounding``) inside
 gate or bound, a value that is not finite) takes the full loop, which
 raises what it raises without the flag.
 
-This module holds the propagator only; the fork helper, and the BLAS
+This module holds the propagator only; the fork helpers, and the BLAS
 thread count, live in ``fanout``. The dense superoperator that
 cross-checks it is built independently in ``reference``.
 """
@@ -76,7 +77,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionMismatch, DomainError, StabilityError, TruncationError
-from .fanout import fork_slice, fork_slices, forked_children, one_blas_thread
+from .fanout import fork_slices, forked_children, one_blas_thread
 from .fock import DensityMatrix, FockSpace
 from .hamiltonian import DiagonalHamiltonian, classical_period
 
@@ -408,10 +409,11 @@ def _dense_blocks(band0: list[np.ndarray], gens: list[np.ndarray], x0: list[np.n
     """The full damped run's blocks, from the band child's records
     (``_band_child``, bands 1..k-1, ``_band_split``) and the caller's band 0,
     stepped by its squares band0 (``_squares``), and bands k..D-1. The child
-    runs in a forked process (``fanout.fork_slice``), working ahead while the
-    pipe holds its records, where ``fanout.fork_slices()`` allows more than
-    one process and the run has more than one block; otherwise the caller
-    draws them itself. The caller continues the child's purity sums row by
+    runs in a forked process (``fanout.forked_children``), working ahead
+    while the pipe holds its records, where ``fanout.fork_slices`` allows
+    more than one slice for the run's blocks, so more than one process and
+    more than one block; otherwise the caller draws them itself, and no
+    child is forked. The caller continues the child's purity sums row by
     row over its own rows, as the einsum over all rows adds them, so the
     bytes do not depend on k or on the fork.
     """
@@ -431,13 +433,9 @@ def _dense_blocks(band0: list[np.ndarray], gens: list[np.ndarray], x0: list[np.n
     def last():
         return pop[:, -1], np.concatenate([tail, own[:, -1]])
 
-    with contextlib.ExitStack() as stack:
-        if nsamples > nb and fork_slices() > 1:
-            children = stack.enter_context(forked_children(what))
-            children.append(fork_slice(lambda: child))
-            recv = children[0][1].read
-        else:
-            recv = lambda n: next(child)
+    producers = [lambda: child] if fork_slices(-(-nsamples // nb)) > 1 else []
+    with forked_children(what, producers) as pipes:
+        recv = pipes[0].read if pipes else lambda n: next(child)
 
         def exactly(n: int) -> bytes:
             data = recv(n)
@@ -808,13 +806,14 @@ def rk4_evolve(L: Liouvillian, rho0: DensityMatrix, t_final: float,
     one (``Trajectory.final``). The trace is monitored, never renormalized.
     Every band product runs on one OpenBLAS thread (``one_blas_thread``).
     With damping and more than one block of samples, the largest bands run
-    in one forked band child where ``fanout.fork_slices()`` allows it (see
-    ``_dense_blocks``), which is killed and reaped before this returns or
-    raises. The result does not depend on the fork. Undamped runs, and the
-    rest, use the calling process only; no thread is started. Whether a run
-    is undamped is read from ``L.damping.gamma == 0``, which zeroes both
-    jump weights: such a run reads its step factors from
-    ``L.band_diagonals()`` and builds no dense M_q (``band_generators``).
+    in one band child, forked by ``fanout.forked_children`` where
+    ``fanout.fork_slices`` allows it (see ``_dense_blocks``), which is
+    killed and reaped before this returns or raises. The result does not
+    depend on the fork. Undamped runs, and the rest, use the calling
+    process only; no thread is started. Whether a run is undamped is read
+    from ``L.damping.gamma == 0``, which zeroes both jump weights: such a
+    run reads its step factors from ``L.band_diagonals()`` and builds no
+    dense M_q (``band_generators``).
 
     Raises StabilityError when the trace drifts by more than
     TRACE_TOLERANCE or when the purity leaves (0, 1 + TRACE_TOLERANCE];

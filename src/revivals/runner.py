@@ -33,8 +33,7 @@ from .analysis import (ClassifierThresholds, FirstRevival, RevivalReport,
 from .config import ExperimentConfig
 from .csvtext import format_rows
 from .errors import ConfigError, RevivalsError
-from .fanout import (fork_slice, fork_slices, forked_children, one_blas_thread,
-                     run_slices)
+from .fanout import fork_slices, forked_children, one_blas_thread, run_slices
 from .fock import (DensityMatrix, FockSpace, coherent_state, density_from_pure,
                    displaced_number_state)
 from .hamiltonian import (Timescales, build_hamiltonian, default_n0,
@@ -147,12 +146,12 @@ def _fmt(x: float) -> str:
 def write_csv(path: Path, traj: Trajectory) -> None:
     """The trajectory table, formatted in contiguous slices of its rows.
 
-    One slice per process from ``fanout.fork_slices``, of whole
-    CSV_CHUNK_ROWS chunks. The calling process formats the first slice and
-    streams it to the file chunk by chunk; forked children
-    (``fanout.fork_slice``) format the others, whose bytes follow in order.
-    Every child is reaped before this returns or raises. A child that fails
-    raises OSError; a failed child or write leaves no CSV.
+    ``fanout.fork_slices`` slices of whole CSV_CHUNK_ROWS chunks. The
+    calling process formats the first slice and streams it to the file
+    chunk by chunk; forked children (``fanout.forked_children``) format the
+    others, whose bytes follow in order. Every child is reaped before this
+    returns or raises. A child or fork that fails raises OSError; a failed
+    child, fork or write leaves no CSV.
     """
     data = [traj.times, traj.a_expect.real, traj.a_expect.imag, np.abs(traj.a_expect),
             traj.n_expect, traj.trace, traj.purity]
@@ -163,20 +162,20 @@ def write_csv(path: Path, traj: Trajectory) -> None:
             yield format_rows([c[k:k + CSV_CHUNK_ROWS] for c in data])
 
     starts = range(0, len(traj.times), CSV_CHUNK_ROWS)
-    n = max(1, min(fork_slices(), len(starts)))
+    n = fork_slices(len(starts))
     bounds = [len(starts) * i // n for i in range(n + 1)]
+    # lists, so that each child formats its whole slice while the parent
+    # formats the first, not waiting on a pipe read only after
+    producers = [lambda lo=lo, hi=hi: list(formatted(starts[lo:hi]))
+                 for lo, hi in zip(bounds[1:-1], bounds[2:])]
     fh = open(path, "wb")
     try:
         with fh, forked_children(f"{path.name}: the processes formatting CSV "
-                                 f"slices 2..{n}") as children:
-            # a list, so that each child formats its whole slice while the
-            # parent formats the first, not waiting on a pipe read only after
-            for lo, hi in zip(bounds[1:-1], bounds[2:]):
-                children.append(fork_slice(lambda lo=lo, hi=hi: list(formatted(starts[lo:hi]))))
+                                 f"slices 2..{n}", producers) as pipes:
             fh.write((CSV_HEADER + "\n").encode())
             for text in formatted(starts[:bounds[1]]):
                 fh.write(text)
-            for _, pipe in children:
+            for pipe in pipes:
                 shutil.copyfileobj(pipe, fh)
     except BaseException:
         path.unlink()

@@ -1,3 +1,4 @@
+import errno
 import math
 import os
 import threading
@@ -91,6 +92,22 @@ def children_exit_at_once(monkeypatch, status: int) -> None:
         return pid
 
     monkeypatch.setattr(os, "fork", fork)
+
+
+def second_fork_fails(monkeypatch) -> OSError:
+    """Make os.fork raise EAGAIN at its second call, as at a process limit;
+    returns that error."""
+    real_fork, calls = os.fork, []
+    error = OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+
+    def fork():
+        calls.append(1)
+        if len(calls) == 2:
+            raise error
+        return real_fork()
+
+    monkeypatch.setattr(os, "fork", fork)
+    return error
 
 
 @pytest.fixture

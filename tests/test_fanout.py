@@ -10,7 +10,8 @@ import revivals
 from revivals import fanout
 from revivals.fanout import run_slices, usable_cpus
 
-from conftest import ALPHA, B1, OMEGA0, needs_fork, no_child_left, set_cpus
+from conftest import (ALPHA, B1, OMEGA0, needs_fork, no_child_left, second_fork_fails,
+                      set_cpus)
 
 
 def test_one_blas_thread_makes_no_set_call_at_one(blas_log):
@@ -56,14 +57,14 @@ from revivals.config import config_from_dict
 from revivals.runner import run_sweep
 
 lindblad._damped_amplitude = lambda *args: False
-fork = lindblad.fork_slice
+fork = lindblad.forked_children
 
-def fork_band(produce):
+def fork_band(what, producers):
     with open({str(tmp_path / "bands")!r}, "a") as fh:
-        fh.write(f"{{os.getpid()}}\\n")
-    return fork(produce)
+        fh.writelines(f"{{os.getpid()}}\\n" for _ in producers)
+    return fork(what, producers)
 
-lindblad.fork_slice = fork_band
+lindblad.forked_children = fork_band
 os.sched_getaffinity = lambda pid: {{0, 1, 2, 3}}
 h = build_hamiltonian(FockSpace(30), {OMEGA0!r}, {B1!r}, 2)
 L = build_liouvillian(h, DampingSpec(gamma=1e-3))
@@ -172,4 +173,16 @@ def test_run_slices_raises_the_smallest_failing_index(monkeypatch, forks, failin
         with pytest.raises(ValueError, match=f"^point {min(failing)}$"):
             run_slices(run, 5, "five points")
         assert len(forks) == nforks
+    no_child_left()
+
+
+@needs_fork
+def test_run_slices_fork_failing_partway_raises_and_leaves_no_child(monkeypatch):
+    # three points in three slices: the fork of slice 3 fails, the child of
+    # slice 2 is killed and reaped, and the fork's error goes on
+    set_cpus(monkeypatch, 3)
+    error = second_fork_fails(monkeypatch)
+    with pytest.raises(OSError) as failed:
+        run_slices(seen, 3, "three points")
+    assert failed.value is error
     no_child_left()

@@ -1225,6 +1225,25 @@ def test_band_split_takes_the_largest_bands_up_to_the_share():
 
 
 @needs_fork
+@pytest.mark.parametrize("samples", [BLOCK_STEPS, BLOCK_STEPS + 1])
+def test_one_block_damped_run_forks_no_band_child(monkeypatch, forks, samples):
+    # at 2 CPUs a full damped run of one block draws the band child's
+    # records in the caller, and one of two blocks forks the child; the
+    # bytes are those of the run at one CPU either way
+    L = make_liouvillian(30, gamma=1e-3)
+    rho0 = density_from_pure(coherent_state(L.space, ALPHA))
+    runs = []
+    for cpus in (1, 2):
+        set_cpus(monkeypatch, cpus)
+        runs.append(rk4_evolve(L, rho0, (samples - 1) * 0.05, dt=0.05))
+    assert len(forks) == (samples > BLOCK_STEPS)
+    no_child_left()
+    assert len(runs[0]) == samples
+    for name in TRAJECTORY_FIELDS:
+        assert getattr(runs[1], name).tobytes() == getattr(runs[0], name).tobytes(), name
+
+
+@needs_fork
 @pytest.mark.parametrize("d", [2, 5, 12, 44])
 def test_band_split_does_not_change_the_bytes(monkeypatch, forks, d):
     # the band child takes bands 1..k-1 for every k, forked and in the

@@ -16,7 +16,7 @@ from revivals.runner import (CSV_CHUNK_ROWS, CSV_HEADER, SWEEP_HEADER, run_exper
                              run_sweep, write_csv)
 
 from conftest import (ALPHA, OMEGA0, UNSTABLE_DT, children_exit_at_once, needs_fork,
-                      no_child_left, refuse_certificates, set_cpus)
+                      no_child_left, refuse_certificates, second_fork_fails, set_cpus)
 
 
 def small_config(**over):
@@ -124,13 +124,13 @@ def sweep_of(kind: str, tmp_path, name: str = "w"):
 def band_forks(monkeypatch) -> list:
     """The pid of the caller at each band child it forks, beside the ``forks`` fixture."""
     made = []
-    fork = lindblad.fork_slice
+    fork = lindblad.forked_children
 
-    def fork_band(produce):
-        made.append(os.getpid())
-        return fork(produce)
+    def fork_band(what, producers):
+        made.extend(os.getpid() for _ in producers)
+        return fork(what, producers)
 
-    monkeypatch.setattr(lindblad, "fork_slice", fork_band)
+    monkeypatch.setattr(lindblad, "forked_children", fork_band)
     return made
 
 
@@ -742,6 +742,19 @@ def test_write_csv_failing_child_raises_and_leaves_no_csv(tmp_path, rng, monkeyp
     children_exit_at_once(monkeypatch, 7)
     with pytest.raises(OSError, match=r"status \[7, 7\]"):
         write_csv(tmp_path / "t.csv", random_trajectory(rng, 3000))
+    assert not (tmp_path / "t.csv").exists()
+    no_child_left()
+
+
+@needs_fork
+def test_write_csv_fork_failing_partway_raises_and_leaves_no_csv(tmp_path, rng, monkeypatch):
+    # the second of two CSV children cannot be forked: the first is killed
+    # and reaped, and the fork's error goes on
+    set_cpus(monkeypatch, 3)
+    error = second_fork_fails(monkeypatch)
+    with pytest.raises(OSError) as failed:
+        write_csv(tmp_path / "t.csv", random_trajectory(rng, 5000))
+    assert failed.value is error
     assert not (tmp_path / "t.csv").exists()
     no_child_left()
 
